@@ -15,10 +15,7 @@ from repro.experiments.scale import Scale
 from repro.experiments.spec import ExperimentResult, Series
 from repro.ideal.simulator import SchedulingMode
 from repro.runners import CampaignSpec, run_campaign
-from repro.runners.points import (  # noqa: F401  (back-compat re-exports)
-    IdealPointMetrics,
-    _ideal_point,
-)
+from repro.runners.points import IdealPointMetrics
 
 
 def ideal_campaign(scale: Scale) -> CampaignSpec:
@@ -44,21 +41,6 @@ def ideal_campaign(scale: Scale) -> CampaignSpec:
         ),
         seed_params=("grid_side", "p", "q", "mode"),
         base_seed=scale.base_seed,
-    )
-
-
-def ideal_point(scale: Scale, p: float, q: float, mode: SchedulingMode) -> IdealPointMetrics:
-    """Metrics for one (protocol, q) point at ``scale`` (memoized)."""
-    seed = scale.seed_for("ideal", scale.grid_side, p, q, mode.value)
-    return _ideal_point(
-        scale.grid_side,
-        scale.n_broadcasts,
-        p,
-        q,
-        mode.value,
-        seed,
-        scale.hop_distance_near,
-        scale.hop_distance_far,
     )
 
 

@@ -125,46 +125,126 @@ class BroadcastOutcome:
         return result
 
 
-@dataclass
+def _outcome(
+    source: int, index: int, t_generated: float, receive_times: np.ndarray,
+    hops: np.ndarray, parents: np.ndarray, counters: Sequence[int],
+) -> BroadcastOutcome:
+    """One broadcast's record from its row of the kernel arrays."""
+
+    def column(values: np.ndarray, present: np.ndarray) -> tuple:
+        cells = values.astype(object)  # Python floats / ints, exactly
+        cells[~present] = None
+        return tuple(cells.tolist())
+
+    reached = hops >= 0
+    n_transmissions, n_immediate, n_normal = counters
+    return BroadcastOutcome(
+        index=index,
+        source=source,
+        t_generated=t_generated,
+        receive_times=column(receive_times, reached),
+        hops=column(hops, reached),
+        n_transmissions=n_transmissions,
+        n_immediate_forwards=n_immediate,
+        n_normal_forwards=n_normal,
+        parents=column(parents, parents >= 0),
+    )
+
+
+def _stack_outcomes(outcomes: Sequence[BroadcastOutcome]) -> Tuple[np.ndarray, ...]:
+    """The scalar loop's records as kernel arrays (unreached -> -1)."""
+
+    def matrix(column: str, missing: float) -> np.ndarray:
+        return np.array([
+            [missing if v is None else v for v in getattr(o, column)] for o in outcomes
+        ])
+
+    counters = [
+        (o.n_transmissions, o.n_immediate_forwards, o.n_normal_forwards) for o in outcomes
+    ]
+    return (
+        np.array([o.t_generated for o in outcomes]), matrix("receive_times", 0.0),
+        matrix("hops", -1), matrix("parents", -1), np.array(counters),
+    )
+
+
+def _mean(values: List[float]) -> Optional[float]:
+    """Builtin-``sum`` mean in list order (``None`` when empty)."""
+    return sum(values) / len(values) if values else None
+
+
+@dataclass(eq=False)
 class CampaignResult:
-    """Aggregated outcomes of a multi-broadcast run (one parameter point)."""
+    """Aggregated outcomes of a multi-broadcast run (one parameter point).
+
+    Keeps the kernel's arrays, one row per broadcast, and computes every
+    metric from them; the per-broadcast :class:`BroadcastOutcome` records
+    are built only when :attr:`outcomes` is read.  Float means add their
+    values with the builtin ``sum`` in row-major order (broadcast outer,
+    node inner), the order of a loop over the outcomes, so they are
+    bit-identical to that loop on every Python version.
+    """
 
     params: PBBFParams
     mode: SchedulingMode
     config: AnalysisParameters
     source: int
-    outcomes: List[BroadcastOutcome]
     shortest_hops: List[Optional[int]]
     total_joules: float
     duration: float
+    #: Generation time of each broadcast, shape ``(broadcasts,)``.
+    t_generated: np.ndarray
+    #: First-copy arrival time, hop count and first-arrival parent per
+    #: ``(broadcast, node)``.  Hop -1 marks a node the broadcast never
+    #: reached (its time and parent mean nothing); the source's parent is -1.
+    receive_times: np.ndarray
+    hops: np.ndarray
+    parents: np.ndarray
+    #: Per broadcast: (transmissions, immediate forwards, normal forwards).
+    counters: np.ndarray
+    _outcomes: Optional[List[BroadcastOutcome]] = field(default=None, repr=False)
     #: Lazy dist -> node-id buckets backing :meth:`nodes_at_distance`.
     _distance_buckets: Optional[Dict[int, List[int]]] = field(
-        default=None, repr=False, compare=False
+        default=None, repr=False
     )
 
     @property
     def n_broadcasts(self) -> int:
         """Number of updates generated at the source."""
-        return len(self.outcomes)
+        return len(self.t_generated)
+
+    @property
+    def outcomes(self) -> List[BroadcastOutcome]:
+        """Per-broadcast records (built from the arrays on first read)."""
+        if self._outcomes is None:
+            rows = zip(
+                self.t_generated.tolist(), self.receive_times, self.hops,
+                self.parents, self.counters.tolist(),
+            )
+            self._outcomes = [
+                _outcome(self.source, b, *row) for b, row in enumerate(rows)
+            ]
+        return self._outcomes
+
+    def _n_received(self) -> np.ndarray:
+        """Nodes (source included) each broadcast reached."""
+        return np.count_nonzero(self.hops >= 0, axis=1)
 
     def reliability(self, fraction: float) -> float:
         """Fraction of updates received by >= ``fraction`` of nodes (Figs 4-5)."""
-        if not self.outcomes:
-            raise ValueError("campaign has no outcomes")
-        hits = sum(1 for o in self.outcomes if o.reached_fraction(fraction))
-        return hits / len(self.outcomes)
+        check_probability("fraction", fraction)
+        threshold = fraction * self.hops.shape[1]
+        hits = int(np.count_nonzero(self._n_received() >= threshold))
+        return hits / self.n_broadcasts
 
     def mean_coverage(self) -> float:
         """Average per-broadcast coverage (the Fig 16/18 'updates received')."""
-        if not self.outcomes:
-            raise ValueError("campaign has no outcomes")
-        return sum(o.coverage for o in self.outcomes) / len(self.outcomes)
+        coverage = self._n_received() / self.hops.shape[1]
+        return sum(coverage.tolist()) / self.n_broadcasts
 
     def joules_per_update(self) -> float:
         """Network-wide energy divided by updates generated."""
-        if not self.outcomes:
-            raise ValueError("campaign has no outcomes")
-        return self.total_joules / len(self.outcomes)
+        return self.total_joules / self.n_broadcasts
 
     def joules_per_update_per_node(self) -> float:
         """Average per-node energy per update — the Figure 8/13 y-axis.
@@ -180,12 +260,9 @@ class CampaignResult:
         ``None`` when nothing beyond the source ever received (deeply
         sub-threshold operating points).
         """
-        values: List[float] = []
-        for outcome in self.outcomes:
-            values.extend(outcome.per_hop_latencies())
-        if not values:
-            return None
-        return sum(values) / len(values)
+        relayed = self.hops > 0  # reached, source (hop 0) excluded
+        latency = self.receive_times - self.t_generated[:, None]
+        return _mean((latency[relayed] / self.hops[relayed]).tolist())
 
     def nodes_at_distance(self, d: int) -> List[int]:
         """Node ids whose shortest-path distance from the source is ``d``."""
@@ -202,29 +279,19 @@ class CampaignResult:
         worms along tortuous spanning-tree paths and this exceeds ``d``;
         at high reliability it collapses to ~``d``.
         """
-        nodes = self.nodes_at_distance(d)
-        values: List[float] = []
-        for outcome in self.outcomes:
-            for v in nodes:
-                h = outcome.hops[v]
-                if h is not None:
-                    values.append(float(h))
-        if not values:
+        hops = self.hops[:, self.nodes_at_distance(d)]
+        reached = hops[hops >= 0]
+        if not reached.size:
             return None
-        return sum(values) / len(values)
+        # Integer-valued, so the sum is exact in any order.
+        return float(reached.sum()) / reached.size
 
     def mean_latency_at_distance(self, d: int) -> Optional[float]:
         """Average generation-to-reception delay at distance-``d`` nodes."""
         nodes = self.nodes_at_distance(d)
-        values: List[float] = []
-        for outcome in self.outcomes:
-            for v in nodes:
-                latency = outcome.latency(v)
-                if latency is not None:
-                    values.append(latency)
-        if not values:
-            return None
-        return sum(values) / len(values)
+        reached = self.hops[:, nodes] >= 0
+        latency = self.receive_times[:, nodes] - self.t_generated[:, None]
+        return _mean(latency[reached].tolist())
 
 
 class IdealSimulator:
@@ -251,12 +318,13 @@ class IdealSimulator:
         broadcast — a sticky awake decision that collapses the per-frame
         renewal process onto exact bond percolation).
     fast_path:
-        ``True`` forces the vectorized frontier-at-a-time kernel, ``False``
-        forces the scalar heap loop (the reference implementation), and
-        ``None`` (default) defers to the ambient execution config
-        (:mod:`repro.runners.context`, the CLI's ``--no-fast-path``).
-        Both paths produce bit-identical :class:`BroadcastOutcome`\\ s —
-        the parity suite enforces it.
+        ``True`` forces the vectorized kernel that runs a campaign's
+        broadcasts in lockstep, ``False`` forces the scalar heap loop (the
+        reference implementation), and ``None`` (default) defers to the
+        ambient execution config (:mod:`repro.runners.context`, the CLI's
+        ``--no-fast-path``).  Both paths produce bit-identical
+        :class:`BroadcastOutcome`\\ s and campaign metrics — the parity
+        suite enforces it.
     failed_nodes:
         Failure injection: these nodes are dead before the first broadcast
         — they never receive, never forward, and count as unreached in
@@ -388,15 +456,18 @@ class IdealSimulator:
         the containing frame's ATIM window, where the paper's updates always
         arrive) and propagates until no transmission remains pending.
 
-        Dispatches to the vectorized frontier kernel unless the scalar
+        Runs the vectorized kernel as a batch of one unless the scalar
         reference loop was requested (``fast_path=False`` or the ambient
         execution config); the two are bit-identical.
         """
         check_non_negative_int("index", index)
-        self._current_broadcast = index
-        if self._use_fast_path():
-            return self._run_broadcast_fast(index)
-        return self._run_broadcast_scalar(index)
+        if not self._use_fast_path():
+            return self._run_broadcast_scalar(index)
+        t_gen, receive, hops, parents, counters = self._run_batch([index])
+        return _outcome(
+            self.source, index, t_gen.item(), receive[0], hops[0], parents[0],
+            counters[0].tolist(),
+        )
 
     def _generation_times(self, index: int) -> Tuple[float, float]:
         """(generation time, first transmission time) of broadcast ``index``."""
@@ -412,6 +483,7 @@ class IdealSimulator:
 
     def _run_broadcast_scalar(self, index: int) -> BroadcastOutcome:
         """Reference implementation: one heap entry per transmission."""
+        self._current_broadcast = index  # keys the broadcast-scope q-coins
         cfg = self.config
         n = self.topology.n_nodes
         airtime = cfg.packet_airtime
@@ -477,220 +549,141 @@ class IdealSimulator:
             parents=tuple(parents),
         )
 
-    def _run_broadcast_fast(self, index: int) -> BroadcastOutcome:
-        """Vectorized kernel: one array step per distinct send time.
+    def _run_batch(self, indices: Sequence[int]) -> Tuple[np.ndarray, ...]:
+        """Vectorized kernel: the broadcasts in ``indices``, in lockstep.
 
-        All transmissions sharing a send time resolve together — a masked
-        neighbour gather over the topology's CSR view, one batched q-coin
-        draw for the awake checks, first-arrival resolution via the first
-        occurrence in claim order, and one batched p-coin draw for the
-        winners.  Scalar-heap equivalence relies on three invariants:
+        State lives in flat arrays keyed ``row * n_nodes + node`` (one row
+        per broadcast).  Each step takes, for every broadcast still
+        propagating, all its pending transmissions at *its own* earliest
+        send time and resolves them together: one padded-CSR neighbour
+        gather, q-coins hashed only for neighbours of immediate senders
+        outside an ATIM window, and first claims via a reversed scatter
+        on the flat keys.  Rows never interact (disjoint keys; coins keyed
+        by each row's own broadcast index), and each row matches the
+        scalar heap because:
 
-        * transmissions created later always carry later sequence numbers,
-          and batches are drained in (time, seq) order exactly as the heap
-          would pop them (same-time chunks spawned mid-batch form the next
-          batch at that time);
-        * within a batch the flat gather enumerates (sender, neighbour)
-          pairs in precisely the scalar visit order, so ``np.unique``'s
-          first-occurrence index reproduces the scalar's first-claim
-          tie-breaking;
-        * every timestamp is computed by the same scalar float expression
-          (``_defer_out_of_window``, ``_next_window_send_time``) on the
-          same inputs, so grouping by exact float equality matches heap
-          ordering.
+        * the pending pool keeps append order, and a row's appends follow
+          its heap sequence numbers, so an order-preserving selection of
+          one send time yields the heap's (time, seq) pop order;
+        * a step's gather enumerates (sender, neighbour) pairs in the
+          scalar visit order, so the first claim of a key is the scalar's
+          (duplicate-index assignment is last-write-wins, hence reversed);
+        * every timestamp is the float expression of
+          ``_defer_out_of_window`` / ``_next_window_send_time`` on the same
+          inputs, so grouping by exact equality matches heap ordering.
+
+        Returns ``(t_generated, receive_times, hops, parents, counters)``
+        shaped as the :class:`CampaignResult` fields.
         """
         cfg = self.config
-        topo = self.topology
-        padded_nbrs, padded_valid = topo.csr.padded
-        csr_indices = topo.csr.indices
-        csr_indptr = topo.csr.indptr
-        n = topo.n_nodes
+        t_frame, t_active, l1 = cfg.t_frame, cfg.t_active, cfg.l1
         airtime = cfg.packet_airtime
+        n = self.topology.n_nodes
+        padded_nbrs, padded_valid = self.topology.csr.padded
+        width = padded_nbrs.shape[1]
         always_on = self.mode is SchedulingMode.ALWAYS_ON
-        t_gen, first_tx = self._generation_times(index)
+        index_arr = np.asarray(indices, dtype=np.int64)
+        n_rows = len(index_arr)
+        t_gen, first_tx = np.array([self._generation_times(i) for i in indices]).T
 
-        discovered = np.zeros(n, dtype=bool)
-        receive_t = np.zeros(n, dtype=np.float64)
-        hops_arr = np.full(n, -1, dtype=np.int64)
-        parents_arr = np.full(n, -1, dtype=np.int64)
-        claim_row = np.empty(n, dtype=np.int64)  # first-claim scratch
-        if self._failed_mask is not None:
-            # Failed radios are masked out of every frontier gather by
-            # pre-marking them discovered; the unreached patch below puts
-            # them back to None.  Zero per-batch cost when nothing failed.
-            discovered |= self._failed_mask
-        discovered[self.source] = True
-        receive_t[self.source] = t_gen
-        hops_arr[self.source] = 0
-        n_transmissions = 0
-        n_immediate = 0
-        n_normal = 1  # the source's initial normal broadcast
-
-        node_ids = np.arange(n, dtype=np.int64)
-        # One whole-network p-coin draw covers the broadcast: the key is
-        # (node, index), so every per-batch lookup is a slice of this table.
+        # p-coins once per (broadcast, node).  The source's own send is a
+        # normal broadcast whatever its coin says, and it is never counted.
         if always_on:
-            forwards_all = np.ones(n, dtype=bool)
+            forwards = np.ones((n_rows, n), dtype=bool)
         else:
-            forwards_all = (
-                hash_to_unit_interval_array(
-                    self._seed ^ self._p_salt, node_ids, index
-                )
-                < self.params.p
-            )
-        # Awake masks are keyed per frame (or once per broadcast in the
-        # sticky-ablation scope) and drawn whole-network on first need —
-        # one vectorized draw per frame instead of one per batch.
-        if self.q_coin_scope == "frame":
-            q_key: Optional[int] = None  # depends on the batch's send time
+            forwards = hash_to_unit_interval_array(
+                self._seed ^ self._p_salt, np.arange(n), index_arr[:, None]
+            ) < self.params.p
+        forwards[:, self.source] = False
+        forwards = forwards.ravel()
+        # Failed radios are pre-marked discovered, so no gather sees them;
+        # their hop stays -1 (unreached).
+        if self._failed_mask is None:
+            discovered = np.zeros(n_rows * n, dtype=bool)
         else:
-            q_key = -1 - index
-        awake_masks: Dict[int, np.ndarray] = {}
+            discovered = np.tile(self._failed_mask, n_rows)
+        receive = np.zeros(n_rows * n)
+        hops = np.full(n_rows * n, -1, dtype=np.int64)
+        parents = np.full(n_rows * n, -1, dtype=np.int64)
+        claim = np.empty(n_rows * n, dtype=np.int64)  # first-claim scratch
+        source_keys = np.arange(n_rows) * n + self.source
+        discovered[source_keys] = True
+        receive[source_keys] = t_gen
+        hops[source_keys] = 0
 
-        def awake_mask(key: int) -> np.ndarray:
-            mask = awake_masks.get(key)
-            if mask is None:
-                mask = (
-                    hash_to_unit_interval_array(
-                        self._seed ^ self._q_salt, node_ids, key
-                    )
-                    < self.params.q
-                )
-                awake_masks[key] = mask
-            return mask
+        # Pending transmissions (row, send time, sender) in append order.
+        pend_row = np.arange(n_rows)
+        pend_t = first_tx
+        pend_node = np.full(n_rows, self.source)
+        earliest = np.empty(n_rows)
+        while pend_row.size:
+            earliest.fill(np.inf)
+            np.minimum.at(earliest, pend_row, pend_t)
+            now = pend_t == earliest[pend_row]
+            rows, t_send, senders = pend_row[now], pend_t[now], pend_node[now]
+            later = ~now
+            pend_row, pend_t, pend_node = pend_row[later], pend_t[later], pend_node[later]
 
-        # Pending transmissions, grouped by exact send time.  Each chunk is
-        # (senders, hops, immediate-flags) in seq order; chunks within a
-        # list and lists across times preserve global seq order because
-        # appends only ever carry fresh (larger) sequence numbers.
-        Chunk = Tuple[np.ndarray, np.ndarray, np.ndarray]
-        pending: Dict[float, List[Chunk]] = {}
-        times: List[float] = []
+            # (sender, neighbour slot) pairs, flattened row-major.
+            sender_keys = rows * n + senders
+            nbrs = padded_nbrs[senders].ravel()
+            keys = np.repeat(rows * n, width) + nbrs
+            keep = padded_valid[senders].ravel() & ~discovered[keys]
+            immediate = forwards[sender_keys]
+            if not always_on and immediate.any():
+                # Immediate forwards outside the window reach only the
+                # neighbours whose q-coin kept them awake.
+                frame = np.floor(t_send / t_frame)
+                gated = immediate & (t_send - frame * t_frame >= t_active)
+                pairs = np.flatnonzero(keep & np.repeat(gated, width))
+                if pairs.size:
+                    if self.q_coin_scope == "frame":
+                        q_key = frame.astype(np.int64)[pairs // width]
+                    else:
+                        q_key = -1 - index_arr[rows[pairs // width]]
+                    asleep = hash_to_unit_interval_array(
+                        self._seed ^ self._q_salt, nbrs[pairs], q_key
+                    ) >= self.params.q
+                    keep[pairs[asleep]] = False
+            claims = np.flatnonzero(keep)
+            if not claims.size:
+                continue
+            cand = keys[claims]
+            claimant = claims // width  # the claiming transmission
+            claim[cand[::-1]] = claimant[::-1]
+            first = claim[cand] == claimant
+            won = cand[first]
+            owner = claimant[first]
 
-        def push(t: float, chunk: Chunk) -> None:
-            bucket = pending.get(t)
-            if bucket is None:
-                pending[t] = [chunk]
-                heapq.heappush(times, t)
+            t_arrive = t_send[owner] + airtime
+            discovered[won] = True
+            receive[won] = t_arrive
+            hops[won] = hops[sender_keys[owner]] + 1
+            parents[won] = senders[owner]
+            raw = t_arrive + l1
+            if always_on:
+                t_next = raw
             else:
-                bucket.append(chunk)
+                raw_start = np.floor(raw / t_frame) * t_frame
+                in_window = raw - raw_start < t_active
+                t_immediate = np.where(in_window, raw_start + t_active, raw)
+                t_normal = (np.floor(t_arrive / t_frame) + 1.0) * t_frame + t_active + l1
+                t_next = np.where(forwards[won], t_immediate, t_normal)
+            pend_row = np.concatenate((pend_row, rows[owner]))
+            pend_t = np.concatenate((pend_t, t_next))
+            pend_node = np.concatenate((pend_node, nbrs[claims[first]]))
 
-        push(
-            first_tx,
-            (
-                np.array([self.source], dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-                np.zeros(1, dtype=bool),
-            ),
-        )
-
-        while times:
-            t_send = heapq.heappop(times)
-            chunks = pending.pop(t_send)
-            if len(chunks) == 1:
-                senders, sender_hops, immediate = chunks[0]
-            else:
-                senders = np.concatenate([c[0] for c in chunks])
-                sender_hops = np.concatenate([c[1] for c in chunks])
-                immediate = np.concatenate([c[2] for c in chunks])
-            n_transmissions += len(senders)
-            t_arrive = t_send + airtime
-
-            if len(senders) == 1:
-                # Single transmitter: its CSR row is already duplicate-free
-                # and in visit order, so no first-claim resolution needed.
-                s = int(senders[0])
-                row = csr_indices[csr_indptr[s] : csr_indptr[s + 1]]
-                keep = ~discovered[row]
-                if (
-                    not always_on
-                    and immediate[0]
-                    and not self.in_active_window(t_send)
-                ):
-                    key = self.frame_of(t_send) if q_key is None else q_key
-                    keep &= awake_mask(key)[row]
-                winners = row[keep]
-                if winners.size == 0:
-                    continue
-                receive_t[winners] = t_arrive
-                discovered[winners] = True
-                hops_arr[winners] = sender_hops[0] + 1
-                parents_arr[winners] = s
-            else:
-                # Row-major over (sender, neighbour-position) = the scalar
-                # visit order, so first occurrence = scalar first claim.
-                nbrs2d = padded_nbrs[senders]
-                keep2d = padded_valid[senders] & ~discovered[nbrs2d]
-                if (
-                    not always_on
-                    and immediate.any()
-                    and not self.in_active_window(t_send)
-                ):
-                    # Immediate forwards only reach neighbours whose q-coin
-                    # kept them awake; normal ones (post-ATIM) reach all.
-                    key = self.frame_of(t_send) if q_key is None else q_key
-                    keep2d &= awake_mask(key)[nbrs2d] | ~immediate[:, None]
-                rows, cols = np.nonzero(keep2d)
-                if rows.size == 0:
-                    continue
-                cand = nbrs2d[rows, cols]
-                # First-claim resolution without a sort: scatter row ids in
-                # reverse so the earliest claim lands last, then keep exactly
-                # the entries whose row won.  (Duplicate-index assignment is
-                # last-write-wins; a row never lists a neighbour twice.)
-                claim_row[cand[::-1]] = rows[::-1]
-                first_mask = claim_row[cand] == rows
-                winners = cand[first_mask]  # already in claim (seq) order
-                winner_owner = rows[first_mask]
-
-                receive_t[winners] = t_arrive
-                discovered[winners] = True
-                hops_arr[winners] = sender_hops[winner_owner] + 1
-                parents_arr[winners] = senders[winner_owner]
-
-            forwards = forwards_all[winners]
-            winner_hops = hops_arr[winners]
-            n_imm = int(forwards.sum())
-            n_immediate += n_imm
-            n_normal += len(winners) - n_imm
-            t_imm = self._defer_out_of_window(t_arrive + cfg.l1)
-            t_norm = self._next_window_send_time(t_arrive)
-            if n_imm == len(winners):
-                push(t_imm, (winners, winner_hops, forwards))
-            elif n_imm == 0:
-                push(t_norm, (winners, winner_hops, forwards))
-            elif t_imm == t_norm:
-                # Rare alignment: keep one interleaved chunk so intra-batch
-                # seq order still matches the scalar push order.
-                push(t_imm, (winners, winner_hops, forwards))
-            else:
-                push(t_imm, (winners[forwards], winner_hops[forwards], forwards[forwards]))
-                quiet = ~forwards
-                push(t_norm, (winners[quiet], winner_hops[quiet], forwards[quiet]))
-
-        receive_list: List[Optional[float]] = receive_t.tolist()
-        hops_list: List[Optional[int]] = hops_arr.tolist()
-        parents_list: List[Optional[int]] = parents_arr.tolist()
-        parents_list[self.source] = None
-        # Patch only the unreached nodes back to None (usually few or none);
-        # failed nodes were pre-marked discovered, so fold them back in.
-        unreached = ~discovered
-        if self._failed_mask is not None:
-            unreached |= self._failed_mask
-        for v in np.nonzero(unreached)[0].tolist():
-            receive_list[v] = None
-            hops_list[v] = None
-            parents_list[v] = None
-        return BroadcastOutcome(
-            index=index,
-            source=self.source,
-            t_generated=t_gen,
-            receive_times=tuple(receive_list),
-            hops=tuple(hops_list),
-            n_transmissions=n_transmissions,
-            n_immediate_forwards=n_immediate,
-            n_normal_forwards=n_normal,
-            parents=tuple(parents_list),
+        # Every reached node transmits exactly once; only non-sources count
+        # as forwards, immediate when their p-coin says so.
+        reached = (hops >= 0).reshape(n_rows, n)
+        n_tx = np.count_nonzero(reached, axis=1)
+        n_immediate = np.count_nonzero(reached & forwards.reshape(n_rows, n), axis=1)
+        return (
+            t_gen,
+            receive.reshape(n_rows, n),
+            hops.reshape(n_rows, n),
+            parents.reshape(n_rows, n),
+            np.stack((n_tx, n_immediate, n_tx - n_immediate), axis=1),
         )
 
     def run_campaign(self, n_broadcasts: int) -> CampaignResult:
@@ -705,31 +698,40 @@ class IdealSimulator:
             raise ValueError(f"n_broadcasts must be > 0, got {n_broadcasts}")
         from repro.obs import get_recorder
 
+        fast = self._use_fast_path()
+        outcomes: Optional[List[BroadcastOutcome]] = None
         with get_recorder().span(
             "kernel.ideal",
             broadcasts=n_broadcasts,
             nodes=self.topology.n_nodes,
-            fast_path=self._use_fast_path(),
+            fast_path=fast,
         ):
-            outcomes = [self.run_broadcast(i) for i in range(n_broadcasts)]
+            if fast:
+                arrays = self._run_batch(range(n_broadcasts))
+            else:
+                outcomes = [self._run_broadcast_scalar(i) for i in range(n_broadcasts)]
+                arrays = _stack_outcomes(outcomes)
+        t_gen, receive, hops, parents, counters = arrays
         duration = n_broadcasts * self.config.update_interval
-        total_joules = self._campaign_energy(outcomes, duration)
         return CampaignResult(
             params=self.params,
             mode=self.mode,
             config=self.config,
             source=self.source,
-            outcomes=outcomes,
             shortest_hops=self.topology.hop_distances_from(self.source),
-            total_joules=total_joules,
+            total_joules=self._campaign_energy(int(counters[:, 0].sum()), duration),
             duration=duration,
+            t_generated=t_gen,
+            receive_times=receive,
+            hops=hops,
+            parents=parents,
+            counters=counters,
+            _outcomes=outcomes,
         )
 
     # -- energy ------------------------------------------------------------
 
-    def _campaign_energy(
-        self, outcomes: Sequence[BroadcastOutcome], duration: float
-    ) -> float:
+    def _campaign_energy(self, n_transmissions: int, duration: float) -> float:
         cfg = self.config
         power = cfg.power
         if self.mode is SchedulingMode.ALWAYS_ON:
@@ -742,6 +744,5 @@ class IdealSimulator:
                 awake_per_frame * power.listen_w + asleep_per_frame * power.sleep_w
             ) / cfg.t_frame
         base = self.topology.n_nodes * duty_power * duration
-        n_tx = sum(o.n_transmissions for o in outcomes)
-        tx_premium = n_tx * cfg.packet_airtime * (power.tx_w - power.listen_w)
+        tx_premium = n_transmissions * cfg.packet_airtime * (power.tx_w - power.listen_w)
         return base + tx_premium

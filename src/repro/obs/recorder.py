@@ -172,6 +172,8 @@ class TelemetryRecorder:
         if source is None:
             source = f"{socket.gethostname()}-{os.getpid()}"
         self.source = source
+        #: The process that created the recorder; a forked child drops it.
+        self.pid = os.getpid()
         self.torn_write_rate = torn_write_rate
         self.path = self.directory / f"events-{source}.jsonl"
         self._torn_seed = fold_seed(
@@ -365,6 +367,10 @@ def ensure_recorder(directory: Optional[Union[str, Path]],
     callers that never went through the CLI, without double-installing
     over a recorder the CLI (or a test) already set up.
     """
+    if _recorder is None and directory:
+        # Nothing installed: the explicit directory and role win over an
+        # ambient ``$REPRO_TELEMETRY`` recorder.
+        return install_recorder(directory, role=role)
     current = get_recorder()
     if current.enabled or not directory:
         return current
@@ -381,3 +387,21 @@ def reset_recorder() -> None:
             pass
     _recorder = None
     _env_resolved = False
+
+
+def _forget_inherited_recorder() -> None:
+    """After a fork, drop the recorder the parent process created.
+
+    Kept, it would write the child's records through the parent's file
+    handle, stamped with the parent's source and role.  Dropped, the
+    child arms its own: the pool initializer or queue worker through
+    :func:`ensure_recorder`, otherwise ``$REPRO_TELEMETRY``.
+    """
+    global _recorder, _env_resolved
+    if getattr(_recorder, "pid", os.getpid()) != os.getpid():
+        _recorder = None
+        _env_resolved = False
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_inherited_recorder)

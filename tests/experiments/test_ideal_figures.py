@@ -1,8 +1,8 @@
 """Unit tests for the ideal-figure harness plumbing."""
 
-from repro.experiments.ideal_figures import IdealPointMetrics, _ideal_point, ideal_point
 from repro.experiments.scale import Scale
 from repro.ideal.simulator import SchedulingMode
+from repro.runners.points import IdealPointMetrics, _ideal_point, evaluate_run
 
 TINY = Scale(
     name="unit",
@@ -23,6 +23,21 @@ TINY = Scale(
     densities=(10.0,),
     duration=100.0,
 )
+
+
+def ideal_point(scale: Scale, p: float, q: float, mode: SchedulingMode) -> IdealPointMetrics:
+    """One Section 4 point through the runner's evaluator, seeded as its campaign is."""
+    params = {
+        "grid_side": scale.grid_side,
+        "n_broadcasts": scale.n_broadcasts,
+        "p": p,
+        "q": q,
+        "mode": mode.value,
+        "hop_near": scale.hop_distance_near,
+        "hop_far": scale.hop_distance_far,
+    }
+    seed = scale.seed_for("ideal", scale.grid_side, p, q, mode.value)
+    return evaluate_run("ideal", params, seed)
 
 
 class TestIdealPoint:

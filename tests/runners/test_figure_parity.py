@@ -7,7 +7,7 @@ directly.
 """
 
 from repro.experiments.detailed_figures import _detailed_run, run_fig13
-from repro.experiments.ideal_figures import ideal_point, run_fig08
+from repro.experiments.ideal_figures import run_fig08
 from repro.experiments.percolation_figures import (
     _critical_fraction,
     critical_fraction,
@@ -17,6 +17,7 @@ from repro.ideal.simulator import SchedulingMode
 from repro.runners import clear_run_caches
 from repro.runners.points import _percolation_point
 from tests.experiments.test_figures_smoke import TINY
+from tests.experiments.test_ideal_figures import ideal_point
 
 
 def test_fig08_matches_direct_ideal_points():
