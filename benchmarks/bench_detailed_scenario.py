@@ -43,6 +43,7 @@ from repro.detailed.batched import run_batch
 from repro.detailed.config import CodeDistributionParameters
 from repro.detailed.simulator import DetailedSimulator
 from repro.experiments import Scale
+from repro.ideal.simulator import SchedulingMode
 from repro.runners import execution
 
 
@@ -85,14 +86,22 @@ def test_detailed_scenario_scen03_reference_kernel(run_experiment):
 # Heap-vs-batched A/B harness (the __main__ entry point)
 # --------------------------------------------------------------------------
 
-#: Campaign points measured by the committed baseline: both sit on the
+#: Campaign points measured by the committed baseline: all sit on the
 #: Figures 17-18 density sweep at full scale (Table 2's N=50, T=500 s,
 #: q=0.25, 10 seeds per point).  The dense end is the headline — that is
 #: where the heap loop hurts most — and Table 2's default density is
-#: recorded alongside for transparency.
+#: recorded alongside for transparency.  The NO PSM baseline (always-on
+#: flooding, every neighbour a receiver) rides the same sweep.
 CAMPAIGN_POINTS = (
     {"label": "fig17-18 densest point", "p": 0.25, "q": 0.25, "density": 18.0},
     {"label": "fig17-18 default density", "p": 0.25, "q": 0.25, "density": 10.0},
+    {
+        "label": "fig17-18 NO PSM densest point",
+        "p": 1.0,
+        "q": 1.0,
+        "density": 18.0,
+        "mode": SchedulingMode.ALWAYS_ON.value,
+    },
 )
 
 
@@ -104,6 +113,7 @@ def measure_point(
     duration: float = 500.0,
     n_seeds: int = 10,
     reps: int = 5,
+    mode: str = SchedulingMode.PSM_PBBF.value,
 ) -> dict:
     """Interleaved min-of-``reps`` A/B of one point's whole seed list."""
     params = PBBFParams(p, q)
@@ -113,7 +123,12 @@ def measure_point(
     seeds = list(range(n_seeds))
 
     def sims():
-        return [DetailedSimulator(params, config, seed=s) for s in seeds]
+        return [
+            DetailedSimulator(
+                params, config, seed=s, mode=SchedulingMode(mode)
+            )
+            for s in seeds
+        ]
 
     heap_s, batched_s = [], []
     for _ in range(reps):
@@ -142,6 +157,7 @@ def measure_point(
         ]
 
     return {
+        "mode": mode,
         "p": p,
         "q": q,
         "density": density,

@@ -35,11 +35,15 @@ must not move by one ulp), which pins three design rules:
   are processed in ascending id order, matching the seq order their
   self-rescheduling callbacks hold in the engine heap.
 
-Scope: the PSM scheduler under ``PSM_PBBF`` mode with default agents and
-MACs (loss, k > 1, pre-failed nodes, mid-run deaths, scenario clock
-offsets and half-normal skew all supported).  Everything else —
-smac/tmac, ``ALWAYS_ON``, adaptive agents, custom MAC factories,
-tracers — falls back to the heap loop via :func:`supports_batch`.
+Scope: default agents and MACs without a tracer, in either mode —
+``PSM_PBBF`` on the PSM scheduler (loss, k > 1, pre-failed nodes,
+mid-run deaths, scenario clock offsets and half-normal skew all
+supported) or ``ALWAYS_ON``, the NO PSM baseline (loss, pre-failed
+nodes and mid-run deaths supported; it has no machinery groups, and
+every fresh frame goes straight to CSMA ungated, with no p-coin).
+Everything else — smac/tmac, adaptive agents, custom MAC factories,
+tracers — falls back to the heap loop; :func:`fallback_reason` is the
+one statement of that scope and names the reason.
 """
 
 from __future__ import annotations
@@ -71,15 +75,39 @@ _ATTEMPT, _FIRE, _CH_DONE, _TX_DONE, _GEN, _DIE = 0, 1, 2, 3, 4, 5
 _TAG_BEACON, _TAG_ATIM, _TAG_NORMAL, _TAG_IMMEDIATE = 0, 1, 2, 3
 
 
+def fallback_reason(
+    mode: SchedulingMode,
+    scheduler: str = "psm",
+    agent_factory=None,
+    mac_factory=None,
+    tracer=None,
+    fast_path: bool = True,
+) -> Optional[str]:
+    """Why a configuration runs on the heap loop, or ``None`` if it batches.
+
+    The one statement of this kernel's scope, shared by
+    :func:`supports_batch`, ``DetailedSimulator.run`` and the runner's
+    seed batching; the reason also labels the reference loop's telemetry
+    span.  Scope checks come first, so ``"forced"`` (the fast path turned
+    off) marks exactly the runs the flag diverted.  ``ALWAYS_ON`` ignores
+    the scheduler, as the heap loop does.
+    """
+    if mode is SchedulingMode.PSM_PBBF and scheduler != "psm":
+        return "scheduler"
+    if agent_factory is not None:
+        return "agent_factory"
+    if mac_factory is not None:
+        return "mac_factory"
+    if tracer is not None:
+        return "tracer"
+    if not fast_path:
+        return "forced"
+    return None
+
+
 def supports_batch(sim) -> bool:
     """Can ``sim`` run on the batched kernel with bit-identical results?"""
-    return (
-        sim.mode is SchedulingMode.PSM_PBBF
-        and sim.scheduler == "psm"
-        and sim._agent_factory is None
-        and sim._mac_factory is None
-        and sim._tracer is None
-    )
+    return sim.fallback_reason(fast_path=True) is None
 
 
 class _Transmission:
@@ -128,7 +156,10 @@ class _SeedState:
         self.backoff_rngs = [
             streams.stream(f"node.{node_id}.backoff") for node_id in range(n)
         ]
-        self.pbbf_rngs = [
+        # AlwaysOnMac has no sleep schedule: it draws neither p/q coins
+        # nor skew offsets, so an always-on seed joins no machinery group.
+        always_on = sim.mode is SchedulingMode.ALWAYS_ON
+        self.pbbf_rngs = [] if always_on else [
             streams.stream(f"node.{node_id}.pbbf") for node_id in range(n)
         ]
         self.p = sim.params.p
@@ -156,8 +187,10 @@ class _SeedState:
         # Per-node clock offsets, replicating the simulator's draw order:
         # scenario phase first, half-normal skew on top, wrapped into one
         # beacon interval by the MAC.
+        self.offsets: List[float] = []
+        if always_on:
+            return
         bi = sim.config.beacon_interval
-        offsets = []
         for node_id in range(n):
             offset = 0.0
             if sim._scenario_offsets:
@@ -168,8 +201,7 @@ class _SeedState:
                         0.0, sim._clock_skew_std
                     )
                 )
-            offsets.append(float(offset) % bi)
-        self.offsets = offsets
+            self.offsets.append(float(offset) % bi)
 
     def push(self, time: float, priority: int, *payload) -> int:
         """Queue a traffic event; returns its seq (the cancellation token)."""
@@ -205,8 +237,11 @@ class _Batch:
                 raise ValueError("batched sims must share a network size")
             if sim.config != cfg:
                 raise ValueError("batched sims must share a configuration")
+            if sim.mode is not first.mode:
+                raise ValueError("batched sims must share a scheduling mode")
         self.sims = sims
         self.cfg = cfg
+        self.always_on = first.mode is SchedulingMode.ALWAYS_ON
         self.n = n
         self.S = S
         self.duration = duration
@@ -293,10 +328,12 @@ class _Batch:
                 st.since_l[node] = now
 
     def _scheduled_code(self, st: _SeedState, node: int, now: float) -> int:
-        """``PBBFMac._scheduled_state`` against the SoA arrays."""
+        """``PBBFMac._scheduled_state`` (or ``AlwaysOnMac._end_tx``)."""
         if st.failed[node]:
             return _SLEEP
-        if in_atim_window_at(now, st.offsets[node], self.bi, self.aw):
+        if self.always_on or in_atim_window_at(
+            now, st.offsets[node], self.bi, self.aw
+        ):
             return _LISTEN
         if self.awake[node, st.s] or st.has_pending(node):
             return _LISTEN
@@ -425,7 +462,10 @@ class _Batch:
             stats.duplicates_dropped += 1
             return
         seen.add(broadcast_id)
-        immediate = st.pbbf_rngs[node].random() < st.p
+        # AlwaysOnMac floods every fresh packet at once, ungated, and
+        # draws no p-coin.
+        always_on = self.always_on
+        immediate = always_on or st.pbbf_rngs[node].random() < st.p
         stats.data_received += 1
         records = st.receptions[node]
         for update_id in packet.updates:
@@ -433,7 +473,7 @@ class _Batch:
                 records[update_id] = now
         forward = packet.forwarded_by(node)
         if immediate:
-            self._enqueue(st, node, forward, True, _TAG_IMMEDIATE, now)
+            self._enqueue(st, node, forward, not always_on, _TAG_IMMEDIATE, now)
         else:
             st.normal_queue[node].append(forward)
             st.queued_nodes.add(node)
@@ -456,11 +496,14 @@ class _Batch:
             size_bytes=self.data_size,
             updates=recent,
         )
-        # PBBFMac.broadcast at the source.
+        # PBBFMac.broadcast (or AlwaysOnMac.broadcast) at the source.
         node = st.source
         if st.failed[node]:
             return
         st.seen[node].add(packet.broadcast_id)
+        if self.always_on:
+            self._enqueue(st, node, packet, False, _TAG_IMMEDIATE, now)
+            return
         st.normal_queue[node].append(packet)
         st.queued_nodes.add(node)
         if in_atim_window_at(now, st.offsets[node], self.bi, self.aw):
@@ -808,8 +851,8 @@ def run_batch(sims, duration: Optional[float] = None) -> List:
     """Run every simulator in ``sims`` through the batched kernel.
 
     All sims must satisfy :func:`supports_batch` and share a
-    configuration (they may differ in seed, and therefore in topology,
-    source, offsets and coin flips).  Returns one
+    configuration and a mode (they may differ in seed, and therefore in
+    topology, source, offsets and coin flips).  Returns one
     :class:`~repro.detailed.simulator.DetailedResult` per sim, in order,
     bit-identical to what each ``sim.run(duration)`` heap loop produces.
     """

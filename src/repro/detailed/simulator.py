@@ -128,12 +128,14 @@ class DetailedSimulator:
         scenario on any other scheduler/mode raises rather than silently
         caching nominal results under the perturbed token.
     fast_path:
-        Kernel selection: ``True`` forces the seed-batched kernel
+        Kernel selection: ``True`` selects the seed-batched kernel
         (:mod:`repro.detailed.batched`), ``False`` forces the heap-loop
         reference, ``None`` (default) defers to the ambient
-        ``ExecutionConfig.detailed_fast_path``.  Configurations the
-        batched kernel does not support fall back to the reference
-        automatically; results are bit-identical either way.
+        ``ExecutionConfig.detailed_fast_path``.  The batched kernel runs
+        both modes; S-MAC/T-MAC, an ``agent_factory``, a ``mac_factory``
+        or a ``tracer`` fall back to the reference automatically, and
+        :meth:`fallback_reason` says which.  Results are bit-identical
+        either way.
     """
 
     def __init__(
@@ -241,6 +243,25 @@ class DetailedSimulator:
 
         return get_execution().detailed_fast_path
 
+    def fallback_reason(
+        self, fast_path: Optional[bool] = None
+    ) -> Optional[str]:
+        """Why :meth:`run` takes the heap loop, or ``None`` if it batches.
+
+        See :func:`repro.detailed.batched.fallback_reason`; ``fast_path``
+        defaults to this simulator's kernel selection.
+        """
+        from repro.detailed.batched import fallback_reason
+
+        return fallback_reason(
+            self.mode,
+            self.scheduler,
+            agent_factory=self._agent_factory,
+            mac_factory=self._mac_factory,
+            tracer=self._tracer,
+            fast_path=self._use_fast_path() if fast_path is None else fast_path,
+        )
+
     def run(self, duration: Optional[float] = None) -> DetailedResult:
         """Execute the scenario and return its measurements.
 
@@ -249,15 +270,19 @@ class DetailedSimulator:
         bit-identical to the heap loop — and falls back to
         :meth:`run_reference` otherwise.
         """
-        if self._use_fast_path():
-            from repro.detailed.batched import run_batch, supports_batch
+        if self.fallback_reason() is None:
+            from repro.detailed.batched import run_batch
 
-            if supports_batch(self):
-                return run_batch([self], duration=duration)[0]
+            return run_batch([self], duration=duration)[0]
         return self.run_reference(duration)
 
     def run_reference(self, duration: Optional[float] = None) -> DetailedResult:
-        """Execute via the event-heap reference loop (the parity baseline)."""
+        """Execute via the event-heap reference loop (the parity baseline).
+
+        Its telemetry span records why the reference ran: a scope reason
+        from :meth:`fallback_reason`, or ``"forced"`` when the batched
+        kernel was turned off or this method was called directly.
+        """
         duration = duration if duration is not None else self.config.duration
         cfg = self.config
         engine = Engine()
@@ -387,6 +412,7 @@ class DetailedSimulator:
             "kernel.detailed.reference",
             nodes=self.topology.n_nodes,
             duration=duration,
+            reason=self.fallback_reason() or "forced",
         ):
             engine.run(until=duration)
         node_joules = [node.radio.consumed_joules(duration) for node in nodes]

@@ -399,7 +399,7 @@ def _detailed_seed_batch(
     duration: float,
     loss_probability: float,
     seeds: Tuple[int, ...],
-) -> Optional[Tuple[DetailedPointMetrics, ...]]:
+) -> Tuple[DetailedPointMetrics, ...]:
     """One point's whole seed list through the seed-batched kernel.
 
     Builds the same per-seed :class:`DetailedSimulator` objects the
@@ -408,11 +408,10 @@ def _detailed_seed_batch(
     instants are advanced once for every seed instead of once per seed.
     Results are bit-identical to the per-seed evaluators (the parity
     suite locks this in), so memo entries, run keys and cache payloads
-    are interchangeable with theirs.  Returns ``None`` when the
-    configuration falls outside the kernel's scope (the caller then
-    falls back to the per-seed path).
+    are interchangeable with theirs.  The caller has checked the
+    configuration against the kernel's scope.
     """
-    from repro.detailed.batched import run_batch, supports_batch
+    from repro.detailed.batched import run_batch
     from repro.detailed.config import CodeDistributionParameters
     from repro.detailed.simulator import DetailedSimulator
 
@@ -448,8 +447,6 @@ def _detailed_seed_batch(
                     scenario=realized,
                 )
             sims.append(sim)
-    if not all(supports_batch(sim) for sim in sims):
-        return None
     with recorder.span("phase.simulate", kind="detailed-batch",
                        seeds=len(seeds)):
         results = run_batch(sims)
@@ -465,38 +462,47 @@ def evaluate_run_batch(
     """Evaluate one campaign point at every seed, batching when possible.
 
     The batched path triggers for multi-seed ``detailed`` points inside
-    the seed-batched kernel's scope (PSM scheduler, no adaptive
-    controller) when the ambient ``detailed_fast_path`` flag is on;
-    everything else — other kinds, single seeds, out-of-scope
-    configurations, ``--no-detailed-fast-path`` — degrades to a plain
-    :func:`evaluate_run` loop.  Either way the returned bundles are
+    the seed-batched kernel's scope
+    (:func:`repro.detailed.batched.fallback_reason`, which also honours
+    the ambient ``detailed_fast_path`` flag); everything else — other
+    kinds, single seeds, out-of-scope configurations — degrades to a
+    plain :func:`evaluate_run` loop.  Either way the returned bundles are
     bit-identical and in seed order, so callers need not know which path
     ran.
     """
-    from repro.runners.context import get_execution
-
     seeds = list(seeds)
     if (
         kind == "detailed"
         and len(seeds) > 1
-        and get_execution().detailed_fast_path
-        and "adaptive" not in params
-        and str(params.get("scheduler", "psm")) == "psm"
-        and str(params["mode"]) == SchedulingMode.PSM_PBBF.value
+        and _detailed_fallback_reason(params) is None
     ):
-        batch = _detailed_seed_batch(
-            float(params["p"]),
-            float(params["q"]),
-            None if "scenario" in params else float(params["density"]),
-            str(params["scenario"]) if "scenario" in params else None,
-            str(params["mode"]),
-            float(params["duration"]),
-            float(params.get("loss_probability", 0.0)),
-            tuple(seeds),
+        return list(
+            _detailed_seed_batch(
+                float(params["p"]),
+                float(params["q"]),
+                None if "scenario" in params else float(params["density"]),
+                str(params["scenario"]) if "scenario" in params else None,
+                str(params["mode"]),
+                float(params["duration"]),
+                float(params.get("loss_probability", 0.0)),
+                tuple(seeds),
+            )
         )
-        if batch is not None:
-            return list(batch)
     return [evaluate_run(kind, params, seed) for seed in seeds]
+
+
+def _detailed_fallback_reason(params: Mapping[str, Any]) -> Optional[str]:
+    """The batched kernel's fallback reason for a detailed point's params."""
+    from repro.detailed.batched import fallback_reason
+    from repro.runners.context import get_execution
+
+    return fallback_reason(
+        SchedulingMode(str(params["mode"])),
+        str(params.get("scheduler", "psm")),
+        # An adaptive point installs its controller as the agent factory.
+        agent_factory=params.get("adaptive"),
+        fast_path=get_execution().detailed_fast_path,
+    )
 
 
 def evaluate_run(kind: str, params: Mapping[str, Any], seed: int):

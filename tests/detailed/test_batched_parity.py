@@ -12,16 +12,21 @@ every Section 5 campaign without changing a single plotted number.
 import pytest
 
 from repro.core.params import PBBFParams
-from repro.detailed.batched import run_batch, supports_batch
+from repro.core.pbbf import PBBFAgent
+from repro.detailed.batched import fallback_reason, run_batch, supports_batch
 from repro.detailed.config import CodeDistributionParameters
 from repro.detailed.simulator import DetailedSimulator
 from repro.ideal.simulator import SchedulingMode
+from repro.net.trace import PacketTracer
 from repro.runners.context import execution, get_execution
 from repro.scenarios import ScenarioSpec
 
 CONFIG = CodeDistributionParameters(n_nodes=16, density=9.0, duration=150.0)
 
 OPERATING_POINTS = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.25, 1.0)]
+
+ALWAYS_ON = SchedulingMode.ALWAYS_ON
+NO_PSM = PBBFParams.always_on()
 
 
 def results_pair(seed, params=None, config=CONFIG, **kwargs):
@@ -153,6 +158,92 @@ class TestBatchedParity:
             assert_identical(ref, got)
 
 
+class TestAlwaysOnParity:
+    """The NO PSM baseline: no machinery, every fresh frame floods at once."""
+
+    def test_20_seeds(self):
+        for seed in range(20):
+            assert_identical(*results_pair(seed, NO_PSM, mode=ALWAYS_ON))
+
+    def test_quick_always_on(self):
+        for seed in (0, 1, 2):
+            assert_identical(*results_pair(seed, NO_PSM, mode=ALWAYS_ON))
+
+    def test_loss_probability(self):
+        for seed in range(5):
+            assert_identical(
+                *results_pair(
+                    seed, NO_PSM, mode=ALWAYS_ON, loss_probability=0.3
+                )
+            )
+
+    def test_midrun_deaths(self):
+        deaths = {2: 35.5, 7: 90.0, 11: 111.3}
+        for seed in range(5):
+            assert_identical(
+                *results_pair(
+                    seed, NO_PSM, mode=ALWAYS_ON, node_failures=deaths
+                )
+            )
+
+    def test_death_mid_transmission(self):
+        # Kill a relay as its first frame starts, while it is on the air,
+        # and as it ends.  A frame already on the air still completes and
+        # counts as sent; the radio sleeps from the death on.
+        tracer = PacketTracer()
+        traced = DetailedSimulator(
+            NO_PSM, CONFIG, seed=4, mode=ALWAYS_ON, tracer=tracer
+        )
+        traced.run_reference()
+        tx = next(r for r in tracer.by_event("TX") if r.node != traced.source)
+        airtime = CONFIG.total_packet_bytes * 8.0 / CONFIG.bit_rate_bps
+        sent = []
+        for fail_time in (tx.time, tx.time + airtime / 2, tx.time + airtime):
+            ref, got = results_pair(
+                4, NO_PSM, mode=ALWAYS_ON, node_failures={tx.node: fail_time}
+            )
+            assert_identical(ref, got)
+            sent.append(got.mac_stats[tx.node].data_sent)
+        # A death at the start instant precedes the frame (control
+        # priority); mid-air it does not stop it.
+        assert sent[0] == 0 and sent[1] == 1
+
+    def test_pre_failed_scenario(self):
+        spec = ScenarioSpec.build("grid", {"side": 5}, failure_fraction=0.2)
+        for seed in (21, 22):
+            realized = spec.realize(seed)
+            config = CodeDistributionParameters.for_topology(
+                realized.topology, duration=120.0
+            )
+            ref, got = results_pair(
+                seed, NO_PSM, config=config, mode=ALWAYS_ON, scenario=realized
+            )
+            assert_identical(ref, got)
+            asleep = config.power.sleep_w * config.duration
+            for node in realized.failed_nodes:
+                assert got.node_joules[node] == asleep
+
+    def test_one_kernel_call_for_many_seeds(self):
+        seeds = range(8)
+        sims = [
+            DetailedSimulator(NO_PSM, CONFIG, seed=s, mode=ALWAYS_ON)
+            for s in seeds
+        ]
+        for seed, got in zip(seeds, run_batch(sims)):
+            ref = DetailedSimulator(
+                NO_PSM, CONFIG, seed=seed, mode=ALWAYS_ON
+            ).run_reference()
+            assert_identical(ref, got)
+
+    def test_mixed_mode_batch_is_rejected(self):
+        sims = [
+            DetailedSimulator(PBBFParams(0.5, 0.5), CONFIG, seed=0),
+            DetailedSimulator(NO_PSM, CONFIG, seed=1, mode=ALWAYS_ON),
+        ]
+        with pytest.raises(ValueError, match="mode"):
+            run_batch(sims)
+
+
 class TestBatchedScope:
     """Out-of-scope configurations fall back to the reference loop."""
 
@@ -168,11 +259,26 @@ class TestBatchedScope:
         )
         assert sim.run().node_joules == fresh.run_reference().node_joules
 
-    def test_always_on_falls_back(self):
-        sim = DetailedSimulator(
-            PBBFParams(0.5, 0.5), CONFIG, seed=1, mode=SchedulingMode.ALWAYS_ON
-        )
-        assert not supports_batch(sim)
+    def test_fallback_reasons(self):
+        def reason(**kwargs):
+            return DetailedSimulator(
+                PBBFParams(0.5, 0.5), CONFIG, seed=1, **kwargs
+            ).fallback_reason()
+
+        assert reason() is None
+        assert reason(mode=ALWAYS_ON) is None
+        # The heap loop ignores the scheduler in ALWAYS_ON mode.
+        assert reason(mode=ALWAYS_ON, scheduler="smac") is None
+        assert reason(scheduler="tmac") == "scheduler"
+        assert reason(agent_factory=PBBFAgent) == "agent_factory"
+        assert reason(mac_factory=object()) == "mac_factory"
+        assert reason(tracer=PacketTracer()) == "tracer"
+        assert reason(fast_path=False) == "forced"
+        with execution(detailed_fast_path=False):
+            assert reason() == "forced"
+            # A scope reason wins over the flag.
+            assert reason(scheduler="smac") == "scheduler"
+        assert fallback_reason(ALWAYS_ON, fast_path=False) == "forced"
 
     def test_run_batch_rejects_unsupported(self):
         sim = DetailedSimulator(

@@ -87,10 +87,52 @@ class TestEvaluateRunBatch:
             evaluate_run("detailed", DETAILED_POINT, 7)
         )
 
-    def test_extension_scheduler_falls_back(self):
+    def test_always_on_point_is_one_kernel_call(self, monkeypatch):
+        import repro.detailed.batched as batched
+
+        calls = []
+        real_run_batch = batched.run_batch
+
+        def counting_run_batch(sims, duration=None):
+            calls.append(len(sims))
+            return real_run_batch(sims, duration)
+
+        monkeypatch.setattr(batched, "run_batch", counting_run_batch)
+        point = dict(
+            DETAILED_POINT, p=1.0, q=1.0, mode=SchedulingMode.ALWAYS_ON.value
+        )
+        seeds = (11, 12, 13, 14)
+        clear_run_caches()
+        grouped = evaluate_run_batch("detailed", point, seeds)
+        assert calls == [len(seeds)]
+        clear_run_caches()
+        loop = [evaluate_run("detailed", point, s) for s in seeds]
+        clear_run_caches()
+        with execution(detailed_fast_path=False):
+            reference = [evaluate_run("detailed", point, s) for s in seeds]
+        assert (
+            [metrics_to_dict(m) for m in grouped]
+            == [metrics_to_dict(m) for m in loop]
+            == [metrics_to_dict(m) for m in reference]
+        )
+
+    def test_extension_scheduler_falls_back(self, monkeypatch):
+        from repro.detailed.simulator import DetailedSimulator
+
+        built = []
+        real_init = DetailedSimulator.__init__
+
+        def counting_init(sim, *args, **kwargs):
+            built.append(kwargs.get("seed"))
+            real_init(sim, *args, **kwargs)
+
         point = dict(DETAILED_POINT, scheduler="smac", duration=60.0)
         clear_run_caches()
-        batched = evaluate_run_batch("detailed", point, (1, 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(DetailedSimulator, "__init__", counting_init)
+            batched = evaluate_run_batch("detailed", point, (1, 2))
+        # Out of scope is decided from the params: one simulator per seed.
+        assert built == [1, 2]
         clear_run_caches()
         loop = [evaluate_run("detailed", point, s) for s in (1, 2)]
         assert [metrics_to_dict(m) for m in batched] == [
