@@ -4,8 +4,11 @@ The frontier pipeline runs after every campaign (as ``post_process``
 hooks), so its pruning, selection and bootstrap kernels must stay cheap
 relative to simulation.  These benches time them on synthetic operating
 points — sized like a full-scale multi-family campaign — with
-deterministic inputs so runs are comparable across commits (uploaded to
-CI as ``BENCH_analysis.json`` alongside the kernel baseline).
+deterministic inputs so runs are comparable across commits.
+``BENCH_analysis.json`` at the repository root is committed without raw
+timings; regenerate it with ``python -m pytest
+benchmarks/bench_analysis_frontier.py --benchmark-save=analysis`` and
+copy ``.benchmarks/<machine>/0001_analysis.json`` over it.
 """
 
 import random
@@ -77,6 +80,24 @@ def test_bootstrap_ci_throughput(benchmark):
 
     ci = benchmark(run)
     assert ci > 0.0
+
+
+def test_bootstrap_ci_paper_scale(benchmark):
+    """One frontier cell at paper scale: 1000 resamples over 5 seeds.
+
+    The full-scale setting (``bootstrap_resamples=1000``,
+    ``pareto_seeds=5``), which the ``warm-replay`` workload of
+    ``perfbench/`` also uses.
+    """
+    values = [0.75, 1.25, 0.5, 2.0, 1.0]
+
+    def run():
+        return bootstrap_ci95(values, 20050610, "bench", "energy", n_resamples=1000)
+
+    ci = benchmark(run)
+    assert ci > 0.0
+    benchmark.extra_info["n_resamples"] = 1000
+    benchmark.extra_info["n_seeds"] = len(values)
 
 
 def test_frontier_comparison_throughput(benchmark):

@@ -9,12 +9,48 @@ function of content: the resample index stream derives from
 :func:`repro.util.rng.fold_seed` over caller-supplied labels (point
 token, objective name), never from global RNG state, so serial runs,
 process pools and warm-cache replays all report bit-identical intervals.
+
+The resampled means are those of the scalar loop
+
+.. code-block:: python
+
+    rng = random.Random(fold_seed(base_seed, *labels))
+    for _ in range(n_resamples):
+        total = 0.0
+        for _ in range(n):
+            total += values[rng.randrange(n)]
+        means.append(total / n)
+
+float for float, but drawn in bulk rather than one Python call per
+index.  The equivalence rests on two properties of CPython's
+:class:`random.Random`:
+
+* ``randrange(n)`` is ``getrandbits(k)`` with ``k = n.bit_length()``,
+  redrawn while the result is ``>= n``; each ``getrandbits(k)`` with
+  ``k <= 32`` consumes one 32-bit Mersenne Twister word and returns
+  ``word >> (32 - k)``.
+* ``getrandbits(32 * m)`` consumes the next ``m`` words and returns them
+  least-significant word first, on every platform.
+
+So one ``getrandbits(32 * m)`` call, split into words, shifted, and
+filtered to the words below ``n`` in order, yields the loop's index
+stream; when too few words survive, a further call continues the same
+stream (over-drawing is harmless, because the generator is local to the
+call).  The gathered ``(n_resamples, n)`` values are then added column
+by column from ``0.0``, which repeats the loop's IEEE additions in the
+loop's order (``sum(axis=1)`` does not promise that order), and divided
+by ``n``.  ``tests/analysis/test_bootstrap.py`` keeps the scalar loop as
+the oracle and pins the literal means of one input, so a CPython change
+to either property fails loudly.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
-from typing import Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.util.rng import fold_seed
 
@@ -24,27 +60,19 @@ def bootstrap_mean_samples(
     base_seed: int,
     *labels: object,
     n_resamples: int = 200,
-) -> list:
+) -> List[float]:
     """Resampled means of ``values``, drawn from a content-derived stream.
 
     Each resample draws ``len(values)`` observations with replacement
-    using ``random.Random(fold_seed(base_seed, *labels))``; the stream
-    depends only on the seed and labels, so any process reproduces it.
+    from the ``random.Random(fold_seed(base_seed, *labels))`` stream; the
+    stream depends only on the seed and labels, so any process
+    reproduces it.  See the module docstring for how the draws are made.
     """
+    n_resamples = _resample_count(n_resamples)
     values = list(values)
     if not values:
         raise ValueError("bootstrap of an empty sequence")
-    if n_resamples <= 0:
-        raise ValueError(f"n_resamples must be > 0, got {n_resamples}")
-    n = len(values)
-    rng = random.Random(fold_seed(base_seed, *labels))
-    means = []
-    for _ in range(n_resamples):
-        total = 0.0
-        for _ in range(n):
-            total += values[rng.randrange(n)]
-        means.append(total / n)
-    return means
+    return _resampled_means(values, fold_seed(base_seed, *labels), n_resamples)
 
 
 def bootstrap_ci95(
@@ -58,19 +86,64 @@ def bootstrap_ci95(
     Returns 0.0 for single observations (nothing to resample), matching
     :func:`repro.util.stats.confidence_interval_95`'s convention.
     """
+    n_resamples = _resample_count(n_resamples)
     values = list(values)
     if len(values) <= 1:
         if not values:
             raise ValueError("bootstrap_ci95() of an empty sequence")
         return 0.0
     means = sorted(
-        bootstrap_mean_samples(values, base_seed, *labels, n_resamples=n_resamples)
+        _resampled_means(values, fold_seed(base_seed, *labels), n_resamples)
     )
     lo = _percentile(means, 0.025)
     hi = _percentile(means, 0.975)
     # Clamp: identical resampled means can differ by one ulp after the
     # percentile interpolation, which would print as a -1e-17 width.
     return max(0.0, (hi - lo) / 2.0)
+
+
+def _resample_count(n_resamples: object) -> int:
+    """``n_resamples`` as an int; anything but a positive integer raises."""
+    if not isinstance(n_resamples, numbers.Integral) or n_resamples <= 0:
+        raise ValueError(f"n_resamples must be a positive int, got {n_resamples!r}")
+    return int(n_resamples)
+
+
+def _resampled_means(values: List[float], seed: int, n_resamples: int) -> List[float]:
+    """The scalar loop's resampled means, from bulk-drawn indices."""
+    n = len(values)
+    indices = _randrange_stream(random.Random(seed), n, n_resamples * n)
+    # Row j holds every resample's j-th draw, so adding the rows in order
+    # repeats each resample's left-to-right loop additions.
+    draws = np.asarray(values, dtype=np.float64).take(
+        indices.reshape(n_resamples, n).T
+    )
+    totals = np.zeros(n_resamples)
+    # The loop's float additions overflow to inf (or make nan) silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in draws:
+            totals += row
+    return (totals / n).tolist()
+
+
+def _randrange_stream(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.randrange(n)``, drawn in bulk."""
+    k = n.bit_length()
+    shift = 32 - k
+    chunks = []
+    kept = 0
+    while kept < count:
+        missing = count - kept
+        # Each word survives with probability n / 2**k >= 1/2; ask for a
+        # sixteenth more than the expected need so a top-up is rare.
+        expected = -(-(missing << k) // n)
+        words = expected + expected // 16 + 16
+        draws = np.frombuffer(
+            rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4"
+        ) >> shift
+        chunks.append(np.compress(draws < n, draws))
+        kept += len(chunks[-1])
+    return np.concatenate(chunks)[:count]
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:

@@ -121,6 +121,11 @@ def _payload_for(run: CampaignRun, metrics: Any) -> Dict[str, Any]:
     }
 
 
+def _missing_run(params: Mapping[str, Any], seed_index: int) -> KeyError:
+    """The error for a point and seed index the campaign never ran."""
+    return KeyError(f"campaign has no run for params={params} seed_index={seed_index}")
+
+
 class CampaignResult:
     """Executed campaign: typed metrics for every run of the spec."""
 
@@ -157,8 +162,7 @@ class CampaignResult:
     def metrics(self, seed_index: int = 0, **overrides: Any):
         """The metrics bundle for one point (``overrides`` over fixed)."""
         params = self.spec.merge(overrides)
-        seed = self.spec.point_seed(params, seed_index)
-        key = run_key(self.spec.kind, params, seed)
+        key = self._run_key(params, seed_index)
         try:
             return self._by_key[key]
         except KeyError:
@@ -169,9 +173,7 @@ class CampaignResult:
                     f"seed_index={seed_index}: {failure.error_type} after "
                     f"{failure.attempts} attempt(s): {failure.error}"
                 ) from None
-            raise KeyError(
-                f"campaign has no run for params={params} seed_index={seed_index}"
-            ) from None
+            raise _missing_run(params, seed_index) from None
 
     def metrics_over_seeds(self, **overrides: Any) -> List[Any]:
         """The point's metrics bundles for every seed index, in order.
@@ -183,11 +185,19 @@ class CampaignResult:
         params = self.spec.merge(overrides)
         bundles: List[Any] = []
         for index in range(self.spec.n_seeds):
-            seed = self.spec.point_seed(params, index)
-            if run_key(self.spec.kind, params, seed) in self._failed_keys:
+            key = self._run_key(params, index)
+            if key in self._failed_keys:
                 continue
-            bundles.append(self.metrics(seed_index=index, **overrides))
+            try:
+                bundles.append(self._by_key[key])
+            except KeyError:
+                raise _missing_run(params, index) from None
         return bundles
+
+    def _run_key(self, params: Mapping[str, Any], seed_index: int) -> str:
+        """The run key of one merged point at one seed index."""
+        seed = self.spec.point_seed(params, seed_index)
+        return run_key(self.spec.kind, params, seed)
 
     def points(self) -> List[Dict[str, Any]]:
         """Every distinct parameter point of the campaign, in spec order."""

@@ -142,6 +142,37 @@ class TestResultAccess:
             lambda m: m.critical_fraction, grid_side=6
         ) == pytest.approx(expected)
 
+    def test_metrics_over_seeds_unknown_point_raises_like_metrics(self, tmp_path):
+        result = run_campaign(tiny_percolation_spec(), cache=str(tmp_path))
+        with pytest.raises(KeyError) as over_seeds:
+            result.metrics_over_seeds(grid_side=99)
+        with pytest.raises(KeyError) as single:
+            result.metrics(grid_side=99)
+        assert str(over_seeds.value) == str(single.value)
+        assert "no run" in str(single.value)
+
+    def test_metrics_over_seeds_derives_each_run_key_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runners.campaign as campaign_module
+
+        spec = tiny_percolation_spec(n_seeds=3, seed_with_run_index=True)
+        result = run_campaign(spec, cache=str(tmp_path))
+        original = campaign_module.run_key
+        keys = []
+
+        def counting_run_key(*args):
+            keys.append(original(*args))
+            return keys[-1]
+
+        monkeypatch.setattr(campaign_module, "run_key", counting_run_key)
+        bundles = result.metrics_over_seeds(grid_side=6)
+        assert len(bundles) == 3
+        assert len(keys) == len(set(keys)) == 3
+        assert bundles == [
+            result.metrics(seed_index=index, grid_side=6) for index in range(3)
+        ]
+
     def test_mean_metric_none_when_every_seed_undefined(self, tmp_path):
         spec = tiny_percolation_spec()
         result = run_campaign(spec, cache=str(tmp_path))
