@@ -1,28 +1,26 @@
-"""Campaign-fabric throughput: execution backends and cache tiers.
+"""Campaign-fabric throughput: execution backends, telemetry, queue.
 
 Two jobs share this module:
 
 * pytest smokes — drive a small campaign through every backend (serial,
-  process-pool, sharded work queue) and both cache tiers, asserting the
-  fabric's core invariant: identical metrics whichever path computed or
-  served them.  CI runs these with the other benchmark suites.
+  process-pool, sharded work queue), asserting the fabric's core
+  invariant: identical metrics whichever backend computed them.  CI
+  runs these with the other benchmark suites.
 
 * ``python benchmarks/bench_campaign_throughput.py`` — measure (1)
-  warm-read throughput of the batched SQLite tier against the per-file
-  JSON layer on a campaign-scale key set, (2) end-to-end campaign
-  points/sec on each backend, (3) cold-vs-warm campaign wall time on
-  each cache tier, and (4) the telemetry fabric's overhead — campaign
-  points/sec with recording disabled (the no-op recorder) vs enabled,
-  plus the disabled span's per-call cost in nanoseconds — writing the
-  report to ``BENCH_campaign.json`` at the repo root.  The committed
-  copy pins the ≥5x warm-read speedup this repo claims for
-  ``--cache-tier sqlite`` and the near-zero disabled-telemetry cost;
-  regenerate it on quiet hardware after touching the cache or
-  telemetry layers.
+  end-to-end campaign points/sec on each backend, (2) the telemetry
+  fabric's overhead — campaign points/sec with recording disabled (the
+  no-op recorder) vs enabled, plus the disabled span's per-call cost in
+  nanoseconds — and (3) the work queue's pure per-point overhead at
+  each lease-block size, writing the report to ``BENCH_campaign.json``
+  at the repo root.  The committed copy pins the near-zero
+  disabled-telemetry cost and the block-leasing overhead cut;
+  regenerate it on quiet hardware after touching the backends, the
+  queue or the telemetry layer.
 
 Timing methodology matches the kernel baseline: contenders are
 interleaved rep by rep, gc is disabled inside timed regions, and the
-headline is min-of-reps.  Every timed read is also verified (same keys,
+headline is min-of-reps.  Every timed drain is also verified (same keys,
 same payloads), so a timing run doubles as a parity check.
 """
 
@@ -43,8 +41,6 @@ except ImportError:  # pragma: no cover - direct invocation from a checkout
 
 from repro.runners import (
     CampaignSpec,
-    ResultCache,
-    SQLiteCacheTier,
     WorkQueue,
     clear_run_caches,
     execution,
@@ -84,23 +80,8 @@ def synthetic_leases(n_leases: int) -> list:
     ]
 
 
-def synthetic_entries(n_keys: int) -> dict:
-    """Campaign-shaped payloads keyed like real run hashes."""
-    return {
-        f"{index:08x}" + "ab" * 28: {
-            "kind": "percolation",
-            "metrics": {
-                "critical_fraction": 0.5 + (index % 97) / 1000.0,
-                "ci95": 0.01,
-                "n_runs": 12,
-            },
-        }
-        for index in range(n_keys)
-    }
-
-
 # --------------------------------------------------------------------------
-# pytest smokes (parity through every backend and tier)
+# pytest smokes (parity through every backend)
 # --------------------------------------------------------------------------
 
 
@@ -120,20 +101,6 @@ def test_every_backend_is_bit_identical():
         with execution(backend=backend, jobs=2, use_cache=False):
             fingerprints.append(_campaign_fingerprint(run_campaign(spec)))
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-    clear_run_caches()
-
-
-def test_both_tiers_serve_identical_warm_results(tmp_path):
-    spec = bench_spec(n_points=2, n_seeds=2)
-    fingerprints = []
-    for tier in ("file", "sqlite"):
-        root = tmp_path / tier
-        for _repeat in range(2):  # cold, then warm from disk
-            clear_run_caches()
-            with execution(cache_tier=tier):
-                result = run_campaign(spec, cache=str(root))
-        fingerprints.append(_campaign_fingerprint(result))
-    assert fingerprints[0] == fingerprints[1]
     clear_run_caches()
 
 
@@ -161,78 +128,13 @@ def test_block_drill_respects_round_trip_bound(tmp_path):
     leases = synthetic_leases(120)
     payload = [{"critical_fraction": 0.5, "ci95": 0.01, "n_runs": 12}]
     for block in (1, 16):
-        row = _drain_drill(
-            tmp_path / f"q-{block}", leases, block, payload, False
-        )
+        row = _drain_drill(tmp_path / f"q-{block}", leases, block, payload)
         assert row["write_txns"] <= math.ceil(len(leases) / block) + 1
-
-
-def test_warm_read_parity_on_synthetic_keys(tmp_path):
-    entries = synthetic_entries(256)
-    SQLiteCacheTier(tmp_path).put_many(entries)
-    keys = list(entries)
-    from_files = ResultCache(tmp_path).get_many(keys)
-    from_sqlite = SQLiteCacheTier(tmp_path).get_many(keys)
-    assert set(from_files) == set(from_sqlite) == set(keys)
-    assert all(
-        from_files[key]["metrics"] == from_sqlite[key]["metrics"]
-        for key in keys
-    )
 
 
 # --------------------------------------------------------------------------
 # The measurement harness (the __main__ entry point)
 # --------------------------------------------------------------------------
-
-
-def measure_warm_reads(n_keys: int, reps: int) -> dict:
-    """Interleaved A/B: per-file JSON reads vs batched SQLite reads.
-
-    The key set is written once through the SQLite tier with
-    write-through on, so both layers hold the exact same entries; each
-    rep reads *every* key through each layer and verifies the payloads
-    match before its timing counts.
-    """
-    root = Path(tempfile.mkdtemp(prefix="bench-campaign-"))
-    try:
-        entries = synthetic_entries(n_keys)
-        SQLiteCacheTier(root).put_many(entries)
-        keys = list(entries)
-        file_s, sqlite_s = [], []
-        for _ in range(reps):
-            files = ResultCache(root)
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            from_files = files.get_many(keys)
-            file_s.append(time.perf_counter() - start)
-            gc.enable()
-
-            tier = SQLiteCacheTier(root)
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            from_sqlite = tier.get_many(keys)
-            sqlite_s.append(time.perf_counter() - start)
-            gc.enable()
-
-            assert set(from_files) == set(from_sqlite) == set(keys)
-            assert all(
-                from_files[key]["metrics"] == from_sqlite[key]["metrics"]
-                for key in keys
-            )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return {
-        "n_keys": n_keys,
-        "file_seconds": min(file_s),
-        "sqlite_seconds": min(sqlite_s),
-        "speedup": round(min(file_s) / min(sqlite_s), 2),
-        "file_keys_per_second": round(n_keys / min(file_s)),
-        "sqlite_keys_per_second": round(n_keys / min(sqlite_s)),
-        "file_seconds_reps": [round(t, 4) for t in file_s],
-        "sqlite_seconds_reps": [round(t, 4) for t in sqlite_s],
-    }
 
 
 def measure_backends(spec: CampaignSpec, jobs: int, reps: int) -> list:
@@ -260,40 +162,6 @@ def measure_backends(spec: CampaignSpec, jobs: int, reps: int) -> list:
         }
         for backend, times in timings.items()
     ]
-
-
-def measure_tiers(spec: CampaignSpec) -> list:
-    """Cold (compute + write) vs warm (pure scan) campaign per tier."""
-    n_runs = len(spec.runs())
-    rows = []
-    for tier in ("file", "sqlite"):
-        root = Path(tempfile.mkdtemp(prefix=f"bench-tier-{tier}-"))
-        try:
-            with execution(cache_tier=tier):
-                clear_run_caches()
-                gc.collect()
-                start = time.perf_counter()
-                run_campaign(spec, cache=str(root))
-                cold = time.perf_counter() - start
-                clear_run_caches()  # warm run must hit the disk, not the memo
-                gc.collect()
-                start = time.perf_counter()
-                result = run_campaign(spec, cache=str(root))
-                warm = time.perf_counter() - start
-            assert not result.failures
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        rows.append(
-            {
-                "tier": tier,
-                "n_runs": n_runs,
-                "cold_seconds": round(cold, 4),
-                "warm_seconds": round(warm, 4),
-                "warm_points_per_second": round(n_runs / warm, 1),
-            }
-        )
-    clear_run_caches()
-    return rows
 
 
 def measure_telemetry(
@@ -367,19 +235,16 @@ def measure_telemetry(
     }
 
 
-def _drain_drill(
-    root: Path, leases: list, block: int, payload: list, object_store: bool
-) -> dict:
+def _drain_drill(root: Path, leases: list, block: int, payload: list) -> dict:
     """Drain a fresh queue through the block protocol; verify, then time.
 
-    Returns the elapsed seconds, the write transactions spent from
-    enqueue to drained (the round-trip bound under test), and the
-    checkpointed database size.  Every row is read back through the
-    paged harvest and compared against the payload — the parity check
-    rides inside the timed rep, exactly like the other sections.
+    Returns the elapsed seconds and the write transactions spent from
+    enqueue to drained (the round-trip bound under test).  Every row is
+    read back through the paged harvest and compared against the
+    payload — the parity check rides inside the timed rep, exactly like
+    the other sections.
     """
     queue = WorkQueue(root)
-    queue.object_store = object_store
     queue.enqueue(leases)
     start_txns = queue.round_trips
     gc.collect()
@@ -406,18 +271,7 @@ def _drain_drill(
             break
     assert len(fetched) == len(leases)
     assert all(flats == payload for flats in fetched.values())
-    queue._connect().execute("PRAGMA wal_checkpoint(TRUNCATE)")
-    db_bytes = queue._disk_bytes()
-    n_objects, object_bytes = (
-        queue.objects.stats() if object_store else (0, 0)
-    )
-    return {
-        "seconds": elapsed,
-        "write_txns": txns,
-        "db_bytes": db_bytes,
-        "n_objects": n_objects,
-        "object_bytes": object_bytes,
-    }
+    return {"seconds": elapsed, "write_txns": txns}
 
 
 def measure_queue_overhead(
@@ -428,41 +282,21 @@ def measure_queue_overhead(
     The drill is evaluation-free, so points/sec here is the ceiling the
     queue imposes on any campaign; the committed report pins the >= 5x
     per-point overhead reduction block leasing claims at block 64 vs the
-    original row-at-a-time protocol.  A second A/B drains an ~8 KiB
-    payload with the content-addressed object store off and on, at the
-    largest block, to report the database-size effect of indirecting
-    repeated large payloads.
+    original row-at-a-time protocol.
     """
     leases = synthetic_leases(n_leases)
-    small_payload = [{"critical_fraction": 0.5, "ci95": 0.01, "n_runs": 12}]
-    big_payload = [
-        {f"metric_{index:03d}": float(index) for index in range(600)}
-    ]
-    n_store = min(n_leases, 2000)
-    store_leases = leases[:n_store]
+    payload = [{"critical_fraction": 0.5, "ci95": 0.01, "n_runs": 12}]
     block_s = {block: [] for block in blocks}
     block_txns = {}
-    store_s = {False: [], True: []}
-    store_rows = {}
     for _ in range(reps):
         for block in blocks:  # interleaved: drift hits every block size
             root = Path(tempfile.mkdtemp(prefix=f"bench-queue-{block}-"))
             try:
-                row = _drain_drill(root, leases, block, small_payload, False)
+                row = _drain_drill(root, leases, block, payload)
             finally:
                 shutil.rmtree(root, ignore_errors=True)
             block_s[block].append(row["seconds"])
             block_txns[block] = row["write_txns"]
-        for flag in (False, True):
-            root = Path(tempfile.mkdtemp(prefix="bench-queue-objstore-"))
-            try:
-                row = _drain_drill(
-                    root, store_leases, max(blocks), big_payload, flag
-                )
-            finally:
-                shutil.rmtree(root, ignore_errors=True)
-            store_s[flag].append(row["seconds"])
-            store_rows[flag] = row
     biggest, smallest = max(blocks), min(blocks)
     per_point = {
         block: min(times) / n_leases for block, times in block_s.items()
@@ -484,28 +318,12 @@ def measure_queue_overhead(
         "overhead_reduction_block64_vs_block1": round(
             per_point[smallest] / per_point[biggest], 2
         ),
-        "object_store": {
-            "n_leases": n_store,
-            "block": biggest,
-            "payload_bytes": len(json.dumps(big_payload)),
-            "off_seconds": round(min(store_s[False]), 4),
-            "on_seconds": round(min(store_s[True]), 4),
-            "off_db_bytes": store_rows[False]["db_bytes"],
-            "on_db_bytes": store_rows[True]["db_bytes"],
-            "on_object_bytes": store_rows[True]["object_bytes"],
-            "n_objects": store_rows[True]["n_objects"],
-            "db_bytes_reduction": round(
-                store_rows[False]["db_bytes"]
-                / max(1, store_rows[True]["db_bytes"]),
-                1,
-            ),
-        },
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure campaign backends and cache-tier throughput"
+        description="Measure campaign backend, telemetry and queue throughput"
     )
     parser.add_argument(
         "--reps", type=int, default=5, help="interleaved A/B repetitions"
@@ -516,7 +334,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shrunk key set and campaign for CI",
+        help="shrunk lease set and campaign for CI",
     )
     parser.add_argument(
         "--out",
@@ -526,48 +344,33 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--only",
-        choices=("all", "warm", "backends", "tiers", "telemetry", "queue"),
+        choices=("all", "backends", "telemetry", "queue"),
         default="all",
         help="run a single section (the CI queue-scale job runs "
              "`--only queue`); the report contains just that section",
     )
     args = parser.parse_args(argv)
 
-    n_keys = 1000 if args.quick else 5000
     n_leases = 2000 if args.quick else 20000
     spec = bench_spec(n_points=4 if args.quick else 8, n_seeds=3)
 
     report = {
         "benchmark": "campaign-fabric-throughput",
         "description": (
-            "Warm-read throughput of the batched SQLite cache tier vs "
-            "per-file JSON reads on a campaign-scale key set; campaign "
-            "points/sec on the serial, process-pool and sharded-queue "
-            "backends; cold-vs-warm campaign wall time per cache tier; "
-            "campaign throughput with telemetry recording disabled vs "
-            "enabled (plus the disabled span's per-call cost); pure "
-            "queue overhead per point at lease-block sizes 1/16/64 and "
-            "the object-store database-size effect. "
+            "Campaign points/sec on the serial, process-pool and "
+            "sharded-queue backends; campaign throughput with telemetry "
+            "recording disabled vs enabled (plus the disabled span's "
+            "per-call cost); pure queue overhead per point at "
+            "lease-block sizes 1/16/64. "
             "Payload parity verified inside every timed rep."
         ),
         "method": (
             f"interleaved A/B, min of {args.reps} reps, gc disabled "
-            "inside timed read regions"
+            "inside timed regions"
         ),
         "command": "python benchmarks/bench_campaign_throughput.py",
         "quick": args.quick,
     }
-
-    if args.only in ("all", "warm"):
-        print(f"measuring warm reads over {n_keys} keys ...", flush=True)
-        warm = measure_warm_reads(n_keys, args.reps)
-        print(
-            f"  file {warm['file_seconds']:.3f}s"
-            f"  sqlite {warm['sqlite_seconds']:.3f}s"
-            f"  speedup {warm['speedup']:.2f}x",
-            flush=True,
-        )
-        report["warm_read"] = warm
 
     if args.only in ("all", "backends"):
         print(
@@ -581,17 +384,6 @@ def main(argv=None) -> int:
                 flush=True,
             )
         report["backends"] = backends
-
-    if args.only in ("all", "tiers"):
-        print("measuring cache tiers cold/warm ...", flush=True)
-        tiers = measure_tiers(spec)
-        for row in tiers:
-            print(
-                f"  {row['tier']:8s} cold {row['cold_seconds']:.3f}s"
-                f"  warm {row['warm_seconds']:.3f}s",
-                flush=True,
-            )
-        report["tiers"] = tiers
 
     if args.only in ("all", "telemetry"):
         print("measuring telemetry overhead ...", flush=True)
@@ -620,10 +412,7 @@ def main(argv=None) -> int:
             )
         print(
             f"  per-point overhead reduction block 64 vs 1: "
-            f"{queue['overhead_reduction_block64_vs_block1']:.1f}x;"
-            f" object store db "
-            f"{queue['object_store']['off_db_bytes']} -> "
-            f"{queue['object_store']['on_db_bytes']} bytes",
+            f"{queue['overhead_reduction_block64_vs_block1']:.1f}x",
             flush=True,
         )
         report["queue"] = queue

@@ -7,7 +7,7 @@ Usage::
     pbbf-experiments run fig08 [--scale fast|full] [--jobs N] [--progress]
     pbbf-experiments run-all [--scale fast|full] [--out results.txt]
                              [--jobs N] [--cache-dir DIR] [--no-cache]
-    pbbf-experiments cache stats [--cache-dir DIR] [--cache-tier sqlite]
+    pbbf-experiments cache stats [--cache-dir DIR]
     pbbf-experiments cache purge [--cache-dir DIR]
                                  [--max-age-days N] [--max-size-mb M]
     pbbf-experiments worker --queue DIR [--linger-s S] [--block N]
@@ -30,15 +30,15 @@ parameters changed.  ``--no-cache`` forces fresh simulation;
 ``$REPRO_CACHE_MAX_MB``) arms the evict-on-insert size budget.
 ``--backend sharded [--queue DIR]`` fans the campaign out through an
 on-disk work queue that ``pbbf-experiments worker --queue DIR``
-processes on other machines can join, and ``--cache-tier sqlite``
-serves warm campaigns from batched SQLite reads — results are
-bit-identical on every backend and tier.  ``--telemetry [DIR]`` (or
-``$REPRO_TELEMETRY``) records structured spans/counters/events as JSONL
-under DIR and prints a metrics summary at exit; ``trace export`` turns
-the logs into a Perfetto-loadable Chrome trace, and ``queue status``
-shows a live sharded-queue snapshot.  Telemetry never perturbs results:
-campaign outputs are bit-identical with it on, off, or crashing
-mid-write.
+processes on other machines can join — results are bit-identical on
+every backend.  An interrupted ``run-all`` resumes by running the same
+command again: every point it finished is already in the cache.
+``--telemetry [DIR]`` (or ``$REPRO_TELEMETRY``) records structured
+spans/counters/events as JSONL under DIR and prints a metrics summary
+at exit; ``trace export`` turns the logs into a Perfetto-loadable
+Chrome trace, and ``queue status`` shows a live sharded-queue snapshot.
+Telemetry never perturbs results: campaign outputs are bit-identical
+with it on, off, or crashing mid-write.
 """
 
 from __future__ import annotations
@@ -148,23 +148,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                              "points for million-point campaigns — a "
                              "mid-block worker crash still re-queues only "
                              "its unfinished points)")
-    parser.add_argument("--object-store", action="store_true",
-                        help="store large flat-metrics payloads once in a "
-                             "content-addressed object store and reference "
-                             "them by hash from queue rows, journal lines "
-                             "and both cache tiers (results are "
-                             "bit-identical; references stay readable "
-                             "after the flag is dropped)")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory "
                              "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
-    parser.add_argument("--cache-tier", choices=("file", "sqlite"),
-                        default="file",
-                        help="result-cache tier: file (one JSON entry per "
-                             "point; default) or sqlite (batched reads and "
-                             "concurrent-writer-safe writes through one "
-                             "WAL database, write-through to the file "
-                             "layer)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache entirely")
     parser.add_argument("--cache-max-size-mb", type=_nonnegative_mb, default=None,
@@ -188,10 +174,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                         help="print periodic campaign progress lines "
                              "(completed/total with cached vs computed) "
                              "to stderr")
-    parser.add_argument("--resume", action="store_true",
-                        help="replay the campaign journals an interrupted "
-                             "invocation left beside the cache and "
-                             "simulate only the remaining points")
     parser.add_argument("--telemetry", nargs="?", const="telemetry",
                         default=None, metavar="DIR",
                         help="record structured telemetry (phase spans, "
@@ -250,11 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--max-size-mb", type=float, default=None,
                        help="purge only: evict oldest entries until the "
                             "cache fits this many megabytes")
-    cache.add_argument("--cache-tier", choices=("file", "sqlite"),
-                       default="file",
-                       help="operate on the file layer (default) or the "
-                            "SQLite tier (which cascades to the file "
-                            "layer)")
 
     worker = sub.add_parser(
         "worker",
@@ -288,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "worker heartbeat ages and the recent "
                             "completion rate with an ETA; "
                             "compact: drop completed rows, sweep dead "
-                            "heartbeats and unreferenced objects, and "
-                            "reclaim the freed database pages")
+                            "heartbeats, and reclaim the freed database "
+                            "pages")
     queue.add_argument("--queue", required=True, metavar="DIR",
                        help="the campaign's work-queue directory")
     queue.add_argument("--window-s", type=float, default=60.0,
@@ -406,16 +383,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             queue_dir=args.queue,
             cache_dir=args.cache_dir,
-            cache_tier=args.cache_tier,
             use_cache=not args.no_cache,
             cache_max_size_mb=args.cache_max_size_mb,
             fast_path=not args.no_fast_path,
             detailed_fast_path=not args.no_detailed_fast_path,
             progress=_progress_printer() if args.progress else None,
             failure_policy=_failure_policy_from(args),
-            resume=args.resume,
             lease_block=args.lease_block,
-            object_store=args.object_store,
             telemetry_dir=telemetry_dir,
         ):
             if args.command == "run":
@@ -547,12 +521,9 @@ def _format_bytes(n: int) -> str:
 
 def _run_cache(args: argparse.Namespace) -> int:
     """The ``cache stats`` / ``cache purge`` subcommand."""
-    from repro.runners import ResultCache, SQLiteCacheTier
+    from repro.runners import ResultCache
 
-    if args.cache_tier == "sqlite":
-        store = SQLiteCacheTier(args.cache_dir)
-    else:
-        store = ResultCache(args.cache_dir)
+    store = ResultCache(args.cache_dir)
     if args.action == "stats":
         stats = store.stats()
         print(f"cache directory: {stats.root}")
@@ -564,19 +535,6 @@ def _run_cache(args: argparse.Namespace) -> int:
             print(
                 f"quarantined: {stats.n_quarantined} corrupt entries moved "
                 "aside (removed by `cache purge`)"
-            )
-        if stats.n_journals:
-            print(
-                f"journals: {stats.n_journals} orphaned campaign journals "
-                f"({_format_bytes(stats.journal_bytes)}; interrupted "
-                "campaigns resume from these — swept by `cache purge` "
-                "[--max-age-days N])"
-            )
-        if stats.n_objects:
-            print(
-                f"objects: {stats.n_objects} content-addressed payloads "
-                f"({_format_bytes(stats.object_bytes)}; unreferenced ones "
-                "swept by `cache purge`)"
             )
         for kind, count in stats.by_kind:
             print(f"  {kind:12s} {count}")
@@ -604,16 +562,6 @@ def _run_cache(args: argparse.Namespace) -> int:
         )
     if removed.corrupt_swept:
         print(f"removed {removed.corrupt_swept} quarantined corrupt entries")
-    if removed.journals_swept:
-        print(
-            f"swept {removed.journals_swept} orphaned campaign journals "
-            f"({_format_bytes(removed.journal_bytes)} reclaimed)"
-        )
-    if removed.objects_swept:
-        print(
-            f"swept {removed.objects_swept} unreferenced objects "
-            f"({_format_bytes(removed.object_bytes)} reclaimed)"
-        )
     return 0
 
 
@@ -665,11 +613,6 @@ def _run_queue(args: argparse.Namespace) -> int:
             f"{report['results_dropped']} orphaned results, "
             f"swept {report['heartbeats_swept']} dead heartbeats"
         )
-        if report["objects_swept"]:
-            print(
-                f"swept {report['objects_swept']} unreferenced objects "
-                f"({_format_bytes(report['object_bytes'])} reclaimed)"
-            )
         print(
             f"database: {_format_bytes(report['bytes_before'])} -> "
             f"{_format_bytes(report['bytes_after'])} "
@@ -954,9 +897,13 @@ def _run_one(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resume_invocation(args: argparse.Namespace) -> str:
-    """The exact ``run-all`` command that picks this invocation back up."""
-    parts = ["pbbf-experiments", "run-all", "--resume"]
+def _rerun_invocation(args: argparse.Namespace) -> str:
+    """The ``run-all`` command that picks this invocation back up.
+
+    Resuming is rerunning: the same command against the same cache
+    serves every point the interrupted run finished.
+    """
+    parts = ["pbbf-experiments", "run-all"]
     if args.scale.name != "fast":
         parts.append(f"--scale {args.scale.name}")
     if args.jobs != 1:
@@ -994,8 +941,8 @@ def _run_all(args: argparse.Namespace) -> int:
             else:
                 result = spec.run(args.scale)
         except KeyboardInterrupt:
-            # Completed points are already in the cache and the journal;
-            # a clean summary beats the pool's traceback storm.
+            # Completed points are already in the cache (unless
+            # --no-cache); a clean summary beats the pool's traceback storm.
             stats = get_stats()
             remaining = experiment_ids[finished:]
             print(file=sys.stderr)
@@ -1007,15 +954,21 @@ def _run_all(args: argparse.Namespace) -> int:
             )
             print(
                 f"  campaign points so far: {stats.computed} simulated, "
-                f"{stats.reused} reused (cache/journal/memory)",
+                f"{stats.reused} reused (cache/memory)",
                 file=sys.stderr,
             )
-            print(
-                "  completed points are saved; pick up where this left "
-                "off with:",
-                file=sys.stderr,
-            )
-            print(f"    {_resume_invocation(args)}", file=sys.stderr)
+            if args.no_cache:
+                print(
+                    "  nothing was saved (--no-cache); a rerun starts over",
+                    file=sys.stderr,
+                )
+            else:
+                print(
+                    "  completed points are saved; pick up where this "
+                    "left off with:",
+                    file=sys.stderr,
+                )
+                print(f"    {_rerun_invocation(args)}", file=sys.stderr)
             return 130
         elapsed = time.perf_counter() - started
         text = result.render() + f"\n  ({elapsed:.1f}s at scale={args.scale.name})"
@@ -1023,16 +976,10 @@ def _run_all(args: argparse.Namespace) -> int:
         print()
         chunks.append(text)
     stats = get_stats()
-    journal_note = (
-        f", {stats.reused_journal} from journal"
-        if stats.reused_journal
-        else ""
-    )
     print(
         f"campaign points: {stats.computed} simulated, "
         f"{stats.reused_disk} from disk cache, "
         f"{stats.reused_memory} from memory"
-        f"{journal_note}"
     )
     if profiler is not None:
         _print_profile(profiler)

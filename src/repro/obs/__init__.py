@@ -11,7 +11,7 @@
 
 Layering: this package imports only the stdlib and ``repro.util`` (the
 status renderers lazily touch ``repro.analysis`` for knee selection);
-the runners, kernels and cache tiers import *it*.  Telemetry never
+the runners, kernels and result cache import *it*.  Telemetry never
 perturbs results — wall-clock time exists only inside event records,
 and every sink failure degrades to no-op.
 """

@@ -131,15 +131,9 @@ def render_metrics_table(summary: Dict[str, Any]) -> List[str]:
     if counters:
         lines.append("  cache:")
         lines.append(
-            "    file tier   hits "
+            "    hits "
             + _hit_rate(counters, "cache.file.hit", "cache.file.miss")
         )
-        if any(name.startswith("cache.sqlite.") for name in counters):
-            lines.append(
-                "    sqlite tier hits "
-                + _hit_rate(counters, "cache.sqlite.hit", "cache.sqlite.miss")
-                + f", {int(counters.get('cache.sqlite.migrated', 0))} migrated"
-            )
         lines.append("  counters:")
         for name in sorted(counters):
             value = counters[name]

@@ -3,8 +3,7 @@
 Event files are append-only JSONL written line-at-a-time; a crash (or
 the deterministic ``torn_write_rate`` fault injection) can leave partial
 lines and concatenated stumps anywhere in a file.  The reader's
-contract mirrors the campaign journal's: parse what parses, skip the
-rest, never raise on garbage.
+contract: parse what parses, skip the rest, never raise on garbage.
 """
 
 from __future__ import annotations

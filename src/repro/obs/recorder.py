@@ -1,6 +1,6 @@
 """Structured telemetry: spans, counters and gauges for the campaign fabric.
 
-The execution stack (evaluators, backends, queue, cache tiers) calls
+The execution stack (evaluators, backends, queue, result cache) calls
 :func:`get_recorder` and records what it is doing — phase spans around
 realize/simulate/analyze/cache work, lease lifecycle events, hit/miss
 counters.  By default the recorder is the :data:`NULL_RECORDER`: every
@@ -12,9 +12,9 @@ this).
 Enabled (``--telemetry DIR`` / ``$REPRO_TELEMETRY``), a
 :class:`TelemetryRecorder` appends one JSON line per span/event/gauge to
 ``DIR/events-<source>.jsonl`` — one file per process, so pool and queue
-workers never contend for a handle — flushed line by line like the
-campaign journal, so a SIGKILL tears at most the final line and every
-reader (trace export, metrics aggregation) skips torn lines.
+workers never contend for a handle — flushed line by line, so a SIGKILL
+tears at most the final line and every reader (trace export, metrics
+aggregation) skips torn lines.
 
 The hard invariant, shared with the fault-injection layer: telemetry
 must never perturb results.  The recorder draws nothing from the

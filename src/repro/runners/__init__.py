@@ -51,8 +51,9 @@ both backends).
 Fault tolerance: execution runs under a
 :class:`~repro.runners.failures.FailurePolicy` (retries with
 deterministic backoff, per-task timeouts, ``raise``/``skip``/``degrade``
-exhaustion handling), completed runs stream into a crash-safe journal
-backing ``run_campaign(resume=True)`` / ``run-all --resume``, and
+exhaustion handling), each computed run is written to the result cache
+as it completes — so rerunning an interrupted campaign against the same
+cache simulates only what is missing — and
 :class:`~repro.runners.faults.FaultPlan` injects deterministic worker
 crashes, hangs and corrupt results/cache writes so every recovery path
 is provable in tests and CI.
@@ -84,8 +85,6 @@ from repro.runners.failures import (
     WorkerCrashError,
 )
 from repro.runners.faults import FaultPlan
-from repro.runners.journal import CampaignJournal
-from repro.runners.object_store import ObjectStore
 from repro.runners.queue import ShardedBackend, WorkQueue, worker_loop
 from repro.runners.points import (
     DetailedPointMetrics,
@@ -101,7 +100,6 @@ from repro.runners.spec import (
     CampaignSpec,
     run_key,
 )
-from repro.runners.sqlite_tier import SQLiteCacheTier
 
 
 def clear_run_caches() -> None:
@@ -116,7 +114,6 @@ __all__ = [
     "KINDS",
     "CacheStats",
     "CampaignExecutionError",
-    "CampaignJournal",
     "CampaignResult",
     "CampaignRun",
     "CampaignSpec",
@@ -126,13 +123,11 @@ __all__ = [
     "FailurePolicy",
     "FaultPlan",
     "IdealPointMetrics",
-    "ObjectStore",
     "PercolationPointMetrics",
     "ProcessPoolBackend",
     "PurgeReport",
     "ResultCache",
     "RunFailure",
-    "SQLiteCacheTier",
     "SerialBackend",
     "ShardedBackend",
     "TaskTimeoutError",

@@ -6,6 +6,11 @@ so re-running a campaign only computes points whose spec actually changed.
 Files live under ``~/.cache/repro`` by default; override with the
 ``REPRO_CACHE_DIR`` environment variable or the CLI's ``--cache-dir``.
 
+This is the campaign runner's one result store: ``run_campaign`` writes
+each computed point here the moment it completes, so an interrupted
+campaign resumes by simply running again against the same directory —
+every finished point reads back as a hit.
+
 The cache is strictly a performance layer: a version-mismatched entry
 reads as a miss and the point is recomputed.  A *corrupt* entry (torn
 JSON, wrong shape) also reads as a miss, but is additionally quarantined
@@ -31,25 +36,10 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import get_recorder
 from repro.runners.faults import cache_write_corrupted
-from repro.runners.object_store import (
-    ObjectStore,
-    object_marker_ref,
-    refs_in_text,
-)
 
 #: Bumped whenever the serialized payload layout or the semantics of a
 #: cached metric change; old entries then read as misses.
@@ -78,20 +68,11 @@ class CacheStats:
     by_kind: Tuple[Tuple[str, int], ...]
     #: ``<key>.corrupt`` files quarantined by earlier corrupt reads.
     n_quarantined: int = 0
-    #: Campaign journals (``journal/*.jsonl``) left beside the cache by
-    #: interrupted or failed campaigns — orphaned resume state until a
-    #: ``--resume`` replays them or an age-gated purge sweeps them.
-    n_journals: int = 0
-    journal_bytes: int = 0
-    #: Content-addressed payload objects (``objects/``) entries and
-    #: journals reference instead of inlining large metrics dicts.
-    n_objects: int = 0
-    object_bytes: int = 0
 
 
 class PurgeReport(int):
     """``ResultCache.purge``'s return value: the removed-entry count,
-    plus what the stale-tmp/quarantine/journal sweeps reclaimed.
+    plus what the stale-tmp/quarantine sweeps reclaimed.
 
     An ``int`` subclass so existing ``purge(...) == n`` call sites keep
     working unchanged; the sweep details ride along as attributes.
@@ -104,10 +85,6 @@ class PurgeReport(int):
     tmp_bytes: int
     corrupt_swept: int
     entry_bytes: int
-    journals_swept: int
-    journal_bytes: int
-    objects_swept: int
-    object_bytes: int
 
     def __new__(
         cls,
@@ -116,20 +93,12 @@ class PurgeReport(int):
         tmp_bytes: int = 0,
         corrupt_swept: int = 0,
         entry_bytes: int = 0,
-        journals_swept: int = 0,
-        journal_bytes: int = 0,
-        objects_swept: int = 0,
-        object_bytes: int = 0,
     ) -> "PurgeReport":
         self = super().__new__(cls, removed)
         self.tmp_swept = tmp_swept
         self.tmp_bytes = tmp_bytes
         self.corrupt_swept = corrupt_swept
         self.entry_bytes = entry_bytes
-        self.journals_swept = journals_swept
-        self.journal_bytes = journal_bytes
-        self.objects_swept = objects_swept
-        self.object_bytes = object_bytes
         return self
 
     def __str__(self) -> str:
@@ -140,11 +109,7 @@ class PurgeReport(int):
         return (
             f"PurgeReport(removed={int(self)}, tmp_swept={self.tmp_swept}, "
             f"tmp_bytes={self.tmp_bytes}, corrupt_swept={self.corrupt_swept}, "
-            f"entry_bytes={self.entry_bytes}, "
-            f"journals_swept={self.journals_swept}, "
-            f"journal_bytes={self.journal_bytes}, "
-            f"objects_swept={self.objects_swept}, "
-            f"object_bytes={self.object_bytes})"
+            f"entry_bytes={self.entry_bytes})"
         )
 
 
@@ -182,7 +147,6 @@ class ResultCache:
         self,
         root: Optional[Union[str, Path]] = None,
         max_size_mb: Optional[float] = None,
-        object_store: bool = False,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         if max_size_mb is None:
@@ -190,11 +154,6 @@ class ResultCache:
         if max_size_mb is not None and max_size_mb < 0:
             raise ValueError(f"max_size_mb must be >= 0, got {max_size_mb}")
         self.max_size_mb = max_size_mb
-        #: Whether *writes* indirect large metrics dicts through the
-        #: content-addressed object store; reads always resolve markers
-        #: regardless, so entries stay portable across the setting.
-        self.object_store = bool(object_store)
-        self.objects = ObjectStore(self.root)
         #: Corrupt entries this instance moved aside (see ``_quarantine``).
         self.quarantined = 0
         self._write_failed = False
@@ -237,28 +196,14 @@ class ResultCache:
             self._quarantine(path)
             recorder.counter("cache.file.miss")
             return None
-        if object_marker_ref(payload["metrics"]) is not None:
-            metrics = self.objects.resolve(payload["metrics"])
-            if metrics is None:
-                # The referenced object was swept or torn: the entry is
-                # unusable but the row itself is fine — read as a miss
-                # and let the recompute rewrite both.
-                recorder.counter("cache.file.miss")
-                return None
-            payload = dict(payload)
-            payload["metrics"] = metrics
         recorder.counter("cache.file.hit")
         return payload
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
         """Payloads for every hit among ``keys`` (misses simply absent).
 
-        On the file layer this is a convenience loop — one ``open`` per
-        key — kept signature-compatible with
-        :meth:`repro.runners.sqlite_tier.SQLiteCacheTier.get_many`, where
-        the same call is a handful of batched ``SELECT``s.  The campaign
-        scan always goes through this entry point, so swapping tiers
-        swaps the read path wholesale.
+        One ``open`` per key; the campaign scan reads through this entry
+        point, so the whole disk probe of a campaign is one call.
         """
         found: Dict[str, Dict[str, Any]] = {}
         for key in keys:
@@ -266,11 +211,6 @@ class ResultCache:
             if payload is not None:
                 found[key] = payload
         return found
-
-    def put_many(self, items: Mapping[str, Dict[str, Any]]) -> None:
-        """Store every ``key -> payload``; one atomic write per entry."""
-        for key, payload in items.items():
-            self.put(key, payload)
 
     def _quarantine(self, path: Path) -> None:
         """Move one corrupt entry aside (best-effort, crash-race safe)."""
@@ -294,8 +234,6 @@ class ResultCache:
             return
         record = dict(payload)
         record["version"] = CACHE_VERSION
-        if self.object_store and isinstance(record.get("metrics"), dict):
-            record["metrics"] = self.objects.encode(record["metrics"])
         path = self._path(key)
         text = json.dumps(record, sort_keys=True)
         if cache_write_corrupted(key):
@@ -421,15 +359,6 @@ class ResultCache:
         n_quarantined = (
             sum(1 for _ in points.glob("*/*.corrupt")) if points.is_dir() else 0
         )
-        n_journals = 0
-        journal_bytes = 0
-        for path in self.journal_paths():
-            try:
-                journal_bytes += path.stat().st_size
-            except OSError:
-                continue  # raced with a concurrent sweep
-            n_journals += 1
-        n_objects, object_bytes = self.objects.stats()
         return CacheStats(
             root=str(self.root),
             n_entries=n_entries,
@@ -437,10 +366,6 @@ class ResultCache:
             n_stale=stale,
             by_kind=tuple(sorted(by_kind.items())),
             n_quarantined=n_quarantined,
-            n_journals=n_journals,
-            journal_bytes=journal_bytes,
-            n_objects=n_objects,
-            object_bytes=object_bytes,
         )
 
     #: Orphaned ``.tmp`` files younger than this many seconds are left
@@ -454,7 +379,6 @@ class ResultCache:
         max_size_mb: Optional[float] = None,
         now: Optional[float] = None,
         tmp_age_s: Optional[float] = None,
-        keep_object_refs: Optional[Sequence[str]] = None,
     ) -> "PurgeReport":
         """Delete stored entries; returns how many were removed.
 
@@ -469,19 +393,9 @@ class ResultCache:
 
         Every purge also sweeps ``.tmp`` files orphaned by killed
         writers once they are older than ``tmp_age_s`` (default
-        :data:`TMP_SWEEP_AGE_S`), and campaign journals under
-        ``journal/`` — all of them on a full purge, those older than
-        ``max_age_days`` on an age-gated one (a journal that old belongs
-        to a campaign nobody is resuming).  The return value is an
+        :data:`TMP_SWEEP_AGE_S`).  The return value is an
         ``int``-compatible :class:`PurgeReport` carrying what each sweep
         reclaimed.
-
-        Content-addressed objects are garbage-collected by liveness:
-        after the entry/journal sweeps, any object no surviving entry or
-        journal references is removed.  ``keep_object_refs`` adds
-        references held elsewhere (the SQLite tier passes its surviving
-        rows', so a write-through mirror purge never strands the
-        database's payloads).
 
         Empty shard directories are cleaned up too; the root itself is
         left in place (it may be a shared cache directory).
@@ -580,80 +494,13 @@ class ResultCache:
                     shard.rmdir()
                 except OSError:
                     continue  # non-empty or gone
-        journals_swept = 0
-        journal_bytes = 0
-        if max_size_mb is None or max_age_days is not None:
-            # Journal sweep: a full purge clears every journal with the
-            # results they protected; an age-gated purge clears only the
-            # orphans nobody will resume.  A pure size purge leaves them
-            # alone — it is about the entry budget, not resume state.
-            sweep_age_s = (
-                max_age_days * 86_400.0 if max_age_days is not None else None
-            )
-            journals_swept, journal_bytes = self._sweep_journals(
-                sweep_age_s, reference
-            )
-        objects_swept = 0
-        object_bytes = 0
-        if self.objects.exists():
-            keep = self._live_object_refs()
-            keep.update(keep_object_refs or ())
-            objects_swept, object_bytes = self.objects.sweep(keep)
         return PurgeReport(
             removed,
             tmp_swept=tmp_swept,
             tmp_bytes=tmp_bytes,
             corrupt_swept=corrupt_swept,
             entry_bytes=entry_bytes,
-            journals_swept=journals_swept,
-            journal_bytes=journal_bytes,
-            objects_swept=objects_swept,
-            object_bytes=object_bytes,
         )
-
-    def _live_object_refs(self) -> set:
-        """Every object ref the surviving entries and journals mention.
-
-        One text scan per file; only runs when the object store has ever
-        been used (``objects/`` exists), so object-free caches pay
-        nothing at purge time.
-        """
-        refs: set = set()
-        for path in list(self.entry_paths()) + list(self.journal_paths()):
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError:
-                continue  # raced with a concurrent sweep
-            refs |= refs_in_text(text)
-        return refs
-
-    def journal_paths(self) -> Iterator[Path]:
-        """Every campaign journal beside this cache, in no set order."""
-        journals = self.root / "journal"
-        if not journals.is_dir():
-            return
-        yield from journals.glob("*.jsonl")
-
-    def _sweep_journals(
-        self, older_than_s: Optional[float], reference: float
-    ) -> Tuple[int, int]:
-        """Remove journals (all, or older than the age); returns count+bytes."""
-        swept = 0
-        swept_bytes = 0
-        for path in list(self.journal_paths()):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # raced with a concurrent sweep
-            if older_than_s is not None and reference - stat.st_mtime <= older_than_s:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            swept += 1
-            swept_bytes += stat.st_size
-        return swept, swept_bytes
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

@@ -3,17 +3,16 @@
 The pipeline for every run of a spec:
 
 1. **in-process memo** — results already materialised this process;
-2. **campaign journal** — with ``resume=True``, results a killed
-   invocation already journaled (see :mod:`repro.runners.journal`);
-3. **disk cache** — JSON entries keyed by the run's content hash;
-4. **backend** — whatever is left is simulated, serially or fanned out
-   over a process pool, under the ambient
-   :class:`~repro.runners.failures.FailurePolicy`.
+2. **disk cache** — JSON entries keyed by the run's content hash;
+3. **backend** — whatever is left is simulated, serially, fanned out
+   over a process pool or through the sharded work queue, under the
+   ambient :class:`~repro.runners.failures.FailurePolicy`.
 
-Results stream back: each computed run is written to the cache *and*
-the journal as it completes, so an interrupted campaign keeps every
-finished point.  Runs that exhaust their retries become
-:class:`~repro.runners.failures.RunFailure` records on the result (or a
+Results stream back: each computed run is written to the cache as it
+completes, so an interrupted campaign keeps every finished point and
+resumes by running again against the same cache.  Runs that exhaust
+their retries become :class:`~repro.runners.failures.RunFailure`
+records on the result (or a
 :class:`~repro.runners.failures.CampaignExecutionError` under the
 default ``on_exhausted="raise"``) — the campaign, like the paper's
 broadcasts, completes around its dead members.
@@ -25,7 +24,6 @@ the same way regardless of which layer produced them.
 
 from __future__ import annotations
 
-import inspect
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -34,7 +32,6 @@ from repro.runners.backends import ProcessPoolBackend, SerialBackend
 from repro.runners.cache import ResultCache
 from repro.runners.context import ProgressCallback, get_execution, get_stats
 from repro.runners.failures import FailurePolicy, RunFailure
-from repro.runners.journal import CampaignJournal
 from repro.runners.points import metrics_from_dict, metrics_to_dict
 from repro.runners.queue import ShardedBackend
 from repro.runners.spec import CampaignRun, CampaignSpec, run_key
@@ -55,60 +52,6 @@ _MEMO: Dict[str, Any] = {}
 def clear_memo() -> None:
     """Drop every in-process campaign result (benchmarks, tests)."""
     _MEMO.clear()
-
-
-def _execute_with_progress(
-    backend: Any,
-    pending: List[CampaignRun],
-    reused: int,
-    total: int,
-    progress: Optional[ProgressCallback],
-    policy: FailurePolicy,
-    persist_run: Callable[[int, Dict[str, Any]], None],
-    note_failure: Callable[[RunFailure], None],
-) -> List[Optional[Dict[str, Any]]]:
-    """Run the backend, streaming persistence and progress when possible.
-
-    Both built-in backends accept the ``on_result`` / ``on_failure`` /
-    ``failure_policy`` hooks; third-party backends that predate them
-    (anything exposing only ``execute(runs)``) still work — results are
-    persisted after the batch and the caller sees one final progress
-    call instead of a stream.
-    """
-    done = 0
-
-    def on_result(index: int, flat: Dict[str, Any]) -> None:
-        nonlocal done
-        # Persist before reporting: a kill right after the progress line
-        # must never lose the point the line just claimed.
-        persist_run(index, flat)
-        done += 1
-        if progress is not None:
-            progress(reused + done, total, reused, done)
-
-    try:
-        parameters = inspect.signature(backend.execute).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        parameters = {}
-    if "on_result" in parameters:
-        kwargs: Dict[str, Any] = {"on_result": on_result}
-        if "failure_policy" in parameters:
-            kwargs["failure_policy"] = policy
-        if "on_failure" in parameters:
-            kwargs["on_failure"] = note_failure
-        return backend.execute(pending, **kwargs)
-    flat_results = backend.execute(pending)
-    if len(flat_results) != len(pending):
-        raise RuntimeError(
-            f"backend returned {len(flat_results)} results "
-            f"for {len(pending)} runs"
-        )
-    for index, flat in enumerate(flat_results):
-        if flat is not None:
-            persist_run(index, flat)
-    if progress is not None:
-        progress(reused + len(pending), total, reused, len(pending))
-    return flat_results
 
 
 def _payload_for(run: CampaignRun, metrics: Any) -> Dict[str, Any]:
@@ -250,30 +193,26 @@ class CampaignResult:
 def run_campaign(
     spec: CampaignSpec,
     jobs: Optional[int] = None,
-    cache: Optional[Union[ResultCache, str, Path, Any]] = None,
+    cache: Optional[Union[ResultCache, str, Path]] = None,
     use_cache: Optional[bool] = None,
     backend: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
     post_process: Optional[Mapping[str, Callable[["CampaignResult"], Any]]] = None,
     failure_policy: Optional[FailurePolicy] = None,
-    resume: Optional[bool] = None,
-    journal: Optional[Union[CampaignJournal, str, Path, bool]] = None,
     on_point: Optional[OnPoint] = None,
 ) -> CampaignResult:
     """Execute every run of ``spec`` and return its results.
 
     Parameters left ``None`` fall back to the ambient
     :class:`~repro.runners.context.ExecutionConfig` (which the CLI sets
-    from its flags).  ``cache`` accepts a ready :class:`ResultCache` (or
-    any object with its ``get``/``put`` protocol, e.g. a
-    :class:`~repro.runners.sqlite_tier.SQLiteCacheTier`) or a directory
-    path; ``backend`` overrides the config-based choice entirely (any
-    object with ``execute(runs) -> list[dict]``; the ambient
+    from its flags).  ``cache`` accepts a ready :class:`ResultCache` or
+    a directory path; ``backend`` overrides the config-based choice
+    entirely (any object with the built-in backends' ``execute(runs,
+    on_result=, failure_policy=, on_failure=)``; the ambient
     ``config.backend`` otherwise picks serial, pool or sharded).
     ``progress`` is called as ``progress(completed, total, cached,
     computed)`` once after the cache scan and then after every computed
-    point (all built-in backends stream per-run completions; a custom
-    backend without the ``on_result`` hook degrades to one final call).
+    point.
 
     ``on_point`` streams typed results: it fires in the parent as
     ``on_point(run, metrics)`` for every unique run of the campaign —
@@ -281,8 +220,8 @@ def run_campaign(
     whatever backend runs them — and every fired point is visible
     before the final :class:`CampaignResult` returns, so frontiers and
     figure panels can render incrementally (see
-    :class:`repro.analysis.StreamingFrontier`).  Failed runs fire the
-    journal/failure paths instead, never ``on_point``.
+    :class:`repro.analysis.StreamingFrontier`).  Failed runs are
+    recorded as failures instead, never fired through ``on_point``.
 
     ``failure_policy`` is the retry/timeout/exhaustion envelope (see
     :class:`~repro.runners.failures.FailurePolicy`; the CLI sets it from
@@ -292,13 +231,9 @@ def run_campaign(
     the rest of the campaign completed and persisted; with ``skip`` or
     ``degrade`` the campaign returns with ``result.failures`` populated.
 
-    While the campaign executes, completed runs are appended to a
-    crash-safe ``journal`` (default: ``<cache root>/journal/<spec
-    hash>.jsonl``; pass ``False`` to disable).  ``resume=True`` (or the
-    CLI's ``--resume``) replays that journal first, so a re-invoked
-    campaign simulates only what its killed predecessor never finished.
-    A campaign that completes with zero failures discards its journal —
-    the cache owns the results from then on.
+    Each computed run is written to the cache before it is reported, so
+    a campaign killed mid-way resumes by running again against the same
+    cache: every point that finished is served from disk.
 
     ``post_process`` maps artifact names to hooks run *after* every point
     has materialised; each hook receives the finished
@@ -319,52 +254,20 @@ def run_campaign(
         use_cache = config.use_cache
     if progress is None:
         progress = config.progress
-    if resume is None:
-        resume = config.resume
     policy = failure_policy
     if policy is None:
         policy = config.failure_policy
     if policy is None:
         policy = FailurePolicy()
-    store: Optional[Any] = None
+    store: Optional[ResultCache] = None
     if use_cache:
-        if cache is not None and not isinstance(cache, (str, Path)):
-            # A ready store: ResultCache, SQLiteCacheTier, or anything
-            # speaking the get/put protocol.
+        if isinstance(cache, ResultCache):
             store = cache
         else:
-            cache_dir = cache if cache is not None else config.cache_dir
-            if config.cache_tier == "sqlite":
-                from repro.runners.sqlite_tier import SQLiteCacheTier
-
-                store = SQLiteCacheTier(
-                    cache_dir,
-                    max_size_mb=config.cache_max_size_mb,
-                    object_store=config.object_store,
-                )
-            else:
-                store = ResultCache(
-                    cache_dir,
-                    max_size_mb=config.cache_max_size_mb,
-                    object_store=config.object_store,
-                )
-
-    journal_store: Optional[CampaignJournal] = None
-    if isinstance(journal, CampaignJournal):
-        journal_store = journal
-    elif isinstance(journal, (str, Path)):
-        journal_store = CampaignJournal(journal)
-    elif journal is None and store is not None:
-        # Share the cache's object store so journal lines reference the
-        # same stored payloads (markers still resolve when disabled).
-        journal_store = CampaignJournal.for_campaign(
-            store.root,
-            spec.content_hash(),
-            object_store=(
-                getattr(store, "objects", None) if config.object_store else None
-            ),
-        )
-    # journal=False (or no cache to sit beside) disables journaling.
+            store = ResultCache(
+                cache if cache is not None else config.cache_dir,
+                max_size_mb=config.cache_max_size_mb,
+            )
 
     runs = spec.runs()
     recorder.event(
@@ -374,20 +277,16 @@ def run_campaign(
         n_runs=len(runs),
     )
 
-    journal_hits: Dict[str, Dict[str, Any]] = {}
-    if resume and journal_store is not None and journal_store.exists:
-        journal_hits = journal_store.load().results
-
     by_key: Dict[str, Any] = {}
     pending: List[CampaignRun] = []
     probe: List[CampaignRun] = []
     probe_keys = set()
-    reused = 0
+    # Where the reused points came from (the campaign.end event reports both).
+    from_memo = 0
+    from_disk = 0
 
     def reuse(run: CampaignRun, metrics: Any) -> None:
-        nonlocal reused
         by_key[run.key] = metrics
-        reused += 1
         if on_point is not None:
             on_point(run, metrics)
 
@@ -397,44 +296,21 @@ def run_campaign(
         if run.key in _MEMO:
             metrics = _MEMO[run.key]
             stats.reused_memory += 1
+            from_memo += 1
             reuse(run, metrics)
             if store is not None and not store.has(run.key):
                 # Backfill: a result computed before this cache directory
                 # was configured must still survive the process.
                 store.put(run.key, _payload_for(run, metrics))
             continue
-        if run.key in journal_hits:
-            try:
-                metrics = metrics_from_dict(spec.kind, journal_hits[run.key])
-            except TypeError:
-                metrics = None  # journal from a different metrics schema
-            if metrics is not None:
-                _MEMO[run.key] = metrics
-                stats.reused_journal += 1
-                reuse(run, metrics)
-                if store is not None and not store.has(run.key):
-                    # The predecessor died between journal append and
-                    # cache write (or the cache was purged since).
-                    store.put(run.key, _payload_for(run, metrics))
-                continue
         probe.append(run)
         probe_keys.add(run.key)
 
-    # Disk probes batch: the SQLite tier answers a warm million-point
-    # campaign in a handful of queries (the file layer's get_many is the
-    # same per-key loop it always ran).
     payloads: Dict[str, Dict[str, Any]] = {}
     if store is not None and probe:
         keys = [run.key for run in probe]
         with recorder.span("phase.cache-get", keys=len(keys)):
-            if hasattr(store, "get_many"):
-                payloads = store.get_many(keys)
-            else:  # a minimal third-party store
-                payloads = {
-                    key: payload
-                    for key in keys
-                    if (payload := store.get(key)) is not None
-                }
+            payloads = store.get_many(keys)
     for run in probe:
         payload = payloads.get(run.key)
         if payload is not None:
@@ -447,10 +323,12 @@ def run_campaign(
             if metrics is not None:
                 _MEMO[run.key] = metrics
                 stats.reused_disk += 1
+                from_disk += 1
                 reuse(run, metrics)
                 continue
         pending.append(run)
 
+    reused = from_memo + from_disk
     total = reused + len(pending)
     if progress is not None:
         progress(reused, total, reused, 0)
@@ -476,37 +354,32 @@ def run_campaign(
                     else SerialBackend()
                 )
 
+        done = 0
+
         def persist_run(index: int, flat: Dict[str, Any]) -> None:
+            nonlocal done
             run = pending[index]
             metrics = metrics_from_dict(spec.kind, flat)
             _MEMO[run.key] = metrics
             by_key[run.key] = metrics
             stats.computed += 1
+            # Persist before reporting: a kill right after the progress
+            # line must never lose the point the line just claimed.
             if store is not None:
                 with recorder.span("phase.cache-put"):
                     store.put(run.key, _payload_for(run, metrics))
-            if journal_store is not None:
-                journal_store.append_result(run.key, run.kind, run.seed, flat)
             if on_point is not None:
                 on_point(run, metrics)
+            done += 1
+            if progress is not None:
+                progress(reused + done, total, reused, done)
 
-        def note_failure(failure: RunFailure) -> None:
-            failures.append(failure)
-            if journal_store is not None:
-                journal_store.append_failure(failure)
-
-        try:
-            flat_results = _execute_with_progress(
-                backend, pending, reused, total, progress, policy,
-                persist_run, note_failure,
-            )
-        except BaseException:
-            # Interrupted (or raising on exhausted retries): everything
-            # completed so far is already in cache + journal; flush the
-            # journal so ``--resume`` replays it.
-            if journal_store is not None:
-                journal_store.close()
-            raise
+        flat_results = backend.execute(
+            pending,
+            on_result=persist_run,
+            failure_policy=policy,
+            on_failure=failures.append,
+        )
         delivered = sum(1 for flat in flat_results if flat is not None)
         if delivered + len(failures) < len(pending):
             raise RuntimeError(
@@ -514,19 +387,13 @@ def run_campaign(
                 f"{len(failures)} failures for {len(pending)} runs"
             )
 
-    if journal_store is not None:
-        if failures:
-            # Keep the journal: a later --resume (or a rerun after the
-            # flaky cause is fixed) picks up the completed majority.
-            journal_store.close()
-        else:
-            journal_store.discard()
-
     recorder.event(
         "campaign.end",
         spec=spec.content_hash()[:12],
         computed=len(pending) - len(failures),
         reused=reused,
+        memo=from_memo,
+        disk=from_disk,
         failures=len(failures),
     )
     recorder.flush()

@@ -44,10 +44,6 @@ class ExecutionConfig:
     #: the cache) so ``pbbf-experiments worker`` processes on other
     #: machines can join the campaign.
     queue_dir: Optional[str] = None
-    #: Result-cache tier: ``file`` (per-key JSON entries) or ``sqlite``
-    #: (batched reads/writes through one WAL database, write-through to
-    #: the file layer — see :mod:`repro.runners.sqlite_tier`).
-    cache_tier: str = "file"
     #: Cache root; ``None`` selects the default (env var or ~/.cache/repro).
     cache_dir: Optional[str] = None
     #: Master switch for the on-disk cache.
@@ -74,21 +70,12 @@ class ExecutionConfig:
     #: Deterministic fault injection for tests/CI; ``None`` falls back to
     #: ``$REPRO_FAULT_PLAN`` (see :mod:`repro.runners.faults`).
     fault_plan: Optional["FaultPlan"] = None
-    #: Replay campaign journals before executing (the CLI's ``--resume``):
-    #: results a killed invocation already persisted are reused instead of
-    #: re-simulated.
-    resume: bool = False
     #: Points a sharded-backend worker claims (and completes) per queue
     #: transaction.  1 keeps the original row-at-a-time protocol; larger
     #: blocks amortize the SQLite round-trip over many points — a
     #: mid-block worker death still re-queues only the unfinished leases
     #: (see ``WorkQueue.complete_and_claim``).
     lease_block: int = 1
-    #: Store large flat-metrics payloads once in the content-addressed
-    #: object store (``runners/object_store.py``) and reference them by
-    #: hash from queue rows, journal lines and both cache tiers.  Off by
-    #: default; readers resolve references regardless of this flag.
-    object_store: bool = False
     #: Structured-telemetry directory (the CLI's ``--telemetry``); ``None``
     #: leaves the process-wide recorder alone (no-op unless
     #: ``$REPRO_TELEMETRY`` is set).  Workers inherit it — pool workers
@@ -106,8 +93,6 @@ class ExecutionStats:
     computed: int = 0
     reused_memory: int = 0
     reused_disk: int = 0
-    #: Results replayed from a campaign journal (``--resume``).
-    reused_journal: int = 0
     #: Runs whose task exhausted its retry budget (counted parent-side).
     failed: int = 0
     #: Task retries scheduled (parent-side requeues and expired leases).
@@ -116,7 +101,7 @@ class ExecutionStats:
     @property
     def reused(self) -> int:
         """Results served without running a simulator."""
-        return self.reused_memory + self.reused_disk + self.reused_journal
+        return self.reused_memory + self.reused_disk
 
     @property
     def total(self) -> int:
@@ -128,7 +113,6 @@ class ExecutionStats:
         self.computed = 0
         self.reused_memory = 0
         self.reused_disk = 0
-        self.reused_journal = 0
         self.failed = 0
         self.retried = 0
 

@@ -19,7 +19,7 @@ sleeps (and therefore schedules) identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.util.rng import fold_seed, hash_to_unit_interval
 
@@ -133,7 +133,7 @@ class FailurePolicy:
 class RunFailure:
     """One run that stayed failed after its retry policy was spent."""
 
-    #: The run's content-hash key (same identity the cache/journal use).
+    #: The run's content-hash key (the same identity the cache uses).
     key: str
     kind: str
     params: Tuple[Tuple[str, Any], ...]
@@ -155,31 +155,6 @@ class RunFailure:
         return (
             f"{self.kind}[{point}] seed={self.seed}: "
             f"{self.error_type} after {self.attempts} attempt(s): {self.error}"
-        )
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe form for the campaign journal."""
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "params": self.params_dict(),
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "error_type": self.error_type,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "RunFailure":
-        """Rebuild a record from its journal form."""
-        return cls(
-            key=str(payload["key"]),
-            kind=str(payload["kind"]),
-            params=tuple(sorted(dict(payload.get("params", {})).items())),
-            seed=int(payload["seed"]),
-            attempts=int(payload.get("attempts", 1)),
-            error_type=str(payload.get("error_type", "Exception")),
-            error=str(payload.get("error", "")),
         )
 
 

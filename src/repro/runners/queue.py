@@ -38,9 +38,7 @@ fall as ``1/block`` while the per-lease attempt accounting is
 unchanged: a worker that dies mid-block re-queues only the leases it
 had not yet completed, each charged one :class:`WorkerCrashError`
 attempt.  The parent harvests result rows in pages rather than
-unbounded scans, and large flat-metrics payloads can ride the
-content-addressed object store (:mod:`repro.runners.object_store`)
-instead of being copied into every row.
+unbounded scans.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ from repro.runners.backends import (
     _validated,
 )
 from repro.runners.context import get_execution, get_stats, set_execution
-from repro.runners.object_store import MARKER_KEY, ObjectStore, refs_in_text
 from repro.runners.failures import (
     CorruptResultError,
     FailurePolicy,
@@ -101,7 +98,7 @@ DEFAULT_POLL_S = 0.05
 
 #: Result rows the parent harvests per page.  Pages bound the memory and
 #: statement cost of each poll on million-point queues while the
-#: journal/``on_point`` stream rides the same ordered reads unchanged.
+#: ``on_point`` stream rides the same ordered reads unchanged.
 RESULT_PAGE_ROWS = 512
 
 #: Heartbeat rows older than this are swept by ``compact`` — a worker
@@ -176,8 +173,9 @@ class WorkQueue:
     Every method is one transaction (``BEGIN IMMEDIATE`` for writes, with
     SQLite's busy-timeout arbitrating concurrent claimers), so the queue
     is safe for any number of worker processes on any number of machines
-    that share the directory.  Unlike the cache tier, a broken queue
-    *raises* — there is no file layer to degrade to.
+    that share the directory.  Unlike the result cache, which degrades
+    to cache-off when its directory is unwritable, a broken queue
+    *raises* — the campaign's work is in it.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -189,12 +187,6 @@ class WorkQueue:
         #: trips" the block protocol amortizes; the scale drill asserts
         #: this stays ~``ceil(points / block)``.
         self.round_trips = 0
-        #: Whether *this writer* stores large result payloads in the
-        #: object store.  Set from ``configure``/``read_config`` so the
-        #: parent and every worker agree; readers always resolve
-        #: markers regardless.
-        self.object_store = False
-        self._objects: Optional[ObjectStore] = None
 
     def _connect(self) -> sqlite3.Connection:
         if self._con is not None and self._pid == os.getpid():
@@ -240,39 +232,6 @@ class WorkQueue:
         self.round_trips += 1
         return outcome
 
-    # -- result payload encoding -------------------------------------------
-
-    @property
-    def objects(self) -> ObjectStore:
-        """The queue's object store (``<queue dir>/objects/``)."""
-        if self._objects is None:
-            self._objects = ObjectStore(self.dir)
-        return self._objects
-
-    def _encode_flats(self, flats: List[Dict[str, Any]]) -> str:
-        """Serialize a result payload, indirecting it when opted in."""
-        text = json.dumps(flats)
-        if self.object_store and len(text) >= self.objects.threshold_bytes:
-            ref = self.objects.put_text(text)
-            if ref is not None:
-                return json.dumps({MARKER_KEY: ref})
-        return text
-
-    def _decode_flats(self, text: str) -> Optional[List[Dict[str, Any]]]:
-        """Deserialize a result row; ``None`` when its object dangles.
-
-        The parent treats ``None`` like any torn row: the attempt is
-        charged and the task re-queued, so a swept object degrades to a
-        recompute rather than an error.
-        """
-        payload = json.loads(text)
-        if isinstance(payload, dict):
-            resolved = self.objects.resolve(payload)
-            if resolved is None or not isinstance(resolved, list):
-                return None
-            return resolved
-        return payload
-
     # -- campaign setup ----------------------------------------------------
 
     def configure(
@@ -281,7 +240,6 @@ class WorkQueue:
         lease_s: float = DEFAULT_LEASE_S,
         fault_plan_token: Optional[str] = None,
         lease_block: Optional[int] = None,
-        object_store: Optional[bool] = None,
     ) -> None:
         """Publish the campaign's execution contract to the workers.
 
@@ -289,15 +247,12 @@ class WorkQueue:
         duration, the parent's kernel-selection flags, the block size
         and any fault plan from the ``meta`` table — the same hand-off
         ``_init_worker`` performs for the pool backend, durable on
-        disk.  ``lease_block``/``object_store`` default to the ambient
-        :class:`~repro.runners.context.ExecutionConfig`.
+        disk.  ``lease_block`` defaults to the ambient
+        :class:`~repro.runners.context.ExecutionConfig`'s.
         """
         config = get_execution()
         if lease_block is None:
             lease_block = config.lease_block
-        if object_store is None:
-            object_store = config.object_store
-        self.object_store = bool(object_store)
         rows = {
             "policy": json.dumps(asdict(policy), sort_keys=True),
             "lease_s": json.dumps(lease_s),
@@ -306,7 +261,6 @@ class WorkQueue:
             "fault_plan": json.dumps(fault_plan_token),
             "telemetry": json.dumps(config.telemetry_dir),
             "lease_block": json.dumps(max(1, int(lease_block))),
-            "object_store": json.dumps(bool(object_store)),
         }
         self._write(
             lambda con: con.executemany(
@@ -337,7 +291,6 @@ class WorkQueue:
             "lease_block": max(
                 1, int(json.loads(rows.get("lease_block", "1")))
             ),
-            "object_store": bool(json.loads(rows.get("object_store", "false"))),
         }
 
     def enqueue(self, leases: Sequence[_Lease]) -> None:
@@ -457,7 +410,7 @@ class WorkQueue:
             return
         reference = now if now is not None else time.time()
         result_rows = [
-            (key, self._encode_flats(flats), worker_id, reference)
+            (key, json.dumps(flats), worker_id, reference)
             for key, flats in completions
         ]
         self._write(lambda con: self._complete_rows(con, result_rows))
@@ -502,7 +455,7 @@ class WorkQueue:
         """
         reference = now if now is not None else time.time()
         result_rows = [
-            (key, self._encode_flats(flats), worker_id, reference)
+            (key, json.dumps(flats), worker_id, reference)
             for key, flats in completions
         ]
 
@@ -639,13 +592,11 @@ class WorkQueue:
 
     def fetch_results(
         self, after_rowid: int = 0, limit: Optional[int] = None
-    ) -> List[Tuple[int, str, Optional[List[Dict[str, Any]]]]]:
+    ) -> List[Tuple[int, str, List[Dict[str, Any]]]]:
         """Result rows newer than ``after_rowid``: ``(rowid, key, flats)``.
 
         ``limit`` bounds the page (``None`` keeps the full scan for
-        small queues and tests).  ``flats`` is ``None`` when the row's
-        object-store payload dangles — the caller charges the attempt
-        like any corrupt row and the task recomputes.
+        small queues and tests).
         """
         if limit is None:
             rows = self._connect().execute(
@@ -660,7 +611,7 @@ class WorkQueue:
                 (after_rowid, int(limit)),
             ).fetchall()
         return [
-            (int(rid), key, self._decode_flats(flats))
+            (int(rid), key, json.loads(flats))
             for rid, key, flats in rows
         ]
 
@@ -727,12 +678,11 @@ class WorkQueue:
         """Drop completed rows and reclaim their disk space.
 
         Deletes ``done`` task rows and every result row without a task,
-        age-sweeps heartbeat rows of long-dead workers, sweeps object
-        files no surviving result references, then truncates the WAL
-        and ``VACUUM``\\ s the database.  Returns what was removed and
-        the bytes reclaimed.  A compacted campaign re-enqueued later
-        simply recomputes (or serves from the result cache) — the queue
-        holds work in flight, not the archive.
+        age-sweeps heartbeat rows of long-dead workers, then truncates
+        the WAL and ``VACUUM``\\ s the database.  Returns what was
+        removed and the bytes reclaimed.  A compacted campaign
+        re-enqueued later simply recomputes (or serves from the result
+        cache) — the queue holds work in flight, not the archive.
         """
         reference = now if now is not None else time.time()
 
@@ -752,16 +702,6 @@ class WorkQueue:
 
         bytes_before = self._disk_bytes()
         tasks_dropped, results_dropped, heartbeats_swept = self._write(operate)
-        objects_swept = 0
-        object_bytes = 0
-        if self.objects.exists():
-            live: set = set()
-            for (text,) in self._connect().execute(
-                "SELECT flats FROM results WHERE flats LIKE ?",
-                (f'%{MARKER_KEY}%',),
-            ):
-                live |= refs_in_text(text)
-            objects_swept, object_bytes = self.objects.sweep(live)
         con = self._connect()
         con.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         con.execute("VACUUM")
@@ -773,8 +713,6 @@ class WorkQueue:
             "tasks_dropped": int(tasks_dropped),
             "results_dropped": int(results_dropped),
             "heartbeats_swept": int(heartbeats_swept),
-            "objects_swept": objects_swept,
-            "object_bytes": object_bytes,
             "bytes_before": bytes_before,
             "bytes_after": bytes_after,
             "reclaimed_bytes": max(0, bytes_before - bytes_after),
@@ -862,8 +800,6 @@ class WorkQueue:
         lease_block = json.loads(meta.get("lease_block", "1"))
         if lease_block and int(lease_block) > 1:
             config["lease_block"] = int(lease_block)
-        if json.loads(meta.get("object_store", "false")):
-            config["object_store"] = True
         completed_in_window, rate = self.completion_rate(
             window_s, now=reference
         )
@@ -925,7 +861,6 @@ def worker_loop(
     if block is None:
         block = config["lease_block"]
     block = max(1, int(block))
-    queue.object_store = config["object_store"]
     plan = (
         faults.FaultPlan.from_token(config["fault_plan"])
         if config["fault_plan"]
@@ -1195,9 +1130,8 @@ class ShardedBackend:
                         try:
                             validated = _validated(lease, flats)
                         except CorruptResultError as error:
-                            # A torn row (or schema drift, or a swept
-                            # object): charge the attempt and let the
-                            # queue retry it.
+                            # A torn row (or schema drift): charge the
+                            # attempt and let the queue retry it.
                             queue.fail(
                                 key, type(error).__name__, str(error), policy
                             )

@@ -74,7 +74,7 @@ class CampaignRun:
         return dict(self.params)
 
     def describe(self) -> str:
-        """One human-readable line (progress, failure and resume output)."""
+        """One human-readable line (progress and failure output)."""
         point = ", ".join(f"{name}={value}" for name, value in self.params)
         return f"{self.kind}[{point}] seed={self.seed}"
 

@@ -96,7 +96,7 @@ def test_metrics_table_renders_the_story(tmp_path):
     text = "\n".join(render_metrics_table(aggregate_metrics(tmp_path)))
     assert "phase wall time" in text
     assert "task" in text
-    assert "75.0% of 4" in text  # 3 hits of 4 file-tier probes
+    assert "75.0% of 4" in text  # 3 hits of 4 cache probes
     assert "task.retry" in text
     assert "host-2" in text
 

@@ -375,91 +375,3 @@ class TestBudgetScanRegression:
         seed_entries(cache, 2)
         assert calls["n"] == 2  # exactly one corrective re-seed
 
-
-def seed_journals(root, ages_days, now=None):
-    """Write one journal per age (days), mtime-staggered like entries."""
-    now = now if now is not None else time.time()
-    journals = root / "journal"
-    journals.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for index, age in enumerate(ages_days):
-        path = journals / f"campaign-{index}.jsonl"
-        path.write_text('{"key": "x", "flat": {}}\n')
-        mtime = now - age * 86_400.0
-        os.utime(path, (mtime, mtime))
-        paths.append(path)
-    return paths
-
-
-class TestJournalLifecycle:
-    """Orphaned campaign journals: visible in stats, swept by purge."""
-
-    def test_stats_count_orphaned_journals(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        seed_entries(cache, 2)
-        seed_journals(tmp_path, [0.0, 5.0])
-        stats = cache.stats()
-        assert stats.n_journals == 2
-        assert stats.journal_bytes > 0
-
-    def test_full_purge_sweeps_every_journal(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        seed_entries(cache, 2)
-        paths = seed_journals(tmp_path, [0.0, 5.0])
-        report = cache.purge()
-        assert report.journals_swept == 2 and report.journal_bytes > 0
-        assert not any(path.exists() for path in paths)
-
-    def test_age_gated_purge_sweeps_only_old_journals(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        now = time.time()
-        seed_entries(cache, 2, now=now)
-        paths = seed_journals(tmp_path, [0.0, 5.0], now=now)
-        report = cache.purge(max_age_days=2.0, now=now)
-        assert report.journals_swept == 1
-        assert paths[0].exists() and not paths[1].exists()
-
-    def test_pure_size_purge_leaves_resume_state_alone(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        seed_entries(cache, 3)
-        paths = seed_journals(tmp_path, [10.0])
-        report = cache.purge(max_size_mb=0.0)
-        assert report.journals_swept == 0
-        assert paths[0].exists()
-
-    def test_cli_stats_report_journals(self, tmp_path, capsys):
-        from repro.cli import main
-
-        seed_entries(ResultCache(tmp_path), 1)
-        seed_journals(tmp_path, [1.0])
-        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
-        assert "1 orphaned campaign journals" in capsys.readouterr().out
-
-    def test_cli_purge_sweeps_journals_by_age(self, tmp_path, capsys):
-        from repro.cli import main
-
-        now = time.time()
-        seed_entries(ResultCache(tmp_path), 1, now=now)
-        paths = seed_journals(tmp_path, [9.0], now=now)
-        code = main([
-            "cache", "purge", "--cache-dir", str(tmp_path),
-            "--max-age-days", "5",
-        ])
-        assert code == 0
-        assert "swept 1 orphaned campaign journals" in capsys.readouterr().out
-        assert not paths[0].exists()
-
-    def test_cli_stats_reach_the_sqlite_tier(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.runners import SQLiteCacheTier
-
-        SQLiteCacheTier(tmp_path).put(
-            "ab" * 32, {"kind": "ideal", "metrics": {}}
-        )
-        code = main([
-            "cache", "stats", "--cache-dir", str(tmp_path),
-            "--cache-tier", "sqlite",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "entries: 1 " in out and "ideal" in out

@@ -7,7 +7,6 @@ import pytest
 from repro.runners import (
     CampaignSpec,
     ResultCache,
-    SerialBackend,
     clear_run_caches,
     execution,
     get_stats,
@@ -124,6 +123,53 @@ class TestExecutionContext:
         assert list(tmp_path.rglob("*.json"))
 
 
+class TestCacheArgument:
+    """``cache=`` takes a directory (str or path) or a ``ResultCache``."""
+
+    def test_a_path_object_names_the_directory(self, tmp_path):
+        spec = tiny_percolation_spec()
+        run_campaign(spec, cache=tmp_path)
+        clear_run_caches()
+        second = run_campaign(spec, cache=tmp_path)
+        assert (second.computed, second.reused) == (0, 2)
+        assert len(list(ResultCache(tmp_path).entry_paths())) == 2
+
+    def test_a_result_cache_instance_is_used_as_given(self, tmp_path):
+        spec = tiny_percolation_spec()
+        store = ResultCache(tmp_path)
+        first = run_campaign(spec, cache=store)
+        store._path(spec.runs()[0].key).write_text("{ torn")
+        clear_run_caches()
+        second = run_campaign(spec, cache=store)
+        # The campaign's own reads quarantined the torn entry.
+        assert store.quarantined == 1
+        assert (second.computed, second.reused) == (1, 1)
+        for side in (6, 8):
+            assert first.metrics(grid_side=side) == second.metrics(grid_side=side)
+
+    def test_an_instance_keeps_its_own_budget(self, tmp_path):
+        spec = tiny_percolation_spec()
+        with execution(cache_max_size_mb=64.0):
+            run_campaign(spec, cache=ResultCache(tmp_path / "a", max_size_mb=0.0))
+            clear_run_caches()
+            run_campaign(spec, cache=str(tmp_path / "b"))
+        # A zero budget evicts every write; the ambient 64 MiB keeps both.
+        assert not list(ResultCache(tmp_path / "a").entry_paths())
+        assert len(list(ResultCache(tmp_path / "b").entry_paths())) == 2
+
+    def test_memo_results_backfill_a_newly_named_cache(self, tmp_path):
+        spec = tiny_percolation_spec()
+        run_campaign(spec, cache=str(tmp_path / "first"))
+        second = run_campaign(spec, cache=str(tmp_path / "second"))
+        assert (second.computed, second.reused) == (0, 2)
+        backfilled = ResultCache(tmp_path / "second")
+        for run in spec.runs():
+            assert backfilled.get(run.key) is not None
+        clear_run_caches()
+        third = run_campaign(spec, cache=str(tmp_path / "second"))
+        assert (third.computed, third.reused) == (0, 2)
+
+
 class TestResultAccess:
     def test_metrics_unknown_point_raises(self, tmp_path):
         result = run_campaign(tiny_percolation_spec(), cache=str(tmp_path))
@@ -205,20 +251,6 @@ class TestProgressReporting:
         with execution(progress=lambda *args: events.append(args)):
             run_campaign(tiny_percolation_spec(), cache=str(tmp_path))
         assert events[-1] == (2, 2, 0, 2)
-
-    def test_legacy_backend_without_hook_degrades_to_final_call(self, tmp_path):
-        class LegacyBackend:
-            def execute(self, runs):  # no on_result parameter
-                return SerialBackend().execute(runs)
-
-        events = []
-        run_campaign(
-            tiny_percolation_spec(),
-            cache=str(tmp_path),
-            backend=LegacyBackend(),
-            progress=lambda *args: events.append(args),
-        )
-        assert events == [(0, 2, 0, 0), (2, 2, 0, 2)]
 
 
 class TestScenarioAxes:

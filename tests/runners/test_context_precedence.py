@@ -76,8 +76,14 @@ class _RecordingPool:
 
         self._serial = SerialBackend()
 
-    def execute(self, runs, on_result=None):
-        return self._serial.execute(runs, on_result=on_result)
+    def execute(self, runs, on_result=None, failure_policy=None,
+                on_failure=None):
+        return self._serial.execute(
+            runs,
+            on_result=on_result,
+            failure_policy=failure_policy,
+            on_failure=on_failure,
+        )
 
 
 class TestJobsPrecedence:

@@ -9,12 +9,12 @@ RNG streams keyed by run key + attempt), so these tests replay exactly.
 """
 
 import json
+import warnings
 
 import pytest
 
 from repro.runners import (
     CampaignExecutionError,
-    CampaignJournal,
     CampaignSpec,
     FailurePolicy,
     FaultPlan,
@@ -250,6 +250,38 @@ class TestSerialRecovery:
         assert len(failures) == 2
 
 
+class TestFailureRecords:
+    def _failed(self):
+        spec = tiny_spec()
+        plan = FaultPlan(crash_rate=1.0, max_attempt=99)
+        policy = FailurePolicy(max_retries=1, on_exhausted="skip")
+        with execution(fault_plan=plan):
+            result = run_campaign(spec, use_cache=False, failure_policy=policy)
+        return spec, result.failures
+
+    def test_record_carries_the_runs_identity(self):
+        spec, failures = self._failed()
+        runs = {run.key: run for run in spec.runs()}
+        assert sorted(failure.key for failure in failures) == sorted(runs)
+        for failure in failures:
+            run = runs[failure.key]
+            assert failure.kind == run.kind == "percolation"
+            assert failure.params_dict() == run.params_dict()
+            assert failure.seed == run.seed
+
+    def test_raised_error_lists_every_description(self):
+        _spec, failures = self._failed()
+        error = CampaignExecutionError(failures)
+        assert error.failures == tuple(failures)
+        message = str(error)
+        assert message.startswith("2 campaign run(s) failed after retries:")
+        for failure in failures:
+            line = failure.describe()
+            assert line in message
+            assert line.startswith("percolation[")
+            assert "WorkerCrashError after 2 attempt(s)" in line
+
+
 class TestPoolRecovery:
     def test_worker_crash_rebuild_is_bit_identical(self):
         spec = tiny_spec()
@@ -369,74 +401,126 @@ class _DieAfter:
 
 
 class TestResume:
-    def _interrupt_then_resume(self, tmp_path, inner_backend=None):
+    """Resuming is rerunning: the cache serves every finished point."""
+
+    def _interrupt_then_rerun(self, tmp_path, inner_backend=None):
         spec = tiny_spec()
         reference = fault_free_reference(spec)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
                 spec, cache=str(tmp_path), backend=_DieAfter(1, inner_backend)
             )
-        journal_path = (
-            tmp_path / "journal" / f"{spec.content_hash()}.jsonl"
-        )
-        assert journal_path.is_file()
-        # Remove the cache entries: the resume below must come from the
-        # journal alone, not ride on the cache writes.
-        for entry in ResultCache(tmp_path).entry_paths():
-            entry.unlink()
         clear_run_caches()
         reset_stats()
-        result = run_campaign(spec, cache=str(tmp_path), resume=True)
+        result = run_campaign(spec, cache=str(tmp_path))
         assert result.computed == 1 and result.reused == 1
-        assert get_stats().reused_journal == 1
+        assert get_stats().reused_disk == 1
         assert all_metrics(result) == reference
-        # Clean completion discards the journal; the cache owns it now.
-        assert not journal_path.exists()
 
-    def test_resume_after_kill_serial(self, tmp_path):
-        self._interrupt_then_resume(tmp_path)
+    def test_rerun_after_kill_serial(self, tmp_path):
+        self._interrupt_then_rerun(tmp_path)
 
-    def test_resume_after_kill_pool(self, tmp_path):
-        self._interrupt_then_resume(tmp_path, ProcessPoolBackend(2))
+    def test_rerun_after_kill_pool(self, tmp_path):
+        self._interrupt_then_rerun(tmp_path, ProcessPoolBackend(2))
 
-    def test_without_resume_the_journal_is_ignored(self, tmp_path):
+    def test_object_marker_entry_is_recomputed_inline(self, tmp_path):
+        spec = tiny_spec()
+        reference = fault_free_reference(spec)
+        run_campaign(spec, cache=str(tmp_path))
+        key = spec.runs()[0].key
+        cache = ResultCache(tmp_path)
+        entry = cache._path(key)
+        payload = json.loads(entry.read_text())
+        inline = payload["metrics"]
+        # The form an object-store reference took inside a cache entry.
+        payload["metrics"] = {"__object__": "ef" * 32}
+        entry.write_text(json.dumps(payload))
+        clear_run_caches()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_campaign(spec, cache=str(tmp_path))
+        assert result.computed == 1 and result.reused == 1
+        assert all_metrics(result) == reference
+        assert cache.get(key)["metrics"] == inline
+
+    def test_cached_campaign_leaves_only_points(self, tmp_path):
+        run_campaign(tiny_spec(), cache=str(tmp_path))
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["points"]
+
+    def test_rerun_on_another_backend_is_bit_identical(self, tmp_path):
+        spec = tiny_spec()
+        reference = fault_free_reference(spec)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, cache=str(tmp_path), backend=_DieAfter(1))
+        clear_run_caches()
+        result = run_campaign(
+            spec, cache=str(tmp_path), backend=ProcessPoolBackend(2)
+        )
+        assert result.computed == 1 and result.reused == 1
+        assert all_metrics(result) == reference
+
+    def test_further_reruns_compute_nothing(self, tmp_path):
         spec = tiny_spec()
         with pytest.raises(KeyboardInterrupt):
             run_campaign(spec, cache=str(tmp_path), backend=_DieAfter(1))
-        for entry in ResultCache(tmp_path).entry_paths():
-            entry.unlink()
         clear_run_caches()
-        result = run_campaign(spec, cache=str(tmp_path))
-        assert result.computed == 2
+        second = run_campaign(spec, cache=str(tmp_path))
+        clear_run_caches()
+        third = run_campaign(spec, cache=str(tmp_path))
+        assert (third.computed, third.reused) == (0, 2)
+        assert all_metrics(third) == all_metrics(second)
 
-    def test_clean_completion_leaves_no_journal(self, tmp_path):
+    def test_skipped_failures_are_not_cached_and_rerun_computes_them(
+        self, tmp_path
+    ):
         spec = tiny_spec()
-        run_campaign(spec, cache=str(tmp_path))
-        assert not list((tmp_path / "journal").glob("*.jsonl")) or not (
-            tmp_path / "journal"
-        ).exists()
-
-    def test_journal_tolerates_a_torn_tail(self, tmp_path):
-        path = tmp_path / "torn.jsonl"
-        good = json.dumps(
-            {"v": 1, "event": "result", "key": KEY_A, "kind": "percolation",
-             "seed": 3, "metrics": {"x": 1.0}}
+        reference = fault_free_reference(spec)
+        keys = [run.key for run in spec.runs()]
+        plan = next(
+            p
+            for p in (
+                FaultPlan(crash_rate=0.5, max_attempt=99, seed=s)
+                for s in range(200)
+            )
+            if p.decide(keys[0], 0) == "crash" and p.decide(keys[1], 0) is None
         )
-        path.write_text(good + "\n" + good[: len(good) // 2])
-        replay = CampaignJournal(path).load()
-        assert replay.results == {KEY_A: {"x": 1.0}}
-        assert replay.skipped == 1
-
-    def test_failures_keep_the_journal_for_a_later_resume(self, tmp_path):
-        spec = tiny_spec()
-        plan = FaultPlan(crash_rate=1.0, max_attempt=99)
         policy = FailurePolicy(max_retries=0, on_exhausted="skip")
         with execution(fault_plan=plan):
-            result = run_campaign(
+            first = run_campaign(
                 spec, cache=str(tmp_path), failure_policy=policy
             )
-        assert len(result.failures) == 2
-        journal_path = tmp_path / "journal" / f"{spec.content_hash()}.jsonl"
-        assert journal_path.is_file()
-        replay = CampaignJournal(journal_path).load()
-        assert len(replay.failures) == 2
+        assert [failure.key for failure in first.failures] == [keys[0]]
+        cache = ResultCache(tmp_path)
+        assert cache.get(keys[0]) is None and cache.get(keys[1]) is not None
+        clear_run_caches()
+        reset_stats()
+        second = run_campaign(spec, cache=str(tmp_path))
+        assert (second.computed, second.reused) == (1, 1)
+        assert get_stats().reused_disk == 1
+        assert not second.failures
+        assert all_metrics(second) == reference
+
+    def test_no_cache_kill_leaves_nothing_to_rerun_from(self, tmp_path):
+        spec = tiny_spec()
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                spec, cache=str(cache_dir), use_cache=False,
+                backend=_DieAfter(1),
+            )
+        assert not cache_dir.exists()
+        clear_run_caches()
+        result = run_campaign(spec, cache=str(cache_dir))
+        assert (result.computed, result.reused) == (2, 0)
+
+    def test_interrupted_entries_are_whole(self, tmp_path):
+        spec = tiny_spec()
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, cache=str(tmp_path), backend=_DieAfter(1))
+        cache = ResultCache(tmp_path)
+        [entry] = list(cache.entry_paths())
+        payload = json.loads(entry.read_text())
+        assert payload["version"] == 1
+        assert payload["kind"] == "percolation"
+        assert entry.stem in {run.key for run in spec.runs()}
+        assert list((tmp_path / "points").glob("*/*.tmp")) == []

@@ -8,6 +8,7 @@ evaluation is a pure function of ``(kind, params, seed)`` and the queue
 only ever decides scheduling.
 """
 
+import json
 import sqlite3
 
 import pytest
@@ -162,6 +163,18 @@ class TestWorkQueue:
         assert len(rows) == 1
         assert rows[0][2] == [{"v": 1.0}]
 
+    def test_result_rows_hold_the_flats_inline(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        leases = _build_leases(tiny_spec().runs())
+        queue.enqueue(leases)
+        flats = [{"v": 0.5, "w": [1, 2]}]
+        queue.complete(leases[0].key, flats, "w1", now=100.0)
+        with sqlite3.connect(str(queue.db_path)) as db:
+            [(text,)] = db.execute("SELECT flats FROM results").fetchall()
+        assert json.loads(text) == flats
+        [(_rowid, key, fetched)] = queue.fetch_results()
+        assert (key, fetched) == (leases[0].key, flats)
+
     def test_config_roundtrip(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         policy = FailurePolicy(max_retries=2, timeout_s=7.5, on_exhausted="skip")
@@ -226,6 +239,19 @@ class TestShardedParity:
             result = run_campaign(spec, use_cache=False)
         assert not result.failures
         assert all_metrics(result) == reference
+
+    def test_cached_run_reruns_from_the_cache_alone(self, tmp_path):
+        spec = tiny_spec(n_seeds=2)
+        reference = serial_reference(spec)
+        cache_dir = str(tmp_path / "cache")
+        with execution(backend="sharded", jobs=2):
+            first = run_campaign(spec, cache=cache_dir)
+        assert all_metrics(first) == reference
+        clear_run_caches()
+        with execution(backend="sharded", jobs=2):
+            second = run_campaign(spec, cache=cache_dir)
+        assert (second.computed, second.reused) == (0, len(spec.runs()))
+        assert all_metrics(second) == reference
 
     def test_explicit_queue_dir_is_shared_state(self, tmp_path):
         spec = tiny_spec()

@@ -1,8 +1,8 @@
 """Streaming results: ``on_point`` delivery and frontier snapshot parity.
 
 ``run_campaign(on_point=...)`` must deliver every materialised point —
-computed on any backend, or reused from memo/journal/disk on any cache
-tier — before the final result returns, and the
+computed on any backend, or reused from the memo or the disk cache —
+before the final result returns, and the
 :class:`StreamingFrontier` consumer fed that stream must snapshot to the
 exact bits of the batch ``operating_points`` → ``pareto_frontier``
 pipeline, independent of arrival order.
@@ -79,18 +79,16 @@ class TestOnPointDelivery:
         expected = result_metrics_by_key(result)
         assert all(metrics == expected[key] for key, metrics in seen)
 
-    @pytest.mark.parametrize("cache_tier", ["file", "sqlite"])
-    def test_reused_points_stream_too(self, tmp_path, cache_tier):
+    def test_reused_points_stream_too(self, tmp_path):
         spec = tiny_spec()
-        with execution(cache_tier=cache_tier):
-            run_campaign(spec, cache=str(tmp_path))
-            clear_run_caches()  # drop the memo: reuse must come from disk
-            seen = []
-            result = run_campaign(
-                spec,
-                cache=str(tmp_path),
-                on_point=lambda run, metrics: seen.append(run.key),
-            )
+        run_campaign(spec, cache=str(tmp_path))
+        clear_run_caches()  # drop the memo: reuse must come from disk
+        seen = []
+        result = run_campaign(
+            spec,
+            cache=str(tmp_path),
+            on_point=lambda run, metrics: seen.append(run.key),
+        )
         assert sorted(seen) == sorted(run.key for run in spec.runs())
         assert get_stats().computed == len(spec.runs())  # first run only
         assert not result.failures

@@ -50,61 +50,94 @@ class TestRunAll:
         assert "fig18" in text
 
 
+class _Interrupted:
+    def run(self, scale):
+        raise KeyboardInterrupt
+
+
+def interrupted_run_all(monkeypatch, capsys, argv, experiment_ids):
+    """Run ``run-all`` with fig04 interrupted; returns its stderr."""
+    import repro.cli as cli
+
+    real_get = cli.get_experiment
+
+    def fake_get(experiment_id):
+        if experiment_id == "fig04":
+            return _Interrupted()
+        return real_get(experiment_id)
+
+    monkeypatch.setattr(cli, "all_experiment_ids", lambda: experiment_ids)
+    monkeypatch.setattr(cli, "get_experiment", fake_get)
+    assert main(["run-all", *argv]) == 130
+    return capsys.readouterr().err
+
+
 class TestRunAllInterrupt:
-    def test_keyboard_interrupt_prints_resume_summary(
+    def test_keyboard_interrupt_prints_the_rerun_command(
         self, tmp_path, monkeypatch, capsys
     ):
-        import repro.cli as cli
-
-        real_get = cli.get_experiment
-
-        class _Interrupted:
-            def run(self, scale):
-                raise KeyboardInterrupt
-
-        def fake_get(experiment_id):
-            if experiment_id == "fig04":
-                return _Interrupted()
-            return real_get(experiment_id)
-
-        monkeypatch.setattr(
-            cli, "all_experiment_ids", lambda: ["table1", "fig04"]
+        err = interrupted_run_all(
+            monkeypatch, capsys,
+            ["--cache-dir", str(tmp_path), "--jobs", "2"],
+            ["table1", "fig04"],
         )
-        monkeypatch.setattr(cli, "get_experiment", fake_get)
-        code = main(
-            ["run-all", "--cache-dir", str(tmp_path), "--jobs", "2"]
-        )
-        assert code == 130
-        err = capsys.readouterr().err
         assert "interrupted." in err
         assert "experiments finished: 1/2" in err
         assert "remaining: fig04" in err
-        assert "pbbf-experiments run-all --resume" in err
-        assert "--jobs 2" in err and str(tmp_path) in err
+        assert "completed points are saved" in err
+        # Resuming is rerunning: the plain command, nothing added.
+        assert (
+            f"\n    pbbf-experiments run-all --jobs 2 --cache-dir {tmp_path}\n"
+            in err
+        )
 
-    def test_resume_invocation_reflects_retry_flags(
+    def test_no_cache_interrupt_says_a_rerun_starts_over(
+        self, monkeypatch, capsys
+    ):
+        err = interrupted_run_all(
+            monkeypatch, capsys, ["--no-cache"], ["table1", "fig04"]
+        )
+        assert "interrupted." in err
+        assert "nothing was saved (--no-cache); a rerun starts over" in err
+        assert "completed points are saved" not in err
+        assert "pbbf-experiments run-all" not in err
+
+    def test_rerun_invocation_reflects_retry_flags(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        err = interrupted_run_all(
+            monkeypatch, capsys,
+            [
+                "--cache-dir", str(tmp_path),
+                "--max-retries", "5", "--on-exhausted", "skip",
+            ],
+            ["fig04"],
+        )
+        assert "--max-retries 5" in err
+        assert "--on-exhausted skip" in err
+
+    def test_printed_command_picks_up_from_the_cache(
         self, tmp_path, monkeypatch, capsys
     ):
         import repro.cli as cli
+        from repro.runners import clear_run_caches
 
-        class _Interrupted:
-            def run(self, scale):
-                raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli, "all_experiment_ids", lambda: ["fig04"])
-        monkeypatch.setattr(
-            cli, "get_experiment", lambda experiment_id: _Interrupted()
+        clear_run_caches()
+        err = interrupted_run_all(
+            monkeypatch, capsys,
+            ["--cache-dir", str(tmp_path / "cache")],
+            ["fig07", "fig04"],
         )
-        code = main(
-            [
-                "run-all", "--cache-dir", str(tmp_path),
-                "--max-retries", "5", "--on-exhausted", "skip",
-            ]
-        )
-        assert code == 130
-        err = capsys.readouterr().err
-        assert "--max-retries 5" in err
-        assert "--on-exhausted skip" in err
+        [command] = [
+            line.strip()
+            for line in err.splitlines()
+            if line.strip().startswith("pbbf-experiments run-all")
+        ]
+        monkeypatch.setattr(cli, "all_experiment_ids", lambda: ["fig07"])
+        clear_run_caches()  # the rerun is a fresh process
+        assert main(command.split()[1:]) == 0
+        out = capsys.readouterr().out
+        assert "campaign points: 0 simulated" in out
 
 
 class TestFaultToleranceFlags:
@@ -114,12 +147,6 @@ class TestFaultToleranceFlags:
                 "run", "fig07", "--no-cache", "--max-retries", "1",
                 "--task-timeout-s", "300", "--on-exhausted", "skip",
             ]
-        ) == 0
-        assert "fig07" in capsys.readouterr().out
-
-    def test_resume_flag_accepted_without_a_journal(self, tmp_path, capsys):
-        assert main(
-            ["run", "fig07", "--cache-dir", str(tmp_path), "--resume"]
         ) == 0
         assert "fig07" in capsys.readouterr().out
 
@@ -210,6 +237,32 @@ class TestCacheSubcommand:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "quarantined: 1 corrupt entries" in out
+
+    def test_stats_ignore_leftovers_from_older_checkouts(self, tmp_path, capsys):
+        from repro.runners import ResultCache
+
+        ResultCache(tmp_path).put("ab" * 32, {"kind": "ideal", "metrics": {}})
+        (tmp_path / "journal").mkdir()
+        (tmp_path / "journal" / "campaign.jsonl").write_text("{}\n")
+        (tmp_path / "objects").mkdir()
+        (tmp_path / "cache.sqlite").write_bytes(b"SQLite format 3\x00")
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 1 " in out
+        assert "journal" not in out and "objects" not in out
+
+    def test_purge_leaves_leftovers_from_older_checkouts(self, tmp_path, capsys):
+        from repro.runners import ResultCache
+
+        ResultCache(tmp_path).put("ab" * 32, {"kind": "ideal", "metrics": {}})
+        (tmp_path / "journal").mkdir()
+        (tmp_path / "journal" / "campaign.jsonl").write_text("{}\n")
+        (tmp_path / "cache.sqlite").write_bytes(b"SQLite format 3\x00")
+        assert main(["cache", "purge", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [f"purged 1 cache entries from {tmp_path}"]
+        assert (tmp_path / "journal" / "campaign.jsonl").is_file()
+        assert (tmp_path / "cache.sqlite").is_file()
 
     def test_purge_reports_swept_tmp_files(self, tmp_path, capsys):
         import os
