@@ -26,6 +26,11 @@ from repro.util.validation import (
     check_positive_int,
 )
 
+#: Seconds from each nominal generation instant to the update's arrival at
+#: the source, landing it inside the ATIM window that opens at that
+#: instant.  The seed-batched detailed kernel generates at the same times.
+DEFAULT_FIRST_OFFSET = 0.01
+
 
 @dataclass(frozen=True)
 class UpdateRecord:
@@ -65,7 +70,7 @@ class CodeDistributionApp:
         update_interval: float = 100.0,
         k: int = 1,
         packet_size_bytes: int = 64,
-        first_offset: float = 0.01,
+        first_offset: float = DEFAULT_FIRST_OFFSET,
     ) -> None:
         check_positive("update_interval", update_interval)
         check_positive_int("k", k)

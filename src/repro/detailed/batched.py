@@ -54,7 +54,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.apps.code_distribution import CodeDistributionApp, UpdateRecord
+from repro.apps.code_distribution import (
+    DEFAULT_FIRST_OFFSET,
+    CodeDistributionApp,
+    UpdateRecord,
+)
 from repro.apps.metrics import BroadcastMetrics
 from repro.ideal.simulator import SchedulingMode
 from repro.mac.base import MacStats
@@ -778,7 +782,7 @@ class _Batch:
             else:
                 heapq.heappush(machinery, (group.offset, 0, gid))
         for st in self.states:
-            t = 0.01  # CodeDistributionApp first_offset default
+            t = DEFAULT_FIRST_OFFSET
             while t < duration:
                 st.push(t, 0, _GEN)
                 t += self.cfg.update_interval

@@ -194,12 +194,17 @@ class Topology:
         degrees = np.bincount(owners, minlength=n).astype(np.int64)
         indptr = np.concatenate(([0], np.cumsum(degrees)))
         forward = owners < nbrs
+        edge_u, edge_v = owners[forward], nbrs[forward]
+        # One realized topology may serve every point in a process, so a
+        # write into any of its arrays must raise rather than leak.
+        for array in (indptr, nbrs, degrees, edge_u, edge_v):
+            array.setflags(write=False)
         self._csr = CSRAdjacency(
             indptr=indptr,
             indices=nbrs,
             degrees=degrees,
-            edge_u=owners[forward],
-            edge_v=nbrs[forward],
+            edge_u=edge_u,
+            edge_v=edge_v,
         )
         flat_list = nbrs.tolist()
         bounds = indptr.tolist()

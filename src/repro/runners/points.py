@@ -39,7 +39,7 @@ from repro.net.topology import Topology
 from repro.obs import get_recorder
 from repro.percolation.site import coverage_site_fraction
 from repro.percolation.threshold import estimate_critical_bond_fraction
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import RealizedScenario, ScenarioSpec
 from repro.util.stats import summarize
 
 
@@ -85,17 +85,30 @@ _METRICS_TYPES = {
 }
 
 
-@lru_cache(maxsize=64)
-def _realized_scenario(scenario_token: str, seed: int):
-    """Memoized scenario realization (a pure function of token + seed).
+def _realized_scenario(scenario_token: str, seed: int) -> RealizedScenario:
+    """The world ``scenario_token`` realizes to at ``seed``, memoized.
 
-    Campaigns that fold only the scenario into the seed sweep many p/q
-    points over one realized world; without this, every point would
-    rebuild the same topology (including connectivity resampling for the
-    random families).
+    Every evaluator realizes its world here.  A seed-free spec
+    (:attr:`ScenarioSpec.seed_free`) realizes to the same world at every
+    seed, so its memo entry is keyed on the token alone: one realization,
+    with its CSR and padded views and its BFS memo, serves every point in
+    the process, whatever its seed (the seed still keys the point's
+    coins).  Other specs key on ``(token, seed)``, which still lets
+    campaigns that fold only the scenario into the seed sweep many p/q
+    points over one realized world.  :func:`clear_point_caches` empties
+    the memo.
     """
+    seed_free = ScenarioSpec.from_token(scenario_token).seed_free
+    return _realize(scenario_token, None if seed_free else seed)
+
+
+@lru_cache(maxsize=64)
+def _realize(scenario_token: str, seed: Optional[int]) -> RealizedScenario:
+    """Realize ``scenario_token`` at ``seed`` (``None``: seed-free, at 0)."""
     with get_recorder().span("phase.realize", kind="scenario", seed=seed):
-        return ScenarioSpec.from_token(scenario_token).realize(seed)
+        return ScenarioSpec.from_token(scenario_token).realize(
+            0 if seed is None else seed
+        )
 
 
 def _summarize_ideal_campaign(
@@ -130,13 +143,15 @@ def _ideal_point(
 ) -> IdealPointMetrics:
     """The legacy grid point, resolved through the default grid scenario.
 
-    Realizing ``ScenarioSpec.grid_default`` draws nothing from the seed
-    streams (grid placement and centre source are deterministic), so this
-    is bit-identical to the pre-scenario ``GridTopology(grid_side)`` path
-    — the parity goldens in tests/scenarios lock that in.
+    ``ScenarioSpec.grid_default`` is seed-free (grid placement and centre
+    source are deterministic), so every point shares one realization and
+    the result is bit-identical to the pre-scenario
+    ``GridTopology(grid_side)`` path — the parity goldens in
+    tests/scenarios lock that in.
     """
-    with get_recorder().span("phase.realize", kind="grid", seed=seed):
-        realized = ScenarioSpec.grid_default(grid_side).realize(seed)
+    realized = _realized_scenario(
+        ScenarioSpec.grid_default(grid_side).token, seed
+    )
     simulator = IdealSimulator(
         realized.topology,
         PBBFParams(p=p, q=q),
@@ -348,12 +363,13 @@ def _percolation_point(
 ) -> PercolationPointMetrics:
     """The legacy grid point, resolved through the default grid scenario.
 
-    Like :func:`_ideal_point`, realization draws nothing for the default
-    grid, so results and run keys are bit-identical to the pre-scenario
-    ``GridTopology(grid_side)`` path.
+    Like :func:`_ideal_point`, it shares the default grid's one
+    realization, so results and run keys are bit-identical to the
+    pre-scenario ``GridTopology(grid_side)`` path.
     """
-    with get_recorder().span("phase.realize", kind="grid", seed=seed):
-        realized = ScenarioSpec.grid_default(grid_side).realize(seed)
+    realized = _realized_scenario(
+        ScenarioSpec.grid_default(grid_side).token, seed
+    )
     return _percolation_summary(
         realized.topology,
         f"{grid_side}x{grid_side}",
@@ -632,4 +648,4 @@ def clear_point_caches() -> None:
     _detailed_seed_batch.cache_clear()
     _percolation_point.cache_clear()
     _percolation_scenario_point.cache_clear()
-    _realized_scenario.cache_clear()
+    _realize.cache_clear()

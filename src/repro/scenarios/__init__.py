@@ -44,12 +44,22 @@ tokens stay canonical.  Register it once at import time::
         "ring", build_ring,
         description="cycle of n_nodes unit-spaced nodes",
         defaults={"n_nodes": 64},
+        seed_free=True,                   # build_ring never draws from rng
     )
 
 From that point ``ScenarioSpec.build("ring", {"n_nodes": 128})`` is a
 sweepable, cacheable campaign axis value like any built-in family, and
 ``pbbf-experiments scenarios`` lists it.  Names are unique; registering a
 taken name raises.
+
+Declare ``seed_free=True`` only when the builder never draws from its
+``rng``, as ``build_ring`` and the built-in ``grid`` and ``torus`` do.
+Specs on such a family with a non-``random`` source and no perturbations
+report :attr:`~repro.scenarios.spec.ScenarioSpec.seed_free`, and the
+campaign runner realizes each of those worlds once per process instead
+of once per seed.  Leave the declaration off when the builder draws
+anything: an undeclared family is realized per seed, which is never
+wrong, only slower.
 """
 
 from repro.scenarios.families import (

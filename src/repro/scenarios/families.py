@@ -54,6 +54,9 @@ class TopologyFamily:
     description: str
     #: Default parameters merged under the spec's own (shown in listings).
     defaults: Tuple[Tuple[str, Any], ...] = ()
+    #: Whether the builder never draws from its ``rng``, so every seed
+    #: builds the same topology (see :attr:`ScenarioSpec.seed_free`).
+    seed_free: bool = False
 
     def build(self, params: Mapping[str, Any], rng: random.Random) -> Topology:
         """Build the topology from ``defaults`` overlaid with ``params``."""
@@ -75,11 +78,13 @@ def register_family(
     builder: FamilyBuilder,
     description: str = "",
     defaults: Optional[Mapping[str, Any]] = None,
+    seed_free: bool = False,
 ) -> TopologyFamily:
     """Register ``builder`` under ``name``; returns the registry entry.
 
     Names are unique: re-registering an existing name raises so two
-    extensions cannot silently shadow each other's deployments.
+    extensions cannot silently shadow each other's deployments.  Pass
+    ``seed_free=True`` only when ``builder`` never draws from its rng.
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"family name must be a non-empty string, got {name!r}")
@@ -90,6 +95,7 @@ def register_family(
         builder=builder,
         description=description,
         defaults=tuple(sorted((defaults or {}).items())),
+        seed_free=seed_free,
     )
     _FAMILIES[name] = family
     return family
@@ -190,11 +196,13 @@ register_family(
     "grid",
     _build_grid,
     "open square lattice, 4-neighbour connectivity (the paper's Section 4)",
+    seed_free=True,
 )
 register_family(
     "torus",
     _build_torus,
     "wrap-around lattice: every node degree 4, no boundary effects",
+    seed_free=True,
 )
 register_family(
     "grid_holes",

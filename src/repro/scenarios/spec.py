@@ -16,7 +16,9 @@ mid-run death schedules, per-node clock skew; see :class:`Perturbations`)
   run's seed (:class:`repro.util.rng.RandomStreams`), so realization is a
   pure function of ``(spec, seed)`` in any process, and two specs
   realized at the same seed share placement randomness (common random
-  numbers for paired comparisons).
+  numbers for paired comparisons).  A :attr:`~ScenarioSpec.seed_free`
+  spec draws nothing at all, so it realizes to the same world at every
+  seed.
 """
 
 from __future__ import annotations
@@ -377,6 +379,21 @@ class ScenarioSpec:
         return " ".join(bits)
 
     # -- realization -------------------------------------------------------
+
+    @property
+    def seed_free(self) -> bool:
+        """Whether :meth:`realize` builds the same world at every seed.
+
+        True when the family declares ``seed_free`` (its builder never
+        draws from its rng), the source policy draws nothing (anything but
+        ``random``) and no perturbation applies.  The runner then realizes
+        the world once per process and shares it across seeds.
+        """
+        return (
+            get_family(self.family).seed_free
+            and self.source != "random"
+            and not self.perturbations
+        )
 
     def realize(self, seed: int) -> RealizedScenario:
         """Build the concrete world for one run.

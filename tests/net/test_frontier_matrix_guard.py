@@ -4,7 +4,8 @@ The fast-path broadcast kernel gathers whole frontiers through
 ``topology.csr.padded``; the matrices are cached on the (immutable) CSR
 view, so two hazards exist: a kernel mutating the shared cache in place,
 and a re-realized scenario (same seed, any process) somehow seeing a
-different matrix.  Both are pinned here.
+different matrix.  Both are pinned here.  A seed-free world is shared by
+every point in a process, so every CSR array is read-only as well.
 """
 
 import multiprocessing
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.net.topology import GridTopology, RandomTopology
-from repro.runners.points import _realized_scenario
+from repro.runners.points import _realized_scenario, clear_point_caches
 from repro.scenarios import ScenarioSpec
 
 RANDOM_SPEC = ScenarioSpec.build(
@@ -45,6 +46,15 @@ class TestReadOnlyGuard:
         with pytest.raises(ValueError, match="read-only"):
             valid[0, 0] = False
 
+    @pytest.mark.parametrize(
+        "name", ["indptr", "indices", "degrees", "edge_u", "edge_v"]
+    )
+    def test_csr_arrays_are_read_only(self, name):
+        array = getattr(GridTopology(5).csr, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99
+
     def test_padded_is_built_once_and_consistent(self):
         topo = GridTopology(6)
         first = topo.csr.padded
@@ -66,7 +76,7 @@ class TestRepeatedRealization:
         assert np.array_equal(n1, n2) and np.array_equal(v1, v2)
 
     def test_memoized_realization_shares_the_cached_matrix(self):
-        _realized_scenario.cache_clear()
+        clear_point_caches()
         token = RANDOM_SPEC.token
         first = _realized_scenario(token, 77).topology
         second = _realized_scenario(token, 77).topology

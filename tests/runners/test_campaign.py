@@ -4,6 +4,11 @@ import json
 
 import pytest
 
+from repro.core.params import PBBFParams
+from repro.experiments.ideal_figures import ideal_campaign
+from repro.experiments.scale import Scale
+from repro.ideal.config import AnalysisParameters
+from repro.ideal.simulator import IdealSimulator, SchedulingMode
 from repro.runners import (
     CampaignSpec,
     ResultCache,
@@ -13,6 +18,7 @@ from repro.runners import (
     reset_stats,
     run_campaign,
 )
+from repro.runners.points import _summarize_ideal_campaign
 from repro.scenarios import ScenarioSpec
 
 
@@ -318,6 +324,104 @@ class TestScenarioAxes:
         assert {run.key for run in result.runs} == {
             run.key for run in spec.runs()
         }
+
+
+@pytest.fixture
+def realize_calls(monkeypatch):
+    """Every ``ScenarioSpec.realize`` call, as ``(family, seed)``."""
+    calls = []
+    realize = ScenarioSpec.realize
+
+    def counting(self, seed):
+        calls.append((self.family, seed))
+        return realize(self, seed)
+
+    monkeypatch.setattr(ScenarioSpec, "realize", counting)
+    return calls
+
+
+class TestRealizeOncePerWorld:
+    """A cold serial run realizes each seed-free world once, not per point."""
+
+    GRID = ScenarioSpec.build("grid", {"side": 7})
+    TORUS = ScenarioSpec.build("torus", {"side": 7}, source="corner")
+    RANDOM = ScenarioSpec.build("random", {"n_nodes": 20, "density": 12.0})
+
+    def mixed_spec(self):
+        return CampaignSpec.build(
+            kind="ideal",
+            axes={
+                "scenario": (self.GRID, self.TORUS, self.RANDOM),
+                "p": (0.25, 0.75),
+            },
+            fixed={
+                "q": 0.5,
+                "n_broadcasts": 2,
+                "mode": "psm_pbbf",
+                "hop_near": 2,
+                "hop_far": 4,
+            },
+            seed_params=("scenario", "p"),
+            n_seeds=2,
+        )
+
+    def test_paper_campaign_realizes_its_grid_once_per_cold_run(
+        self, realize_calls
+    ):
+        spec = ideal_campaign(Scale.fast())
+        with execution(use_cache=False, jobs=1):
+            first = run_campaign(spec)
+            assert first.computed == 26
+            assert [family for family, _ in realize_calls] == ["grid"]
+            clear_run_caches()
+            run_campaign(spec)
+        assert len(realize_calls) == 2
+
+    def test_seeded_worlds_realize_once_per_distinct_seed(self, realize_calls):
+        spec = self.mixed_spec()
+        with execution(use_cache=False, jobs=1):
+            run_campaign(spec)
+        random_seeds = {
+            run.seed
+            for run in spec.runs()
+            if run.params_dict()["scenario"] == self.RANDOM.token
+        }
+        assert len(random_seeds) == 4
+        families = [family for family, _ in realize_calls]
+        assert sorted(families) == ["grid", "random", "random", "random",
+                                    "random", "torus"]
+        assert {seed for family, seed in realize_calls
+                if family == "random"} == random_seeds
+
+    def test_metrics_equal_a_fresh_world_per_run(self):
+        spec = self.mixed_spec()
+        with execution(use_cache=False, jobs=1):
+            result = run_campaign(spec)
+        for run in spec.runs():
+            params = run.params_dict()
+            realized = ScenarioSpec.from_token(params["scenario"]).realize(
+                run.seed
+            )
+            simulator = IdealSimulator(
+                realized.topology,
+                PBBFParams(p=params["p"], q=params["q"]),
+                AnalysisParameters(),
+                seed=run.seed,
+                source=realized.source,
+                mode=SchedulingMode(params["mode"]),
+                failed_nodes=realized.failed_nodes,
+            )
+            expected = _summarize_ideal_campaign(
+                simulator,
+                params["n_broadcasts"],
+                params["hop_near"],
+                params["hop_far"],
+            )
+            assert result.metrics(
+                seed_index=run.seed_index,
+                scenario=params["scenario"],
+                p=params["p"],
+            ) == expected
 
 
 class TestCacheObject:
