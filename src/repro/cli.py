@@ -10,9 +10,6 @@ Usage::
     pbbf-experiments cache stats [--cache-dir DIR]
     pbbf-experiments cache purge [--cache-dir DIR]
                                  [--max-age-days N] [--max-size-mb M]
-    pbbf-experiments worker --queue DIR [--linger-s S] [--block N]
-    pbbf-experiments queue status --queue DIR [--window-s S]
-    pbbf-experiments queue compact --queue DIR [--heartbeat-max-age-s S]
     pbbf-experiments trace export [--telemetry DIR] [--out trace.json]
     pbbf-experiments pareto [--scale fast|full] [--simulator ideal|detailed]
                             [--family grid] [--coverage 0.9] [--lifetime]
@@ -21,24 +18,21 @@ Usage::
 (Equivalently: ``python -m repro.cli ...``.)
 
 Execution flags plug into the campaign runner (:mod:`repro.runners`):
-``--jobs N`` fans simulation points out over N worker processes
-(bit-identical to ``--jobs 1``), and results are cached on disk by
-content hash — a repeated invocation recomputes nothing unless
-parameters changed.  ``--no-cache`` forces fresh simulation;
-``--cache-dir`` relocates the cache (default ``~/.cache/repro`` or
+``--jobs N`` is the only execution choice — N > 1 fans simulation
+points out over a pool of N worker processes, bit-identical to the
+in-process ``--jobs 1`` — and results are cached on disk by content
+hash, so a repeated invocation recomputes nothing unless parameters
+changed.  ``--no-cache`` forces fresh simulation; ``--cache-dir``
+relocates the cache (default ``~/.cache/repro`` or
 ``$REPRO_CACHE_DIR``); ``--cache-max-size-mb`` (or
-``$REPRO_CACHE_MAX_MB``) arms the evict-on-insert size budget.
-``--backend sharded [--queue DIR]`` fans the campaign out through an
-on-disk work queue that ``pbbf-experiments worker --queue DIR``
-processes on other machines can join — results are bit-identical on
-every backend.  An interrupted ``run-all`` resumes by running the same
-command again: every point it finished is already in the cache.
+``$REPRO_CACHE_MAX_MB``) arms the evict-on-insert size budget.  An
+interrupted ``run-all`` resumes by running the same command again:
+every point it finished is already in the cache.
 ``--telemetry [DIR]`` (or ``$REPRO_TELEMETRY``) records structured
 spans/counters/events as JSONL under DIR and prints a metrics summary
 at exit; ``trace export`` turns the logs into a Perfetto-loadable
-Chrome trace, and ``queue status`` shows a live sharded-queue snapshot.
-Telemetry never perturbs results: campaign outputs are bit-identical
-with it on, off, or crashing mid-write.
+Chrome trace.  Telemetry never perturbs results: campaign outputs are
+bit-identical with it on, off, or crashing mid-write.
 """
 
 from __future__ import annotations
@@ -69,18 +63,6 @@ def _positive_jobs(value: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def _positive_block(value: str) -> int:
-    try:
-        block = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--lease-block must be an integer, got {value!r}"
-        )
-    if block < 1:
-        raise argparse.ArgumentTypeError(f"--lease-block must be >= 1, got {block}")
-    return block
 
 
 def _nonnegative_int(value: str) -> int:
@@ -126,28 +108,8 @@ def _nonnegative_mb(value: str) -> float:
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_jobs, default=1,
                         help="worker processes for simulation points "
-                             "(default 1: serial; results are identical)")
-    parser.add_argument("--backend", choices=("auto", "serial", "pool", "sharded"),
-                        default="auto",
-                        help="execution backend: auto (serial or pool from "
-                             "--jobs; default), serial, pool, or sharded "
-                             "(fan out through an on-disk work queue that "
-                             "`pbbf-experiments worker` processes on other "
-                             "machines can join; results are identical on "
-                             "all of them)")
-    parser.add_argument("--queue", default=None, metavar="DIR",
-                        help="work-queue directory for --backend sharded "
-                             "(default: a private temporary queue; point "
-                             "it at a shared directory to let workers on "
-                             "other machines join)")
-    parser.add_argument("--lease-block", type=_positive_block, default=1,
-                        metavar="N",
-                        help="points a sharded-backend worker claims (and "
-                             "completes) per queue transaction (default 1; "
-                             "larger blocks amortize queue I/O over many "
-                             "points for million-point campaigns — a "
-                             "mid-block worker crash still re-queues only "
-                             "its unfinished points)")
+                             "(default 1: serial; N > 1 runs a process "
+                             "pool; results are identical)")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory "
                              "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
@@ -177,7 +139,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry", nargs="?", const="telemetry",
                         default=None, metavar="DIR",
                         help="record structured telemetry (phase spans, "
-                             "queue/retry events, cache counters) as JSONL "
+                             "retry events, cache counters) as JSONL "
                              "under DIR (default ./telemetry; or set "
                              "$REPRO_TELEMETRY) and print a metrics "
                              "summary at exit; results are bit-identical "
@@ -232,50 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--max-size-mb", type=float, default=None,
                        help="purge only: evict oldest entries until the "
                             "cache fits this many megabytes")
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a work-queue worker for a sharded campaign "
-             "(started on any machine sharing the queue/cache directory)",
-    )
-    worker.add_argument("--queue", required=True, metavar="DIR",
-                        help="the campaign's work-queue directory "
-                             "(the parent's `run ... --backend sharded "
-                             "--queue DIR`)")
-    worker.add_argument("--poll-s", type=float, default=0.05,
-                        help="idle sleep between claim attempts "
-                             "(default 0.05s)")
-    worker.add_argument("--linger-s", type=float, default=0.0,
-                        help="keep polling this long after the queue "
-                             "drains, for long-lived shared queues "
-                             "(default 0: exit once drained)")
-    worker.add_argument("--block", type=_positive_block, default=None,
-                        metavar="N",
-                        help="points to claim per queue transaction "
-                             "(default: the block size the campaign "
-                             "parent published in the queue config)")
-
-    queue = sub.add_parser(
-        "queue",
-        help="inspect a sharded campaign's work queue "
-             "(live depth, worker heartbeats, completion-rate ETA)",
-    )
-    queue.add_argument("action", choices=("status", "compact"),
-                       help="status: one snapshot of task counts, per-"
-                            "worker heartbeat ages and the recent "
-                            "completion rate with an ETA; "
-                            "compact: drop completed rows, sweep dead "
-                            "heartbeats, and reclaim the freed database "
-                            "pages")
-    queue.add_argument("--queue", required=True, metavar="DIR",
-                       help="the campaign's work-queue directory")
-    queue.add_argument("--window-s", type=float, default=60.0,
-                       help="completion-rate window in seconds "
-                            "(default 60)")
-    queue.add_argument("--heartbeat-max-age-s", type=float, default=3600.0,
-                       help="compact only: drop worker heartbeat rows "
-                            "not refreshed within this many seconds "
-                            "(default 3600)")
 
     trace = sub.add_parser(
         "trace",
@@ -335,10 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="fast (default) or full (paper scale)")
     run.add_argument("--chart", action="store_true",
                      help="also draw an ASCII chart of the series")
-    run.add_argument("--profile", action="store_true",
-                     help="wrap the regeneration in cProfile and print a "
-                          "per-phase (realize/simulate/analyze/cache) "
-                          "time table")
     _add_execution_flags(run)
 
     run_all = sub.add_parser("run-all", help="run every experiment")
@@ -346,10 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="fast (default) or full (paper scale)")
     run_all.add_argument("--out", default=None,
                          help="also write the report to this file")
-    run_all.add_argument("--profile", action="store_true",
-                         help="wrap every regeneration in cProfile and "
-                              "print one per-phase (realize/simulate/"
-                              "analyze/cache) time table at the end")
     _add_execution_flags(run_all)
     return parser
 
@@ -366,10 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_scenarios()
     if args.command == "cache":
         return _run_cache(args)
-    if args.command == "worker":
-        return _run_worker(args)
-    if args.command == "queue":
-        return _run_queue(args)
     if args.command == "trace":
         return _run_trace(args)
     telemetry_dir = args.telemetry or os.environ.get("REPRO_TELEMETRY")
@@ -380,8 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with execution(
             jobs=args.jobs,
-            backend=args.backend,
-            queue_dir=args.queue,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             cache_max_size_mb=args.cache_max_size_mb,
@@ -389,7 +293,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             detailed_fast_path=not args.no_detailed_fast_path,
             progress=_progress_printer() if args.progress else None,
             failure_policy=_failure_policy_from(args),
-            lease_block=args.lease_block,
             telemetry_dir=telemetry_dir,
         ):
             if args.command == "run":
@@ -454,17 +357,20 @@ def _progress_printer(min_interval: float = 1.0):
     ``min_interval`` seconds — except the final one, which always prints.
     Each line breaks completions down (cached vs computed, plus failed
     and retried tasks when the failure machinery fired) and carries an
-    ETA extrapolated from the campaign's own completion rate.
+    ETA extrapolated from the campaign's own simulation rate: points
+    served from the cache arrive at once and cost no simulation time,
+    so only computed points count towards the rate.
     """
     from repro.obs import format_duration
 
     last = 0.0
-    started: Optional[float] = None
+    started = 0.0
 
     def progress(completed: int, total: int, cached: int, computed: int) -> None:
         nonlocal last, started
         now = time.monotonic()
-        if started is None:
+        if computed == 0:
+            # A campaign's post-scan call: its simulation clock starts now.
             started = now
         if completed < total and now - last < min_interval:
             return
@@ -477,10 +383,9 @@ def _progress_printer(min_interval: float = 1.0):
             extra += f", {stats.retried} retried"
         eta = ""
         elapsed = now - started
-        if 0 < completed < total and elapsed > 0:
-            rate = completed / elapsed
-            if rate > 0:
-                eta = f"; ETA {format_duration((total - completed) / rate)}"
+        if computed and completed < total and elapsed > 0:
+            rate = computed / elapsed
+            eta = f"; ETA {format_duration((total - completed) / rate)}"
         print(
             f"  campaign progress: {completed}/{total} points "
             f"({cached} cached, {computed} computed{extra}){eta}",
@@ -562,66 +467,6 @@ def _run_cache(args: argparse.Namespace) -> int:
         )
     if removed.corrupt_swept:
         print(f"removed {removed.corrupt_swept} quarantined corrupt entries")
-    return 0
-
-
-def _run_worker(args: argparse.Namespace) -> int:
-    """The ``worker`` subcommand: serve one sharded campaign's queue."""
-    from repro.runners.queue import new_worker_id, worker_loop
-
-    worker_id = new_worker_id()
-    print(f"worker {worker_id} serving queue at {args.queue}", file=sys.stderr)
-    try:
-        completed = worker_loop(
-            args.queue,
-            worker_id=worker_id,
-            poll_s=args.poll_s,
-            linger_s=args.linger_s,
-            block=args.block,
-        )
-    except KeyboardInterrupt:
-        print(f"worker {worker_id} interrupted", file=sys.stderr)
-        return 130
-    print(f"worker {worker_id} done: {completed} tasks", file=sys.stderr)
-    return 0
-
-
-def _run_queue(args: argparse.Namespace) -> int:
-    """The ``queue status`` / ``queue compact`` subcommands."""
-    from pathlib import Path
-
-    from repro.obs import render_queue_status
-    from repro.runners.queue import QUEUE_FILENAME, WorkQueue
-
-    if args.window_s <= 0:
-        print("--window-s must be > 0", file=sys.stderr)
-        return 2
-    queue_dir = Path(args.queue)
-    if not (queue_dir / QUEUE_FILENAME).exists():
-        print(f"no work queue at {queue_dir}", file=sys.stderr)
-        return 1
-    if args.action == "compact":
-        if args.heartbeat_max_age_s < 0:
-            print("--heartbeat-max-age-s must be >= 0", file=sys.stderr)
-            return 2
-        report = WorkQueue(queue_dir).compact(
-            heartbeat_max_age_s=args.heartbeat_max_age_s
-        )
-        print(
-            f"compacted work queue at {queue_dir}: "
-            f"dropped {report['tasks_dropped']} completed tasks and "
-            f"{report['results_dropped']} orphaned results, "
-            f"swept {report['heartbeats_swept']} dead heartbeats"
-        )
-        print(
-            f"database: {_format_bytes(report['bytes_before'])} -> "
-            f"{_format_bytes(report['bytes_after'])} "
-            f"({_format_bytes(report['reclaimed_bytes'])} reclaimed)"
-        )
-        return 0
-    snapshot = WorkQueue(queue_dir).status_snapshot(window_s=args.window_s)
-    for line in render_queue_status(snapshot):
-        print(line)
     return 0
 
 
@@ -820,71 +665,12 @@ def _report_frontier(
     return 0
 
 
-#: Phase buckets for ``--profile``: package path fragments (under
-#: ``repro/``) mapped, first match wins, onto the pipeline stage whose
-#: regression a hot function would indicate.
-_PROFILE_PHASES = (
-    ("realize", ("scenarios",)),
-    ("simulate", ("detailed", "ideal", "percolation", "mac", "net", "sim",
-                  "apps", "core", "energy", "adaptive")),
-    ("analyze", ("analysis", "experiments", "util")),
-    ("cache", ("runners",)),
-)
-
-
-def _print_profile(profiler) -> None:
-    """Per-phase time table from one cProfile capture.
-
-    Each profiled function's exclusive (``tottime``) cost is attributed
-    to the pipeline phase owning its module, so the table sums to the
-    profiled wall-clock and a hot path shows up as its phase swelling —
-    diagnosable without re-running under ad-hoc scripts.
-    """
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    totals = {name: 0.0 for name, _ in _PROFILE_PHASES}
-    other = 0.0
-    for (filename, _lineno, _name), stat in stats.stats.items():
-        tottime = stat[2]
-        path = filename.replace("\\", "/")
-        marker = path.rfind("/repro/")
-        phase = None
-        if marker >= 0:
-            subpackage = path[marker + len("/repro/"):].split("/", 1)[0]
-            for name, subpackages in _PROFILE_PHASES:
-                if subpackage in subpackages:
-                    phase = name
-                    break
-        if phase is None:
-            other += tottime
-        else:
-            totals[phase] += tottime
-    total = sum(totals.values()) + other
-    print("profile (exclusive time by phase):")
-    for name, _ in _PROFILE_PHASES:
-        share = 100.0 * totals[name] / total if total else 0.0
-        print(f"  {name:10s} {totals[name]:8.3f}s  {share:5.1f}%")
-    share = 100.0 * other / total if total else 0.0
-    print(f"  {'other':10s} {other:8.3f}s  {share:5.1f}%")
-
-
 def _run_one(args: argparse.Namespace) -> int:
     spec = get_experiment(args.experiment_id)
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
     started = time.perf_counter()
-    if profiler is not None:
-        result = profiler.runcall(spec.run, args.scale)
-    else:
-        result = spec.run(args.scale)
+    result = spec.run(args.scale)
     elapsed = time.perf_counter() - started
     print(result.render())
-    if profiler is not None:
-        _print_profile(profiler)
     if args.chart:
         from repro.experiments.ascii_plot import render_ascii_chart
 
@@ -923,23 +709,13 @@ def _rerun_invocation(args: argparse.Namespace) -> str:
 
 def _run_all(args: argparse.Namespace) -> int:
     reset_stats()
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
     chunks: List[str] = []
     experiment_ids = all_experiment_ids()
     for finished, experiment_id in enumerate(experiment_ids):
         spec = get_experiment(experiment_id)
         started = time.perf_counter()
         try:
-            if profiler is not None:
-                # One capture across every experiment, enabled only around
-                # the regenerations so rendering/IO stay out of the table.
-                result = profiler.runcall(spec.run, args.scale)
-            else:
-                result = spec.run(args.scale)
+            result = spec.run(args.scale)
         except KeyboardInterrupt:
             # Completed points are already in the cache (unless
             # --no-cache); a clean summary beats the pool's traceback storm.
@@ -981,8 +757,6 @@ def _run_all(args: argparse.Namespace) -> int:
         f"{stats.reused_disk} from disk cache, "
         f"{stats.reused_memory} from memory"
     )
-    if profiler is not None:
-        _print_profile(profiler)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("\n\n".join(chunks) + "\n")

@@ -1,13 +1,14 @@
-"""Structured telemetry for the campaign fabric.
+"""Structured telemetry for campaign execution.
 
-* :mod:`repro.obs.recorder` — the span/event/counter/gauge recorder:
-  a zero-overhead no-op by default, an append-only JSONL sink per
+* :mod:`repro.obs.recorder` — the span/event/counter recorder: a
+  zero-overhead no-op by default, an append-only JSONL sink per
   process when enabled (``--telemetry`` / ``$REPRO_TELEMETRY``).
 * :mod:`repro.obs.reader` — torn-tolerant event-log reader.
 * :mod:`repro.obs.trace` — Chrome trace-event export (Perfetto).
 * :mod:`repro.obs.metrics` — end-of-run aggregation and the metrics
   table (per-phase wall time, cache hit rates, retries, throughput).
-* :mod:`repro.obs.status` — live queue-status and frontier-watch views.
+* :mod:`repro.obs.status` — the ``--progress`` duration format and the
+  frontier-watch view.
 
 Layering: this package imports only the stdlib and ``repro.util`` (the
 status renderers lazily touch ``repro.analysis`` for knee selection);
@@ -30,11 +31,7 @@ from repro.obs.recorder import (
     reset_recorder,
     set_recorder,
 )
-from repro.obs.status import (
-    FrontierWatcher,
-    format_duration,
-    render_queue_status,
-)
+from repro.obs.status import FrontierWatcher, format_duration
 from repro.obs.trace import chrome_trace_events, export_chrome_trace
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "install_recorder",
     "iter_events",
     "render_metrics_table",
-    "render_queue_status",
     "reset_recorder",
     "set_recorder",
 ]

@@ -1,6 +1,6 @@
-"""Structured telemetry: spans, counters and gauges for the campaign fabric.
+"""Structured telemetry: spans, events and counters for campaign execution.
 
-The execution stack (evaluators, backends, queue, result cache) calls
+The execution stack (evaluators, backends, result cache) calls
 :func:`get_recorder` and records what it is doing — phase spans around
 realize/simulate/analyze/cache work, lease lifecycle events, hit/miss
 counters.  By default the recorder is the :data:`NULL_RECORDER`: every
@@ -10,9 +10,9 @@ timed, formatted or written (the campaign-throughput benchmark pins
 this).
 
 Enabled (``--telemetry DIR`` / ``$REPRO_TELEMETRY``), a
-:class:`TelemetryRecorder` appends one JSON line per span/event/gauge to
-``DIR/events-<source>.jsonl`` — one file per process, so pool and queue
-workers never contend for a handle — flushed line by line, so a SIGKILL
+:class:`TelemetryRecorder` appends one JSON line per span/event to
+``DIR/events-<source>.jsonl`` — one file per process, so pool workers
+never contend for a handle — flushed line by line, so a SIGKILL
 tears at most the final line and every reader (trace export, metrics
 aggregation) skips torn lines.
 
@@ -86,9 +86,6 @@ class NullRecorder:
     def counter(self, name: str, value: Union[int, float] = 1) -> None:
         return None
 
-    def gauge(self, name: str, value: Union[int, float]) -> None:
-        return None
-
     def flush(self) -> None:
         return None
 
@@ -141,12 +138,11 @@ class TelemetryRecorder:
     ----------
     directory:
         Where event files live; created on first write.  One campaign's
-        processes (parent, pool workers, queue workers on any machine)
-        share a directory and each writes its own ``events-<source>``
-        file.
+        processes (the parent and its pool workers) share a directory
+        and each writes its own ``events-<source>`` file.
     role:
-        A short label ("parent", "pool-worker", "queue-worker") stamped
-        into every record, so aggregation can attribute work.
+        A short label ("parent", "pool-worker") stamped into every
+        record, so aggregation can attribute work.
     source:
         The per-process identity (default ``<hostname>-<pid>``) naming
         this process's event file.
@@ -184,7 +180,6 @@ class TelemetryRecorder:
         self._seq = 0
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._last_counter_flush = time.monotonic()
 
     # -- the recording API --------------------------------------------------
@@ -206,13 +201,6 @@ class TelemetryRecorder:
         increment, so hot cache loops stay cheap)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: Union[int, float]) -> None:
-        """Record a point-in-time level (queue depth, workers alive)."""
-        with self._lock:
-            self._gauges[name] = value
-        self._emit({"type": "gauge", "name": name, "ts": time.time(),
-                    "value": value})
 
     def counters_snapshot(self) -> Dict[str, float]:
         """The current counter aggregate (a copy)."""
@@ -394,7 +382,7 @@ def _forget_inherited_recorder() -> None:
 
     Kept, it would write the child's records through the parent's file
     handle, stamped with the parent's source and role.  Dropped, the
-    child arms its own: the pool initializer or queue worker through
+    child arms its own: the pool initializer through
     :func:`ensure_recorder`, otherwise ``$REPRO_TELEMETRY``.
     """
     global _recorder, _env_resolved

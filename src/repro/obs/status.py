@@ -1,18 +1,17 @@
-"""Live status views: queue snapshots and streaming frontier redraws.
+"""Live status views: the ``--progress`` ETA and streaming frontier redraws.
 
-Rendering helpers for the two live CLI views — ``pbbf-experiments queue
-status`` (depth/leased/done/failed, per-worker heartbeat age, ETA from
-the recent completion rate) and the pareto ``--watch-frontier`` mode
-(periodic frontier/knee snapshots folded from the ``on_point`` stream).
-Everything here formats and prints; nothing feeds back into execution,
-so the views can never perturb results.
+Rendering helpers for the two live CLI views — :func:`format_duration`,
+which spells the ``--progress`` ETA, and the pareto ``--watch-frontier``
+mode (periodic frontier/knee snapshots folded from the ``on_point``
+stream).  Everything here formats and prints; nothing feeds back into
+execution, so the views can never perturb results.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, Optional, TextIO
 
 
 def format_duration(seconds: Optional[float]) -> str:
@@ -27,64 +26,6 @@ def format_duration(seconds: Optional[float]) -> str:
         return f"{minutes}m{secs:02d}s"
     hours, minutes = divmod(minutes, 60)
     return f"{hours}h{minutes:02d}m"
-
-
-def render_queue_status(snapshot: Dict[str, Any]) -> List[str]:
-    """Render a ``WorkQueue.status_snapshot()`` as report lines."""
-    counts = snapshot.get("counts", {})
-    total = snapshot.get("total", sum(counts.values()))
-    lines = [f"queue {snapshot.get('queue_dir', '')}:"]
-    lines.append(
-        "  tasks: "
-        + ", ".join(
-            f"{counts.get(state, 0)} {state}"
-            for state in ("pending", "leased", "done", "exhausted")
-        )
-        + f" ({total} total)"
-    )
-    config = snapshot.get("config") or {}
-    if config:
-        parts = []
-        if config.get("lease_s") is not None:
-            parts.append(f"lease {config['lease_s']:g}s")
-        if config.get("policy"):
-            parts.append(f"policy {config['policy']}")
-        if config.get("telemetry"):
-            parts.append(f"telemetry {config['telemetry']}")
-        if parts:
-            lines.append("  config: " + ", ".join(parts))
-    rate = snapshot.get("rate_per_s")
-    window_s = snapshot.get("window_s")
-    remaining = counts.get("pending", 0) + counts.get("leased", 0)
-    if rate:
-        lines.append(
-            f"  rate: {rate:.2f} tasks/s over the last "
-            f"{format_duration(window_s)}"
-            + (
-                f"; ETA {format_duration(remaining / rate)}"
-                f" for {remaining} remaining"
-                if remaining
-                else "; queue drained"
-            )
-        )
-    elif remaining:
-        lines.append(
-            f"  rate: no completions in the last "
-            f"{format_duration(window_s)}; ETA unknown "
-            f"({remaining} remaining)"
-        )
-    workers = snapshot.get("workers", [])
-    if workers:
-        lines.append("  workers:")
-        for worker in workers:
-            lines.append(
-                f"    {worker['worker']}: last seen "
-                f"{format_duration(worker['age_s'])} ago, "
-                f"{worker['tasks_done']} tasks done"
-            )
-    else:
-        lines.append("  workers: none have heartbeat yet")
-    return lines
 
 
 class FrontierWatcher:

@@ -5,8 +5,8 @@ converts the per-process JSONL event files into the Chrome trace-event
 JSON format, loadable in ``chrome://tracing`` or Perfetto
 (https://ui.perfetto.dev).  Each telemetry source (process) becomes a
 trace "process" with a named lane; spans become complete ("X") events,
-instantaneous events become "i" marks, and gauges/counter snapshots
-become counter ("C") tracks.
+instantaneous events become "i" marks, and counter snapshots become
+counter ("C") tracks.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ def chrome_trace_events(
             events.append({
                 "name": name, "ph": "i", "pid": pid, "tid": 1,
                 "ts": ts_us, "s": "p", "cat": "event", "args": args,
-            })
-        elif kind == "gauge":
-            events.append({
-                "name": name, "ph": "C", "pid": pid, "ts": ts_us,
-                "args": {name: record.get("value", 0)},
             })
         elif kind == "counters":
             counters = record.get("counters", {})

@@ -9,10 +9,12 @@ that pattern in three parts:
    axes, fixed parameters, explicit baseline points and a seed count,
    with per-point seeds derived from point *content* so results are
    reproducible regardless of execution order;
-2. pluggable backends behind one :func:`~repro.runners.campaign.run_campaign`
-   API — :class:`~repro.runners.backends.SerialBackend` and the
-   chunked-fan-out :class:`~repro.runners.backends.ProcessPoolBackend`
-   (``--jobs N``), bit-identical for a fixed spec;
+2. two execution backends behind one
+   :func:`~repro.runners.campaign.run_campaign` API —
+   :class:`~repro.runners.backends.SerialBackend` and the leased
+   :class:`~repro.runners.backends.ProcessPoolBackend` — chosen by
+   ``jobs`` alone (``--jobs N`` > 1 means the pool) and bit-identical
+   for a fixed spec;
 3. an on-disk JSON result cache keyed by each point's content hash
    (:mod:`repro.runners.cache`; ``~/.cache/repro`` or ``--cache-dir``),
    so re-running ``run-all`` only computes changed points.
@@ -85,7 +87,6 @@ from repro.runners.failures import (
     WorkerCrashError,
 )
 from repro.runners.faults import FaultPlan
-from repro.runners.queue import ShardedBackend, WorkQueue, worker_loop
 from repro.runners.points import (
     DetailedPointMetrics,
     IdealPointMetrics,
@@ -129,9 +130,7 @@ __all__ = [
     "ResultCache",
     "RunFailure",
     "SerialBackend",
-    "ShardedBackend",
     "TaskTimeoutError",
-    "WorkQueue",
     "WorkerCrashError",
     "clear_memo",
     "clear_point_caches",
@@ -145,5 +144,4 @@ __all__ = [
     "run_campaign",
     "run_key",
     "set_execution",
-    "worker_loop",
 ]

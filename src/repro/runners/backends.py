@@ -330,42 +330,6 @@ def _validated(lease: _Lease, flats: Any) -> List[Dict[str, Any]]:
     return flats
 
 
-def _serve_from_memo(
-    state: _ExecutionState, leases: List[_Lease]
-) -> List[_Lease]:
-    """Deliver leases the in-process memo already covers; return the rest.
-
-    ``run_campaign`` filters memoised points before calling a backend,
-    but direct ``execute`` callers (and mixed warm/cold reruns) would
-    otherwise pay worker submission or queue round-trips for points the
-    parent can serve immediately.  Only fully covered leases
-    short-circuit — a partial hit goes to the backend whole so batch
-    grouping stays intact — and delivery runs through ``state.deliver``,
-    so ordering and hooks match a computed lease exactly.
-    """
-    from repro.runners.campaign import _MEMO  # import-time cycle guard
-
-    if not _MEMO:
-        return leases
-    remaining: List[_Lease] = []
-    served = 0
-    for lease in leases:
-        flats: List[Dict[str, Any]] = []
-        for offset in range(lease.n_runs):
-            metrics = _MEMO.get(state.runs[lease.start + offset].key)
-            if metrics is None:
-                break
-            flats.append(metrics_to_dict(metrics))
-        if len(flats) == lease.n_runs:
-            state.deliver(lease, flats)
-            served += 1
-        else:
-            remaining.append(lease)
-    if served:
-        get_recorder().counter("backend.memo_served", served)
-    return remaining
-
-
 def _degraded_attempt(
     lease: _Lease,
 ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[BaseException]]:
@@ -501,6 +465,26 @@ class SerialBackend:
         return "SerialBackend()"
 
 
+def _chunk_size(
+    n_leases: int, workers: int, timeout_s: Optional[float]
+) -> int:
+    """Leases per pool submission for one ``_drain_pool`` call.
+
+    Small campaigns (more leases than workers, at most
+    ``_SMALL_CAMPAIGN_PER_WORKER`` per worker) go out as one submission
+    per worker instead of one per lease, so IPC and future bookkeeping
+    stop dominating short tasks.  Never chunked under a task deadline —
+    the submission-time deadline only approximates a start-time one at
+    one task per submission.
+    """
+    if timeout_s is not None or n_leases <= workers:
+        return 1
+    per_worker = -(-n_leases // workers)  # ceil
+    if n_leases > workers * _SMALL_CAMPAIGN_PER_WORKER:
+        return 1
+    return per_worker
+
+
 def _kill_executor(executor: ProcessPoolExecutor) -> None:
     """Tear a pool down even when its workers are hung or dead.
 
@@ -535,9 +519,10 @@ class ProcessPoolBackend:
     garbage charges its lease one attempt; a worker that *dies* breaks
     the whole pool, so every in-flight lease is charged one attempt
     (the guilty one is unknowable) and the pool is rebuilt — bounded by
-    ``FailurePolicy.max_pool_rebuilds``, after which the remaining
-    leases degrade to in-parent serial execution, where crash faults
-    raise instead of exiting and attribution is exact.  A lease past its
+    ``FailurePolicy.max_pool_rebuilds`` (and ``max_retries``).  The
+    collapse past that bound charges nobody: the remaining leases
+    degrade to in-parent serial execution, where crash faults raise
+    instead of exiting and attribution is exact.  A lease past its
     deadline times out alone; its hung worker is reclaimed by a pool
     rebuild that requeues the innocent in-flight leases at their
     *current* attempt (no charge).
@@ -569,7 +554,7 @@ class ProcessPoolBackend:
         state = _ExecutionState(
             runs, _resolve_policy(failure_policy), on_result, on_failure
         )
-        leases = _serve_from_memo(state, _build_leases(runs))
+        leases = _build_leases(runs)
         if len(leases) <= 1 or self.jobs == 1:
             _drain_serial(state, leases)
         else:
@@ -593,27 +578,15 @@ class ProcessPoolBackend:
     def _drain_pool(self, state: _ExecutionState, leases: List[_Lease]) -> None:
         policy = state.policy
         workers = min(self.jobs, len(leases))
-        # An innocent lease loses one attempt per pool collapse, so the
-        # rebuild budget must never exceed the retry budget — otherwise
-        # a single poisoned task could exhaust its neighbours.
+        # An innocent lease loses one attempt per charged pool collapse,
+        # so the rebuild budget must never exceed the retry budget —
+        # otherwise a single poisoned task could exhaust its neighbours.
         rebuild_cap = min(policy.max_pool_rebuilds, policy.max_retries)
         rebuilds = 0
         queue: Deque[_Lease] = deque(leases)
         waiting: List[_Lease] = []  # backoff-delayed leases
         in_flight: Dict[Any, Tuple[List[_Lease], Optional[float]]] = {}
-        # Small warm campaigns: one submission per worker instead of one
-        # per lease, so IPC and future bookkeeping stop dominating short
-        # tasks (the small-campaign pool regression).  Never chunked
-        # under a task deadline — the submission-time deadline only
-        # approximates a start-time one at one task per submission.
-        chunk_size = 1
-        if policy.timeout_s is None and len(leases) > workers:
-            per_worker = -(-len(leases) // workers)  # ceil
-            if (
-                per_worker > 1
-                and len(leases) <= workers * _SMALL_CAMPAIGN_PER_WORKER
-            ):
-                chunk_size = per_worker
+        chunk_size = _chunk_size(len(leases), workers, policy.timeout_s)
 
         def requeue(lease: _Lease) -> None:
             if lease.not_before > time.monotonic():
@@ -642,6 +615,8 @@ class ProcessPoolBackend:
                     waiting.remove(lease)
                     queue.append(lease)
                 broken = False
+                # Leases whose future died with the pool this round.
+                collapsed: List[_Lease] = []
                 while queue and len(in_flight) < workers:
                     chunk = [queue.popleft()]
                     while len(chunk) < chunk_size and queue:
@@ -686,12 +661,9 @@ class ProcessPoolBackend:
                         chunk, _deadline = in_flight.pop(future)
                         try:
                             raw = future.result()
-                        except BrokenExecutor as error:
+                        except BrokenExecutor:
                             broken = True
-                            for lease in chunk:
-                                _handle_failed_attempt(
-                                    state, lease, error, requeue
-                                )
+                            collapsed.extend(chunk)
                             continue
                         except KeyboardInterrupt:
                             raise
@@ -747,24 +719,28 @@ class ProcessPoolBackend:
                     # in-flight tasks and start a fresh pool — a worker
                     # death charges them one attempt (guilty unknown), a
                     # timeout elsewhere does not (they are innocent and
-                    # merely rescheduled).
-                    stranded = list(in_flight.values())
+                    # merely rescheduled).  The collapse that spends the
+                    # rebuild budget charges nobody: serial fail-over
+                    # attributes the next crash exactly, so collateral
+                    # deaths alone can never exhaust an innocent lease.
+                    for chunk, _deadline in in_flight.values():
+                        collapsed.extend(chunk)
                     in_flight.clear()
-                    for chunk, _deadline in stranded:
-                        for lease in chunk:
-                            if broken:
-                                _handle_failed_attempt(
-                                    state,
-                                    lease,
-                                    WorkerCrashError(
-                                        "worker pool collapsed mid-task"
-                                    ),
-                                    requeue,
-                                )
-                            else:
-                                requeue(lease)
                     _kill_executor(executor)
                     rebuilds += 1
+                    charge = broken and rebuilds <= rebuild_cap
+                    for lease in collapsed:
+                        if charge:
+                            _handle_failed_attempt(
+                                state,
+                                lease,
+                                WorkerCrashError(
+                                    "worker pool collapsed mid-task"
+                                ),
+                                requeue,
+                            )
+                        else:
+                            requeue(lease)
                     recorder = get_recorder()
                     recorder.counter("pool.rebuild")
                     recorder.event(

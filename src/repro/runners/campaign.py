@@ -4,9 +4,9 @@ The pipeline for every run of a spec:
 
 1. **in-process memo** — results already materialised this process;
 2. **disk cache** — JSON entries keyed by the run's content hash;
-3. **backend** — whatever is left is simulated, serially, fanned out
-   over a process pool or through the sharded work queue, under the
-   ambient :class:`~repro.runners.failures.FailurePolicy`.
+3. **backend** — whatever is left is simulated, serially or fanned out
+   over a process pool (``jobs`` > 1), under the ambient
+   :class:`~repro.runners.failures.FailurePolicy`.
 
 Results stream back: each computed run is written to the cache as it
 completes, so an interrupted campaign keeps every finished point and
@@ -33,7 +33,6 @@ from repro.runners.cache import ResultCache
 from repro.runners.context import ProgressCallback, get_execution, get_stats
 from repro.runners.failures import FailurePolicy, RunFailure
 from repro.runners.points import metrics_from_dict, metrics_to_dict
-from repro.runners.queue import ShardedBackend
 from repro.runners.spec import CampaignRun, CampaignSpec, run_key
 
 #: Per-point streaming hook: ``on_point(run, metrics)`` fires in the
@@ -206,10 +205,12 @@ def run_campaign(
     Parameters left ``None`` fall back to the ambient
     :class:`~repro.runners.context.ExecutionConfig` (which the CLI sets
     from its flags).  ``cache`` accepts a ready :class:`ResultCache` or
-    a directory path; ``backend`` overrides the config-based choice
-    entirely (any object with the built-in backends' ``execute(runs,
-    on_result=, failure_policy=, on_failure=)``; the ambient
-    ``config.backend`` otherwise picks serial, pool or sharded).
+    a directory path.  ``jobs`` picks the backend:
+    :class:`~repro.runners.backends.ProcessPoolBackend` when above 1,
+    :class:`~repro.runners.backends.SerialBackend` otherwise; an
+    explicit ``backend`` (any object with the built-in backends'
+    ``execute(runs, on_result=, failure_policy=, on_failure=)``) wins
+    over both.
     ``progress`` is called as ``progress(completed, total, cached,
     computed)`` once after the cache scan and then after every computed
     point.
@@ -336,23 +337,11 @@ def run_campaign(
     failures: List[RunFailure] = []
     if pending:
         if backend is None:
-            choice = config.backend
-            if choice == "sharded":
-                backend = ShardedBackend(
-                    jobs or 0,
-                    queue_dir=config.queue_dir,
-                    lease_block=config.lease_block,
-                )
-            elif choice == "serial":
-                backend = SerialBackend()
-            elif choice == "pool":
-                backend = ProcessPoolBackend(jobs)
-            else:  # "auto": the historical jobs-based choice
-                backend = (
-                    ProcessPoolBackend(jobs)
-                    if jobs and jobs > 1
-                    else SerialBackend()
-                )
+            backend = (
+                ProcessPoolBackend(jobs)
+                if jobs and jobs > 1
+                else SerialBackend()
+            )
 
         done = 0
 

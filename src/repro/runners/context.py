@@ -1,9 +1,10 @@
 """Ambient execution configuration and statistics for campaign runs.
 
 Figure generators keep their ``runner(scale) -> ExperimentResult``
-signature, so execution choices — parallelism, cache location, cache
-bypass — flow through an ambient :class:`ExecutionConfig` instead of
-being threaded through every call site.  The CLI installs one from its
+signature, so execution choices — the worker count (``jobs``, the only
+parallelism choice), cache location, cache bypass — flow through an
+ambient :class:`ExecutionConfig` instead of being threaded through
+every call site.  The CLI installs one from its
 ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags; tests and benchmarks
 scope overrides with the :func:`execution` context manager.
 
@@ -33,17 +34,10 @@ ProgressCallback = Callable[[int, int, int, int], None]
 class ExecutionConfig:
     """How ``run_campaign`` should execute when not told explicitly."""
 
-    #: Worker processes; 1 means in-process serial execution.
+    #: Worker processes, and the only execution choice: 1 means
+    #: in-process serial execution, more means a process pool of that
+    #: size (bit-identical results either way).
     jobs: int = 1
-    #: Backend family: ``auto`` picks serial or pool from ``jobs``;
-    #: ``serial`` / ``pool`` force those; ``sharded`` runs through the
-    #: on-disk work queue (see :mod:`repro.runners.queue`).
-    backend: str = "auto"
-    #: Work-queue directory for the sharded backend; ``None`` uses a
-    #: private temporary queue.  Point it at a shared directory (beside
-    #: the cache) so ``pbbf-experiments worker`` processes on other
-    #: machines can join the campaign.
-    queue_dir: Optional[str] = None
     #: Cache root; ``None`` selects the default (env var or ~/.cache/repro).
     cache_dir: Optional[str] = None
     #: Master switch for the on-disk cache.
@@ -70,17 +64,11 @@ class ExecutionConfig:
     #: Deterministic fault injection for tests/CI; ``None`` falls back to
     #: ``$REPRO_FAULT_PLAN`` (see :mod:`repro.runners.faults`).
     fault_plan: Optional["FaultPlan"] = None
-    #: Points a sharded-backend worker claims (and completes) per queue
-    #: transaction.  1 keeps the original row-at-a-time protocol; larger
-    #: blocks amortize the SQLite round-trip over many points — a
-    #: mid-block worker death still re-queues only the unfinished leases
-    #: (see ``WorkQueue.complete_and_claim``).
-    lease_block: int = 1
     #: Structured-telemetry directory (the CLI's ``--telemetry``); ``None``
     #: leaves the process-wide recorder alone (no-op unless
-    #: ``$REPRO_TELEMETRY`` is set).  Workers inherit it — pool workers
-    #: through initializer args, queue workers through the published queue
-    #: config — and each process appends its own event file there.
+    #: ``$REPRO_TELEMETRY`` is set).  Pool workers inherit it through
+    #: their initializer args, and each process appends its own event
+    #: file there.
     #: Telemetry never feeds back into execution: run keys and campaign
     #: outputs are bit-identical with it on, off, or failing mid-write.
     telemetry_dir: Optional[str] = None
@@ -95,7 +83,7 @@ class ExecutionStats:
     reused_disk: int = 0
     #: Runs whose task exhausted its retry budget (counted parent-side).
     failed: int = 0
-    #: Task retries scheduled (parent-side requeues and expired leases).
+    #: Task retries scheduled (parent-side requeues).
     retried: int = 0
 
     @property

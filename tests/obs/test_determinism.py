@@ -63,13 +63,7 @@ def run_fingerprint(spec, telemetry_dir=None, torn_rate=0.0, **config):
 
 
 @pytest.mark.parametrize(
-    "config",
-    [
-        {"backend": "serial"},
-        {"backend": "pool", "jobs": 2},
-        {"backend": "sharded", "jobs": 2},
-    ],
-    ids=["serial", "pool", "sharded"],
+    "config", [{"jobs": 1}, {"jobs": 2}], ids=["serial", "pool"]
 )
 def test_results_identical_with_telemetry_off_on_and_torn(tmp_path, config):
     spec = small_spec()

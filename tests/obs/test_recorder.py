@@ -31,9 +31,13 @@ def test_noop_recorder_records_nothing_and_never_fails():
         pass
     recorder.event("anything", detail=1)
     recorder.counter("cache.file.hit", 3)
-    recorder.gauge("depth", 7)
     recorder.flush()
     recorder.close()  # all of the above must be silent no-ops
+
+
+def test_recorders_record_no_gauges():
+    assert not hasattr(NULL_RECORDER, "gauge")
+    assert not hasattr(TelemetryRecorder, "gauge")
 
 
 def test_noop_span_is_a_shared_reusable_object():

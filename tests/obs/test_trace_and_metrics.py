@@ -55,6 +55,15 @@ def test_chrome_trace_shapes(tmp_path):
     assert len(pids) == 2
 
 
+def test_trace_export_skips_gauge_records_from_older_logs():
+    gauge = {
+        "v": 1, "type": "gauge", "name": "queue.depth", "ts": 1.0,
+        "value": 7, "source": "host-1", "role": "parent",
+    }
+    events = chrome_trace_events([gauge])
+    assert [event["ph"] for event in events] == ["M"]
+
+
 def test_export_chrome_trace_writes_loadable_json(tmp_path):
     record_sample(tmp_path)
     out = tmp_path / "trace.json"

@@ -115,6 +115,83 @@ class TestJobsPrecedence:
         assert _RecordingPool.constructed == []
 
 
+class TestBackendChoice:
+    """``jobs`` alone picks the backend; an explicit ``backend=`` wins."""
+
+    @pytest.fixture
+    def used(self, monkeypatch):
+        from repro.runners.backends import ProcessPoolBackend, SerialBackend
+
+        used = []
+        for cls in (SerialBackend, ProcessPoolBackend):
+            def execute(self, runs, _real=cls.execute, **kwargs):
+                used.append(self)
+                return _real(self, runs, **kwargs)
+
+            monkeypatch.setattr(cls, "execute", execute)
+        clear_memo()
+        return used
+
+    def test_jobs_1_runs_serially(self, used):
+        from repro.runners.backends import SerialBackend
+
+        run_campaign(SPEC, jobs=1, use_cache=False)
+        [backend] = used
+        assert type(backend) is SerialBackend
+
+    def test_jobs_2_runs_a_pool_of_two(self, used):
+        from repro.runners.backends import ProcessPoolBackend
+
+        run_campaign(SPEC, jobs=2, use_cache=False)
+        [backend] = used
+        assert type(backend) is ProcessPoolBackend
+        assert backend.jobs == 2
+
+    def test_ambient_jobs_1_runs_serially(self, used):
+        from repro.runners.backends import SerialBackend
+
+        with execution(jobs=1, use_cache=False):
+            run_campaign(SPEC)
+        assert [type(backend) for backend in used] == [SerialBackend]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_explicit_backend_wins_over_jobs(self, used, jobs):
+        from repro.runners.backends import ProcessPoolBackend
+
+        explicit = ProcessPoolBackend(3)
+        with execution(jobs=jobs, use_cache=False):
+            run_campaign(SPEC, backend=explicit)
+        assert used == [explicit]
+
+    def test_memoized_campaign_runs_no_backend(self, used):
+        run_campaign(SPEC, jobs=2, use_cache=False)
+        run_campaign(SPEC, jobs=2, use_cache=False)
+        assert len(used) == 1
+
+
+class TestRemovedExecutionKnobs:
+    def test_config_holds_exactly_the_ten_execution_fields(self):
+        from dataclasses import fields
+
+        assert [field.name for field in fields(ExecutionConfig)] == [
+            "jobs",
+            "cache_dir",
+            "use_cache",
+            "cache_max_size_mb",
+            "fast_path",
+            "detailed_fast_path",
+            "progress",
+            "failure_policy",
+            "fault_plan",
+            "telemetry_dir",
+        ]
+
+    def test_backend_is_not_an_execution_field(self):
+        with pytest.raises(TypeError):
+            with execution(backend="pool"):
+                pass
+
+
 class TestFastPathPrecedence:
     def _simulator(self, fast_path=None):
         from repro.core.params import PBBFParams

@@ -63,11 +63,11 @@ def result_metrics_by_key(result):
 
 
 class TestOnPointDelivery:
-    @pytest.mark.parametrize("backend", ["serial", "pool", "sharded"])
-    def test_every_computed_point_streams_before_return(self, backend):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_every_computed_point_streams_before_return(self, jobs):
         spec = tiny_spec()
         seen = []
-        with execution(backend=backend, jobs=2):
+        with execution(jobs=jobs):
             result = run_campaign(
                 spec,
                 use_cache=False,

@@ -182,6 +182,105 @@ class TestParser:
             main([])
 
 
+class TestRemovedSurface:
+    """The sharded queue's flags, subcommands and ``--profile`` are gone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1", "--backend", "serial"],
+            ["run", "table1", "--queue", "q"],
+            ["run", "table1", "--lease-block", "4"],
+            ["run", "table1", "--profile"],
+            ["run-all", "--profile"],
+            ["run-all", "--backend", "pool"],
+            ["pareto", "--backend", "sharded"],
+            ["worker", "--queue", "q"],
+            ["queue", "status", "--queue", "q"],
+            ["queue", "compact", "--queue", "q"],
+        ],
+        ids=[
+            "run-backend", "run-queue", "run-lease-block", "run-profile",
+            "run-all-profile", "run-all-backend", "pareto-backend",
+            "worker", "queue-status", "queue-compact",
+        ],
+    )
+    def test_exits_2_from_argparse(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
+
+    def test_seven_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "{list,scenarios,cache,trace,pareto,run,run-all}" in out
+
+
+class TestProgressEta:
+    """``--progress`` extrapolates from simulated points only."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import time
+
+        from repro.runners import reset_stats
+
+        reset_stats()
+        now = [100.0]
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        return now
+
+    def _line(self, capsys):
+        return capsys.readouterr().err.strip().splitlines()[-1]
+
+    def test_cached_points_do_not_count_as_throughput(self, clock, capsys):
+        from repro.cli import _progress_printer
+
+        progress = _progress_printer()
+        progress(90, 100, 90, 0)  # the cache scan served 90 at once
+        assert "ETA" not in self._line(capsys)
+        clock[0] += 10.0
+        progress(91, 100, 90, 1)  # the first simulated point, 10 s on
+        line = self._line(capsys)
+        assert "91/100 points (90 cached, 1 computed)" in line
+        assert line.endswith("; ETA 1m30s")  # 9 left at 10 s each
+
+    def test_cold_campaign_eta_is_unchanged(self, clock, capsys):
+        from repro.cli import _progress_printer
+
+        progress = _progress_printer()
+        progress(0, 100, 0, 0)
+        clock[0] += 10.0
+        progress(10, 100, 0, 10)
+        assert self._line(capsys).endswith("; ETA 1m30s")
+
+    def test_each_campaign_restarts_the_clock(self, clock, capsys):
+        from repro.cli import _progress_printer
+
+        progress = _progress_printer()
+        progress(0, 10, 0, 0)
+        clock[0] += 100.0
+        progress(10, 10, 0, 10)  # the first campaign took 100 s
+        progress(0, 100, 0, 0)  # the next one starts now
+        clock[0] += 10.0
+        progress(10, 100, 0, 10)
+        assert self._line(capsys).endswith("; ETA 1m30s")
+
+    def test_finished_campaign_prints_without_eta(self, clock, capsys):
+        from repro.cli import _progress_printer
+
+        progress = _progress_printer()
+        progress(5, 10, 5, 0)
+        clock[0] += 0.1  # inside the throttle window: the last line prints
+        progress(10, 10, 5, 5)
+        line = self._line(capsys)
+        assert "10/10 points (5 cached, 5 computed)" in line
+        assert "ETA" not in line
+
+
 class TestScenarios:
     def test_lists_families_and_policies(self, capsys):
         assert main(["scenarios"]) == 0
