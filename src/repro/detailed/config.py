@@ -83,7 +83,7 @@ class CodeDistributionParameters:
 
         ``n_nodes`` is taken from the topology; every other field keeps
         its Table 2 default unless overridden.  This is how the
-        scenario-resolved detailed evaluator builds its configuration:
+        detailed evaluator builds a scenario point's configuration:
         the topology comes from ``ScenarioSpec.realize``, so the config's
         placement knobs (``density``, ``radio_range``) describe nothing
         and only the protocol/traffic/timing fields matter.

@@ -17,10 +17,7 @@ from repro.experiments.scale import Scale
 from repro.experiments.spec import ExperimentResult, Series
 from repro.ideal.simulator import SchedulingMode
 from repro.runners import CampaignResult, CampaignSpec, run_campaign
-from repro.runners.points import (  # noqa: F401  (back-compat re-exports)
-    DetailedPointMetrics,
-    _detailed_run,
-)
+from repro.runners.points import DetailedPointMetrics
 
 MetricFn = Callable[[DetailedPointMetrics], Optional[float]]
 

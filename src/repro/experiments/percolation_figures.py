@@ -15,7 +15,6 @@ and disk cache.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List
 
 from repro.analysis.tradeoff import energy_latency_curve
@@ -23,7 +22,6 @@ from repro.experiments.scale import Scale
 from repro.experiments.spec import ExperimentResult, Series
 from repro.ideal.config import AnalysisParameters
 from repro.runners import CampaignSpec, run_campaign
-from repro.runners.points import _percolation_point
 
 
 def size_sweep_campaign(scale: Scale) -> CampaignSpec:
@@ -53,22 +51,6 @@ def frontier_campaign(scale: Scale) -> CampaignSpec:
         seed_params=("grid_side", "reliability"),
         base_seed=scale.base_seed,
     )
-
-
-@lru_cache(maxsize=256)
-def _critical_fraction(
-    grid_side: int, reliability: float, runs: int, seed: int
-) -> float:
-    """Mean critical bond fraction for one (grid, reliability) pair."""
-    return _percolation_point(
-        grid_side, reliability, runs, seed, "bond"
-    ).critical_fraction
-
-
-def critical_fraction(scale: Scale, grid_side: int, reliability: float) -> float:
-    """Memoized Figure 6 estimate at ``scale``'s repetition count."""
-    seed = scale.seed_for("percolation", grid_side, reliability)
-    return _critical_fraction(grid_side, reliability, scale.percolation_runs, seed)
 
 
 def run_fig06(scale: Scale) -> ExperimentResult:

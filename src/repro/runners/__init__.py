@@ -104,7 +104,7 @@ from repro.runners.spec import (
 
 
 def clear_run_caches() -> None:
-    """Drop every in-process cache layer (memo + point evaluators)."""
+    """Drop every in-process cache layer (run-key memo + scenario memo)."""
     clear_memo()
     clear_point_caches()
 

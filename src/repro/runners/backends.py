@@ -100,8 +100,8 @@ def _evaluate_leased_task(
 
     Module-level so it pickles under every multiprocessing start method.
     Fault injection wraps — never enters — the evaluators: a
-    corrupt-result fault substitutes the *returned* dicts, leaving the
-    evaluators' in-process caches clean for the retry.
+    corrupt-result fault substitutes the *returned* dicts after a real
+    evaluation, so a retry or a degraded attempt evaluates afresh.
     """
     task, lease_key, attempt = payload
     with get_recorder().span(
@@ -394,8 +394,8 @@ def _timed_attempt(
     The evaluation runs in a daemon thread joined for ``timeout_s``; a
     hung attempt cannot be killed in-process, so it is *abandoned* and
     reported as :class:`TaskTimeoutError`.  The evaluators are pure, so
-    an abandoned thread that eventually finishes merely warms their
-    caches — the retry still returns the same bits.
+    an abandoned thread that eventually finishes changes nothing — the
+    retry still returns the same bits.
     """
     if not timeout_s:
         return _evaluate_leased_task(payload)

@@ -200,8 +200,8 @@ def apply_task_fault(key: str, attempt: int) -> Optional[str]:
 
     Crash and hang faults act immediately (process exit / sleep); a
     ``corrupt_result`` decision is *returned* so the caller can replace
-    the evaluated metrics — corruption must never touch the evaluators
-    themselves, or their in-process caches would poison later retries.
+    the evaluated metrics — corruption never touches the evaluators
+    themselves.
     """
     plan = active_fault_plan()
     if plan is None:

@@ -25,12 +25,13 @@ from itertools import product
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runners.cache import CACHE_VERSION
+from repro.runners.points import EVALUATORS
 from repro.scenarios import ScenarioSpec
 from repro.util.canonical import canonical_json
 from repro.util.rng import fold_seed
 
 #: The simulator families the point evaluators know how to run.
-KINDS = ("ideal", "detailed", "percolation")
+KINDS = tuple(EVALUATORS)
 
 #: Default root seed (shared with :class:`repro.experiments.scale.Scale`).
 DEFAULT_BASE_SEED = 20050610

@@ -2,25 +2,23 @@
 
 from repro.experiments.detailed_figures import (
     DetailedPointMetrics,
-    _detailed_run,
     run_fig13,
     run_fig17,
 )
+from repro.runners import evaluate_run
 from tests.experiments.test_figures_smoke import TINY
 
 
-class TestDetailedRunMemoization:
-    def test_cache_hit_on_repeat(self):
-        _detailed_run.cache_clear()
-        args = (0.5, 0.5, 9.0, "psm_pbbf", 150.0, 42)
-        first = _detailed_run(*args)
-        misses = _detailed_run.cache_info().misses
-        second = _detailed_run(*args)
-        assert _detailed_run.cache_info().misses == misses
-        assert first == second
-
+class TestDetailedRun:
     def test_returns_metrics_bundle(self):
-        point = _detailed_run(0.5, 0.5, 9.0, "psm_pbbf", 150.0, 7)
+        params = {
+            "p": 0.5,
+            "q": 0.5,
+            "density": 9.0,
+            "mode": "psm_pbbf",
+            "duration": 150.0,
+        }
+        point = evaluate_run("detailed", params, 7)
         assert isinstance(point, DetailedPointMetrics)
         assert 0.0 <= point.updates_received_fraction <= 1.0
         assert point.joules_per_update_per_node > 0.0

@@ -2,7 +2,7 @@
 
 from repro.experiments.scale import Scale
 from repro.ideal.simulator import SchedulingMode
-from repro.runners.points import IdealPointMetrics, _ideal_point, evaluate_run
+from repro.runners.points import IdealPointMetrics, evaluate_run
 
 TINY = Scale(
     name="unit",
@@ -46,14 +46,6 @@ class TestIdealPoint:
         assert isinstance(point, IdealPointMetrics)
         assert 0.0 <= point.reliability_90 <= 1.0
         assert point.joules_per_update_per_node > 0.0
-
-    def test_memoized(self):
-        _ideal_point.cache_clear()
-        ideal_point(TINY, 0.5, 0.5, SchedulingMode.PSM_PBBF)
-        first_misses = _ideal_point.cache_info().misses
-        ideal_point(TINY, 0.5, 0.5, SchedulingMode.PSM_PBBF)
-        assert _ideal_point.cache_info().misses == first_misses
-        assert _ideal_point.cache_info().hits >= 1
 
     def test_distinct_points_not_conflated(self):
         a = ideal_point(TINY, 0.5, 0.2, SchedulingMode.PSM_PBBF)

@@ -1,32 +1,38 @@
 """Unit tests for the percolation-figure harness plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.percolation_figures import (
-    _critical_fraction,
-    critical_fraction,
     run_fig06,
     run_fig07,
     run_fig12,
+    size_sweep_campaign,
 )
+from repro.runners import run_campaign
 from tests.experiments.test_figures_smoke import TINY
 
 
-class TestCriticalFraction:
-    def test_memoized(self):
-        _critical_fraction.cache_clear()
-        critical_fraction(TINY, 8, 0.9)
-        misses = _critical_fraction.cache_info().misses
-        critical_fraction(TINY, 8, 0.9)
-        assert _critical_fraction.cache_info().misses == misses
+def critical_fraction(grid_side: int, reliability: float) -> float:
+    """One Figure 6 threshold, through the figure's own campaign."""
+    scale = replace(
+        TINY, percolation_sizes=(grid_side,), reliability_levels=(reliability,)
+    )
+    result = run_campaign(size_sweep_campaign(scale))
+    return result.metrics(
+        grid_side=grid_side, reliability=reliability
+    ).critical_fraction
 
+
+class TestCriticalFraction:
     def test_value_in_sensible_range(self):
-        value = critical_fraction(TINY, 10, 0.9)
+        value = critical_fraction(10, 0.9)
         assert 0.4 < value < 0.9
 
     def test_full_coverage_costs_more(self):
-        partial = critical_fraction(TINY, 10, 0.8)
-        full = critical_fraction(TINY, 10, 1.0)
+        partial = critical_fraction(10, 0.8)
+        full = critical_fraction(10, 1.0)
         assert full > partial
 
 
@@ -34,10 +40,13 @@ class TestFigureConsistency:
     def test_fig07_endpoints_match_fig06_thresholds(self):
         # At p=1 the frontier's q equals the critical bond fraction for
         # the frontier grid — the two figures must agree by construction.
-        fig07 = run_fig07(TINY)
-        for level in TINY.reliability_levels:
-            pc = critical_fraction(TINY, TINY.frontier_grid_side, level)
-            frontier_at_p1 = fig07.get_series(f"{level:.0%} reliability").y_at(1.0)
+        scale = replace(TINY, percolation_sizes=(TINY.frontier_grid_side,))
+        fig06 = run_fig06(scale)
+        fig07 = run_fig07(scale)
+        for level in scale.reliability_levels:
+            label = f"{level:.0%} reliability"
+            pc = fig06.get_series(label).y_at(float(scale.frontier_grid_side))
+            frontier_at_p1 = fig07.get_series(label).y_at(1.0)
             assert frontier_at_p1 == pytest.approx(pc)
 
     def test_fig12_notes_record_calibration(self):

@@ -1,10 +1,17 @@
 """Serial and process-pool backends must be interchangeable."""
 
+import pytest
+
+from repro.detailed.simulator import DetailedSimulator
+from repro.ideal.simulator import IdealSimulator
 from repro.runners import (
     CampaignSpec,
+    FailurePolicy,
+    FaultPlan,
     ProcessPoolBackend,
     SerialBackend,
     clear_run_caches,
+    execution,
 )
 
 
@@ -55,3 +62,59 @@ class TestPoolSizing:
     def test_nonpositive_jobs_falls_back_to_cpu_count(self):
         assert ProcessPoolBackend(jobs=0).jobs >= 1
         assert ProcessPoolBackend(jobs=-3).jobs >= 1
+
+
+def small_detailed_spec(n_seeds):
+    return CampaignSpec.build(
+        kind="detailed",
+        axes={"p": (0.5,)},
+        fixed={
+            "q": 0.25,
+            "density": 9.0,
+            "mode": "psm_pbbf",
+            "duration": 60.0,
+            "scheduler": "psm",
+        },
+        seed_params=("p", "q", "density", "mode"),
+        n_seeds=n_seeds,
+    )
+
+
+class TestDegradeRunsTheReferenceKernels:
+    @pytest.mark.parametrize(
+        "spec",
+        [small_ideal_spec(), small_detailed_spec(1), small_detailed_spec(2)],
+        ids=["ideal", "detailed-1-seed", "detailed-2-seeds"],
+    )
+    def test_every_degraded_run_reaches_a_reference_kernel(
+        self, monkeypatch, spec
+    ):
+        """Each run's fast-path result is corrupted, so each is computed
+        again by ``on_exhausted="degrade"`` — on the reference kernels,
+        although the same process just evaluated the point on the fast
+        ones."""
+        runs = spec.runs()
+        clear_run_caches()
+        clean = SerialBackend().execute(runs)
+        reference_runs = []
+        ideal_campaign = IdealSimulator.run_campaign
+        detailed_reference = DetailedSimulator.run_reference
+
+        def spy_ideal(sim, n_broadcasts):
+            if not sim._use_fast_path():
+                reference_runs.append("ideal")
+            return ideal_campaign(sim, n_broadcasts)
+
+        def spy_detailed(sim, duration=None):
+            reference_runs.append("detailed")
+            return detailed_reference(sim, duration)
+
+        monkeypatch.setattr(IdealSimulator, "run_campaign", spy_ideal)
+        monkeypatch.setattr(DetailedSimulator, "run_reference", spy_detailed)
+        clear_run_caches()
+        plan = FaultPlan(corrupt_result_rate=1.0, max_attempt=99)
+        policy = FailurePolicy(max_retries=0, on_exhausted="degrade")
+        with execution(fault_plan=plan):
+            degraded = SerialBackend().execute(runs, failure_policy=policy)
+        assert degraded == clean
+        assert reference_runs == [spec.kind] * len(runs)

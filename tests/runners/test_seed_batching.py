@@ -17,6 +17,7 @@ from repro.runners.points import (
     evaluate_run_batch,
     metrics_to_dict,
 )
+from repro.scenarios import ScenarioSpec
 
 PSM_PBBF = SchedulingMode.PSM_PBBF.value
 
@@ -27,6 +28,49 @@ DETAILED_POINT = {
     "mode": PSM_PBBF,
     "duration": 120.0,
     "scheduler": "psm",
+}
+
+
+IDEAL_POINT = {
+    "p": 0.5,
+    "q": 0.5,
+    "mode": PSM_PBBF,
+    "n_broadcasts": 2,
+    "hop_near": 2,
+    "hop_far": 4,
+}
+
+#: Kinds evaluated seed by seed, on the legacy grid layout and on a
+#: scenario world (one that realizes differently at each seed).
+UNBATCHED_POINTS = {
+    "ideal-grid": ("ideal", dict(IDEAL_POINT, grid_side=7)),
+    "ideal-scenario": (
+        "ideal",
+        dict(
+            IDEAL_POINT,
+            scenario=ScenarioSpec.build(
+                "random",
+                {"n_nodes": 36, "radio_range": 10.0, "density": 12.0},
+                source="random",
+                failure_fraction=0.1,
+            ).token,
+        ),
+    ),
+    "percolation-grid": (
+        "percolation",
+        {"grid_side": 6, "reliability": 0.9, "runs": 3, "process": "bond"},
+    ),
+    "percolation-scenario": (
+        "percolation",
+        {
+            "scenario": ScenarioSpec.build(
+                "grid_holes", {"side": 8}, source="random"
+            ).token,
+            "reliability": 0.9,
+            "runs": 3,
+            "process": "site",
+        },
+    ),
 }
 
 
@@ -139,19 +183,13 @@ class TestEvaluateRunBatch:
             metrics_to_dict(m) for m in loop
         ]
 
-    def test_ideal_kind_is_untouched(self):
-        point = {
-            "grid_side": 7,
-            "p": 0.5,
-            "q": 0.5,
-            "mode": PSM_PBBF,
-            "n_broadcasts": 2,
-            "hop_near": 2,
-            "hop_far": 4,
-        }
+    @pytest.mark.parametrize("case", sorted(UNBATCHED_POINTS))
+    def test_unbatched_kinds_match_per_seed_loop(self, case):
+        kind, point = UNBATCHED_POINTS[case]
         clear_run_caches()
-        batched = evaluate_run_batch("ideal", point, (1, 2))
-        loop = [evaluate_run("ideal", point, s) for s in (1, 2)]
+        batched = evaluate_run_batch(kind, point, (1, 2))
+        clear_run_caches()
+        loop = [evaluate_run(kind, point, s) for s in (1, 2)]
         assert [metrics_to_dict(m) for m in batched] == [
             metrics_to_dict(m) for m in loop
         ]

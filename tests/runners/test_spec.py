@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.scale import Scale
+from repro.runners.points import evaluate_run, metrics_from_dict
 from repro.runners.spec import CampaignSpec, run_key
 
 
@@ -28,6 +29,18 @@ class TestBuildValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             CampaignSpec.build(kind="quantum", axes={"p": (0.5,)})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: evaluate_run("quantum", {"p": 0.5}, 1),
+            lambda: metrics_from_dict("quantum", {"x": 1.0}),
+        ],
+        ids=["evaluate_run", "metrics_from_dict"],
+    )
+    def test_unknown_kind_rejected_by_the_evaluators(self, call):
+        with pytest.raises(ValueError, match="unknown campaign kind 'quantum'"):
+            call()
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):

@@ -13,17 +13,14 @@ They lock two contracts:
 
 import pytest
 
+from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
 from repro.core.params import PBBFParams
 from repro.ideal.config import AnalysisParameters
 from repro.ideal.simulator import IdealSimulator, SchedulingMode
 from repro.net.topology import GridTopology
-from repro.runners.points import (
-    _ideal_point,
-    _ideal_scenario_point,
-    evaluate_run,
-)
+from repro.runners.points import evaluate_run
 from repro.runners.spec import run_key
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ClockSkew, FailureTimes, ScenarioSpec
 
 IDEAL_PARAMS = {
     "grid_side": 9,
@@ -103,9 +100,11 @@ class TestScenarioEquivalence:
     """The explicit grid scenario and the legacy layout agree bit-for-bit."""
 
     def test_grid_token_matches_legacy_evaluator(self):
-        token = ScenarioSpec.grid_default(9).token
-        legacy = _ideal_point(9, 3, 0.5, 0.6, "psm_pbbf", 123, 2, 4)
-        via_scenario = _ideal_scenario_point(token, 3, 0.5, 0.6, "psm_pbbf", 123, 2, 4)
+        params = dict(IDEAL_PARAMS)
+        del params["grid_side"]
+        params["scenario"] = ScenarioSpec.grid_default(9).token
+        legacy = evaluate_run("ideal", IDEAL_PARAMS, 123)
+        via_scenario = evaluate_run("ideal", params, 123)
         assert legacy == via_scenario
 
     def test_grid_token_matches_direct_simulator(self):
@@ -136,19 +135,17 @@ class TestScenarioEquivalence:
         params["scenario"] = ScenarioSpec.grid_default(9).token
         assert run_key("ideal", params, 123) != run_key("ideal", IDEAL_PARAMS, 123)
 
-    def test_detailed_loss_axis_defaults_share_the_legacy_entry(self):
-        """loss_probability=0 must hit the same lru entry as its absence."""
-        from repro.runners.points import _detailed_run
-
-        before = _detailed_run.cache_info().currsize
+    def test_detailed_loss_axis_default_matches_its_absence(self):
+        """loss_probability=0 simulates exactly what its absence does,
+        under its own run key (keys hash the parameters as given)."""
         with_default = dict(DETAILED_PARAMS)
         with_default["loss_probability"] = 0.0
         a = evaluate_run("detailed", DETAILED_PARAMS, 3)
-        size_after_first = _detailed_run.cache_info().currsize
         b = evaluate_run("detailed", with_default, 3)
         assert a == b
-        assert _detailed_run.cache_info().currsize == size_after_first
-        assert size_after_first == before + 1
+        assert run_key("detailed", with_default, 3) != run_key(
+            "detailed", DETAILED_PARAMS, 3
+        )
 
 
 #: The scenario the detailed-parity checks resolve: the legacy world's
@@ -188,10 +185,7 @@ class TestDetailedScenarioEquivalence:
         """Evaluator resolution equals hand-building with the scenario."""
         from repro.detailed.config import CodeDistributionParameters
         from repro.detailed.simulator import DetailedSimulator
-        from repro.runners.points import (
-            _detailed_scenario_point,
-            _summarize_detailed,
-        )
+        from repro.runners.points import _summarize_detailed
         from repro.scenarios import ScenarioSpec
 
         spec = ScenarioSpec.build(
@@ -199,9 +193,10 @@ class TestDetailedScenarioEquivalence:
             DETAILED_SCENARIO["params"],
             source=DETAILED_SCENARIO["source"],
         )
-        via_evaluator = _detailed_scenario_point(
-            spec.token, 0.5, 0.5, "psm_pbbf", 60.0, 7
-        )
+        params = dict(DETAILED_PARAMS)
+        del params["density"]
+        params["scenario"] = spec.token
+        via_evaluator = evaluate_run("detailed", params, 7)
         realized = spec.realize(7)
         direct = DetailedSimulator(
             PBBFParams(p=0.5, q=0.5),
@@ -215,19 +210,90 @@ class TestDetailedScenarioEquivalence:
         assert via_evaluator == _summarize_detailed(direct.run().metrics)
 
     def test_legacy_layout_never_touches_scenario_resolution(self):
-        """A legacy point leaves the scenario evaluator's memo cold."""
-        from repro.runners.points import _detailed_scenario_point
+        """A legacy point leaves the scenario memo cold."""
+        from repro.runners.points import _realize, clear_point_caches
 
-        before = _detailed_scenario_point.cache_info().currsize
+        clear_point_caches()
         evaluate_run("detailed", DETAILED_PARAMS, 7)
-        assert _detailed_scenario_point.cache_info().currsize == before
+        assert _realize.cache_info().currsize == 0
 
-    def test_adaptive_with_scenario_rejected(self):
-        from repro.scenarios import ScenarioSpec
 
-        params = dict(DETAILED_PARAMS)
-        del params["density"]
-        params["scenario"] = ScenarioSpec.grid_default(4).token
-        params["adaptive"] = "{}"
-        with pytest.raises(ValueError, match="adaptive"):
-            evaluate_run("detailed", params, 7)
+#: Worlds adaptive control must run on: the paper's grid, the legacy
+#: world's shape as a scenario, and that shape with clock skew and
+#: mid-run deaths.
+ADAPTIVE_WORLDS = {
+    "grid": ScenarioSpec.grid_default(4),
+    "random": ScenarioSpec.build(
+        "random", DETAILED_SCENARIO["params"], source="random"
+    ),
+    "random-skew-deaths": ScenarioSpec.build(
+        "random",
+        DETAILED_SCENARIO["params"],
+        source="random",
+        failure_times=FailureTimes(0.25, 20.0, 40.0),
+        clock_skew=ClockSkew(1.0),
+    ),
+}
+
+
+def adaptive_scenario_params(world: str) -> dict:
+    params = dict(DETAILED_PARAMS)
+    del params["density"]
+    params["scenario"] = ADAPTIVE_WORLDS[world].token
+    params["adaptive"] = AdaptivePolicy().token
+    return params
+
+
+class TestAdaptiveOnScenarios:
+    """An ``adaptive`` point on a scenario world runs the controller on
+    that world, perturbations included."""
+
+    @pytest.mark.parametrize("world", sorted(ADAPTIVE_WORLDS))
+    def test_matches_a_hand_built_simulator(self, world):
+        from repro.detailed.config import CodeDistributionParameters
+        from repro.detailed.simulator import DetailedSimulator
+        from repro.runners.points import _summarize_detailed
+
+        params = adaptive_scenario_params(world)
+        start = PBBFParams(p=0.5, q=0.5)
+        policy = AdaptivePolicy.from_token(params["adaptive"])
+        realized = ADAPTIVE_WORLDS[world].realize(7)
+        direct = DetailedSimulator(
+            start,
+            CodeDistributionParameters.for_topology(
+                realized.topology, duration=60.0
+            ),
+            seed=7,
+            mode=SchedulingMode.PSM_PBBF,
+            scenario=realized,
+            agent_factory=lambda node_id, rng: AdaptivePBBFAgent(
+                start, rng, policy=policy
+            ),
+        )
+        adaptive = evaluate_run("detailed", params, 7)
+        assert adaptive == _summarize_detailed(direct.run().metrics)
+        static = dict(params)
+        del static["adaptive"]
+        assert adaptive != evaluate_run("detailed", static, 7)
+
+    def test_pool_matches_serial(self):
+        from repro.runners import CampaignSpec, clear_run_caches, run_campaign
+
+        fixed = adaptive_scenario_params("grid")
+        del fixed["scenario"]
+        spec = CampaignSpec.build(
+            kind="detailed",
+            axes={"scenario": tuple(ADAPTIVE_WORLDS.values())},
+            fixed=fixed,
+            seed_params=("scenario",),
+            n_seeds=2,
+        )
+        clear_run_caches()
+        serial = run_campaign(spec, jobs=1, use_cache=False)
+        clear_run_caches()
+        pool = run_campaign(spec, jobs=2, use_cache=False)
+        for point in spec.points():
+            for index in range(spec.n_seeds):
+                assert serial.metrics(seed_index=index, **point) == (
+                    pool.metrics(seed_index=index, **point)
+                )
