@@ -1,8 +1,8 @@
 """Micro-benchmarks of the trade-off analysis kernels.
 
-The frontier pipeline runs after every campaign (as ``post_process``
-hooks), so its pruning, selection and bootstrap kernels must stay cheap
-relative to simulation.  These benches time them on synthetic operating
+The frontier pipeline runs on every trade-off campaign's result, so its
+pruning, selection and bootstrap kernels must stay cheap relative to
+simulation.  These benches time them on synthetic operating
 points — sized like a full-scale multi-family campaign — with
 deterministic inputs so runs are comparable across commits.
 ``BENCH_analysis.json`` at the repository root is committed without raw

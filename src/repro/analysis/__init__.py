@@ -69,7 +69,6 @@ from repro.analysis.objectives import (
     operating_points,
 )
 from repro.analysis.pareto import Frontier, dominates, pareto_frontier
-from repro.analysis.streaming import StreamingFrontier
 from repro.analysis.selectors import (
     epsilon_constraint_index,
     knee_index,
@@ -85,7 +84,6 @@ __all__ = [
     "FrontierSummary",
     "Objective",
     "OperatingPoint",
-    "StreamingFrontier",
     "bootstrap_ci95",
     "bootstrap_mean_samples",
     "compare_frontiers",

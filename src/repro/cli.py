@@ -13,7 +13,7 @@ Usage::
     pbbf-experiments trace export [--telemetry DIR] [--out trace.json]
     pbbf-experiments pareto [--scale fast|full] [--simulator ideal|detailed]
                             [--family grid] [--coverage 0.9] [--lifetime]
-                            [--latency-budget S] [--watch-frontier]
+                            [--latency-budget S]
 
 (Equivalently: ``python -m repro.cli ...``.)
 
@@ -29,9 +29,9 @@ relocates the cache (default ``~/.cache/repro`` or
 interrupted ``run-all`` resumes by running the same command again:
 every point it finished is already in the cache.
 ``--telemetry [DIR]`` (or ``$REPRO_TELEMETRY``) records structured
-spans/counters/events as JSONL under DIR and prints a metrics summary
-at exit; ``trace export`` turns the logs into a Perfetto-loadable
-Chrome trace.  Telemetry never perturbs results: campaign outputs are
+spans and events as JSONL under DIR and prints a metrics summary at
+exit; ``trace export`` turns the logs into a Perfetto-loadable Chrome
+trace.  Telemetry never perturbs results: campaign outputs are
 bit-identical with it on, off, or crashing mid-write.
 """
 
@@ -139,7 +139,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry", nargs="?", const="telemetry",
                         default=None, metavar="DIR",
                         help="record structured telemetry (phase spans, "
-                             "retry events, cache counters) as JSONL "
+                             "campaign and retry events) as JSONL "
                              "under DIR (default ./telemetry; or set "
                              "$REPRO_TELEMETRY) and print a metrics "
                              "summary at exit; results are bit-identical "
@@ -241,10 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "with latency at or below this bound "
                              "(seconds, per-hop for ideal / end-to-end "
                              "for detailed; epsilon-constraint selection)")
-    pareto.add_argument("--watch-frontier", action="store_true",
-                        help="redraw the frontier and knee live on stderr "
-                             "as points stream in (the final stdout table "
-                             "is unchanged and bit-identical)")
     _add_execution_flags(pareto)
 
     run = sub.add_parser("run", help="run one experiment")
@@ -505,8 +501,8 @@ def _run_pareto(args: argparse.Namespace) -> int:
     """
     from dataclasses import replace
 
-    from repro.analysis import operating_points, pareto_frontier
     from repro.experiments.pareto_figures import (
+        campaign_frontier,
         coverage_constraint,
         delivery_constraint,
         energy_objective,
@@ -567,36 +563,13 @@ def _run_pareto(args: argparse.Namespace) -> int:
     if args.coverage is not None:
         constraint = replace(constraint, bound=args.coverage)
 
-    watcher = None
-    if args.watch_frontier:
-        # Live view only: the watcher folds the on_point stream into
-        # stderr redraws, while the final stdout table below is still
-        # computed by the batch path from the completed campaign.
-        from repro.analysis.streaming import StreamingFrontier
-        from repro.obs import FrontierWatcher
-
-        watcher = FrontierWatcher(
-            StreamingFrontier(
-                objectives,
-                constraints=(constraint,),
-                where=where,
-                base_seed=spec.base_seed,
-                n_resamples=scale.bootstrap_resamples,
-            )
-        )
-    campaign = run_campaign(
-        spec, on_point=watcher.on_point if watcher is not None else None
-    )
-    if watcher is not None:
-        watcher.final()
-    points = operating_points(
-        campaign,
+    frontier = campaign_frontier(
+        run_campaign(spec),
         objectives,
-        constraints=(constraint,),
+        (constraint,),
+        scale.bootstrap_resamples,
         where=where,
-        n_resamples=scale.bootstrap_resamples,
     )
-    frontier = pareto_frontier(points, objectives)
     elapsed = time.perf_counter() - started
     subject = (
         f"the {label}" if args.simulator == "detailed" else f"family {label!r}"
@@ -607,8 +580,7 @@ def _run_pareto(args: argparse.Namespace) -> int:
         f"{floor_name} >= {constraint.bound:g}):"
     )
     return _report_frontier(
-        args, scale, label, frontier, len(points), latency, second,
-        floor_name, elapsed,
+        args, scale, label, frontier, latency, second, floor_name, elapsed,
     )
 
 
@@ -617,7 +589,6 @@ def _report_frontier(
     scale: Scale,
     label: str,
     frontier,
-    n_feasible: int,
     latency,
     second,
     floor_name: str,
@@ -645,7 +616,7 @@ def _report_frontier(
     )
     print(
         f"  pruned {frontier.n_dominated} dominated/duplicate of "
-        f"{n_feasible} feasible points"
+        f"{len(frontier) + frontier.n_dominated} feasible points"
     )
     if args.latency_budget is not None:
         index = epsilon_constraint_index(frontier, latency, args.latency_budget)

@@ -17,10 +17,11 @@ from *simulated* campaigns through :mod:`repro.analysis`:
   maximum-lifetime framing): the same points, read as deployment
   lifetime against latency.
 
-All three run as ordinary declarative campaigns; frontier extraction,
-knee selection and cross-family comparison ride the runner's
-``post_process`` hooks, so the derived artifacts are computed once per
-execution and are bit-identical across backends and cache replays.
+All three run as ordinary declarative campaigns; frontier extraction
+(:func:`family_frontiers`, :func:`campaign_frontier`), knee selection
+and cross-family comparison are plain functions of the returned
+:class:`~repro.runners.CampaignResult`, so the derived artifacts are
+bit-identical across backends and cache replays.
 """
 
 from __future__ import annotations
@@ -191,41 +192,17 @@ def adaptive_campaign(scale: Scale) -> CampaignSpec:
     )
 
 
-# -- frontier extraction (the campaign post-processing hooks) ------------
+# -- frontier extraction -------------------------------------------------
 
 
-def family_frontier_hook(
-    panel: Sequence[Tuple[str, ScenarioSpec]],
-    objectives: Sequence[Objective],
-    constraints: Sequence[Constraint],
-    n_resamples: int,
-):
-    """A ``post_process`` hook extracting one frontier per scenario family."""
-
-    def hook(campaign: CampaignResult) -> Dict[str, Frontier]:
-        frontiers: Dict[str, Frontier] = {}
-        for label, spec in panel:
-            token = spec.token
-            points = operating_points(
-                campaign,
-                objectives,
-                constraints=constraints,
-                where=lambda params, token=token: params.get("scenario") == token,
-                n_resamples=n_resamples,
-            )
-            frontiers[label] = pareto_frontier(points, objectives)
-        return frontiers
-
-    return hook
-
-
-def frontier_hook(
+def campaign_frontier(
+    campaign: CampaignResult,
     objectives: Sequence[Objective],
     constraints: Sequence[Constraint],
     n_resamples: int,
     where=None,
-):
-    """A ``post_process`` hook extracting one frontier over the campaign.
+) -> Frontier:
+    """The frontier over a finished campaign's operating points.
 
     ``where`` filters the candidate points by parameters — pareto02 uses
     it to keep the static frontier to genuine PBBF (p, q) operating
@@ -233,18 +210,36 @@ def frontier_hook(
     baseline corner, which is not a static operating point and must not
     anchor the frontier).
     """
+    points = operating_points(
+        campaign,
+        objectives,
+        constraints=constraints,
+        where=where,
+        n_resamples=n_resamples,
+    )
+    return pareto_frontier(points, objectives)
 
-    def hook(campaign: CampaignResult) -> Frontier:
-        points = operating_points(
+
+def family_frontiers(
+    campaign: CampaignResult,
+    panel: Sequence[Tuple[str, ScenarioSpec]],
+    objectives: Sequence[Objective],
+    constraints: Sequence[Constraint],
+    n_resamples: int,
+) -> Dict[str, Frontier]:
+    """One frontier per scenario family of ``panel``, by family label."""
+    return {
+        label: campaign_frontier(
             campaign,
             objectives,
-            constraints=constraints,
-            where=where,
-            n_resamples=n_resamples,
+            constraints,
+            n_resamples,
+            where=lambda params, token=spec.token: (
+                params.get("scenario") == token
+            ),
         )
-        return pareto_frontier(points, objectives)
-
-    return hook
+        for label, spec in panel
+    }
 
 
 # -- rendering helpers ---------------------------------------------------
@@ -323,18 +318,13 @@ def run_pareto01(scale: Scale) -> ExperimentResult:
     """Static (p, q) Pareto frontier per scenario family."""
     objectives = (hop_latency_objective(), energy_objective())
     panel = pareto_family_panel(scale)
-    campaign = run_campaign(
-        static_frontier_campaign(scale),
-        post_process={
-            "frontiers": family_frontier_hook(
-                panel,
-                objectives,
-                (coverage_constraint(scale),),
-                scale.bootstrap_resamples,
-            )
-        },
+    frontiers = family_frontiers(
+        run_campaign(static_frontier_campaign(scale)),
+        panel,
+        objectives,
+        (coverage_constraint(scale),),
+        scale.bootstrap_resamples,
     )
-    frontiers: Dict[str, Frontier] = campaign.artifacts["frontiers"]
     header, rows = frontier_table(frontiers)
     series = tuple(
         _frontier_series(name, frontiers[name]) for name, _ in panel
@@ -409,28 +399,19 @@ def run_pareto02(scale: Scale) -> ExperimentResult:
 
     objectives = (update_latency_objective(), energy_objective())
     constraints = (delivery_constraint(scale),)
-    static = run_campaign(
-        q_sweep_campaign(scale),
-        post_process={
-            "frontier": frontier_hook(
-                objectives,
-                constraints,
-                scale.bootstrap_resamples,
-                where=static_pbbf_where(),
-            )
-        },
-    )
-    adaptive = run_campaign(
-        adaptive_campaign(scale),
-        post_process={
-            "frontier": frontier_hook(
-                objectives, constraints, scale.bootstrap_resamples
-            )
-        },
-    )
+    static = run_campaign(q_sweep_campaign(scale))
+    adaptive = run_campaign(adaptive_campaign(scale))
     frontiers = {
-        "static": static.artifacts["frontier"],
-        "adaptive": adaptive.artifacts["frontier"],
+        "static": campaign_frontier(
+            static,
+            objectives,
+            constraints,
+            scale.bootstrap_resamples,
+            where=static_pbbf_where(),
+        ),
+        "adaptive": campaign_frontier(
+            adaptive, objectives, constraints, scale.bootstrap_resamples
+        ),
     }
     header, rows = frontier_table(frontiers)
     series = (
@@ -470,18 +451,13 @@ def run_pareto03(scale: Scale) -> ExperimentResult:
         lifetime_objective(energy_objective(), analysis.update_interval),
     )
     panel = pareto_family_panel(scale)
-    campaign = run_campaign(
-        static_frontier_campaign(scale),
-        post_process={
-            "frontiers": family_frontier_hook(
-                panel,
-                objectives,
-                (coverage_constraint(scale),),
-                scale.bootstrap_resamples,
-            )
-        },
+    frontiers = family_frontiers(
+        run_campaign(static_frontier_campaign(scale)),
+        panel,
+        objectives,
+        (coverage_constraint(scale),),
+        scale.bootstrap_resamples,
     )
-    frontiers: Dict[str, Frontier] = campaign.artifacts["frontiers"]
     header, rows = frontier_table(frontiers)
     series = tuple(
         _frontier_series(name, frontiers[name]) for name, _ in panel

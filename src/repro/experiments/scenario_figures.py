@@ -29,7 +29,7 @@ exactly like any numeric parameter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.experiments.scale import Scale
 from repro.experiments.spec import ExperimentResult, Series
@@ -453,12 +453,11 @@ def run_scen04(scale: Scale) -> ExperimentResult:
     """Static (p, q) frontier robustness under skew + mid-run deaths."""
     from repro.analysis.compare import compare_frontiers
     from repro.analysis.objectives import Constraint
-    from repro.analysis.pareto import Frontier
     from repro.experiments.pareto_figures import (
         _comparison_notes,
         _frontier_series,
         energy_objective,
-        family_frontier_hook,
+        family_frontiers,
         frontier_table,
         update_latency_objective,
     )
@@ -471,15 +470,13 @@ def run_scen04(scale: Scale) -> ExperimentResult:
         sense="ge",
     )
     panel = frontier_robustness_scenarios(scale)
-    campaign = run_campaign(
-        frontier_robustness_campaign(scale),
-        post_process={
-            "frontiers": family_frontier_hook(
-                panel, objectives, (constraint,), scale.bootstrap_resamples
-            )
-        },
+    frontiers = family_frontiers(
+        run_campaign(frontier_robustness_campaign(scale)),
+        panel,
+        objectives,
+        (constraint,),
+        scale.bootstrap_resamples,
     )
-    frontiers: Dict[str, Frontier] = campaign.artifacts["frontiers"]
     populated = {name: f for name, f in frontiers.items() if f.points}
     comparison = compare_frontiers(populated) if populated else None
     notes = list(_comparison_notes(frontiers, comparison))

@@ -1,18 +1,20 @@
 """Structured telemetry for campaign execution.
 
-* :mod:`repro.obs.recorder` — the span/event/counter recorder: a
+* :mod:`repro.obs.recorder` — the span/event recorder: a
   zero-overhead no-op by default, an append-only JSONL sink per
   process when enabled (``--telemetry`` / ``$REPRO_TELEMETRY``).
 * :mod:`repro.obs.reader` — torn-tolerant event-log reader.
 * :mod:`repro.obs.trace` — Chrome trace-event export (Perfetto).
 * :mod:`repro.obs.metrics` — end-of-run aggregation and the metrics
-  table (per-phase wall time, cache hit rates, retries, throughput).
-* :mod:`repro.obs.status` — the ``--progress`` duration format and the
-  frontier-watch view.
+  table (per-phase wall time, cache hit rates, retries, timeouts,
+  throughput), every count read off spans and events.
+* :mod:`repro.obs.status` — the ``--progress`` duration format.
 
-Layering: this package imports only the stdlib and ``repro.util`` (the
-status renderers lazily touch ``repro.analysis`` for knee selection);
-the runners, kernels and result cache import *it*.  Telemetry never
+Spans and events are one of the two ways to observe a campaign; the
+other is the :class:`~repro.runners.CampaignResult` it returns.
+
+Layering: this package imports only the stdlib and ``repro.util``; the
+runners, kernels and result cache import *it*.  Telemetry never
 perturbs results — wall-clock time exists only inside event records,
 and every sink failure degrades to no-op.
 """
@@ -31,7 +33,7 @@ from repro.obs.recorder import (
     reset_recorder,
     set_recorder,
 )
-from repro.obs.status import FrontierWatcher, format_duration
+from repro.obs.status import format_duration
 from repro.obs.trace import chrome_trace_events, export_chrome_trace
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "NullRecorder",
     "TELEMETRY_ENV",
     "TelemetryRecorder",
-    "FrontierWatcher",
     "aggregate_metrics",
     "chrome_trace_events",
     "ensure_recorder",

@@ -1,9 +1,11 @@
 """End-of-run metrics aggregation over telemetry event logs.
 
 Folds every process's event file into one summary — per-phase wall
-time, cache hit rates, retry/failure counts, per-worker throughput —
-and renders it as the aligned table the CLI prints after a
-telemetry-enabled campaign.
+time, cache hit rates, retry/timeout/failure counts, per-worker
+throughput — and renders it as the aligned table the CLI prints after a
+telemetry-enabled campaign.  Every count is read off span and event
+records; records of any other type (older logs' ``counters`` and
+``gauge`` snapshots) are skipped.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Union
 
 from repro.obs.reader import iter_events
+
+#: The events a failed attempt ends in; each carries the ``error`` type.
+_ATTEMPT_EVENTS = ("task.retry", "task.degraded", "task.exhausted")
 
 
 def aggregate_metrics(telemetry_dir: Union[str, Path]) -> Dict[str, Any]:
@@ -22,12 +27,14 @@ def aggregate_metrics(telemetry_dir: Union[str, Path]) -> Dict[str, Any]:
     ``spans``
         ``{name: {"count", "total_s", "mean_s", "max_s"}}`` over all
         span records.
-    ``counters``
-        Per-name totals.  Counter snapshots are cumulative per source,
-        so the aggregate takes each source's **last** snapshot and sums
-        across sources.
     ``events``
         Per-name occurrence counts of instantaneous events.
+    ``cache_hits`` / ``cache_probes``
+        Disk-cache hits (summed ``disk`` of ``campaign.end`` events) out
+        of the keys probed (summed ``keys`` of ``phase.cache-get``
+        spans).
+    ``timeouts``
+        Failed attempts whose ``error`` is ``TaskTimeoutError``.
     ``workers``
         ``{source: {"role", "tasks", "busy_s", "tasks_per_s"}}`` from
         "task" spans — the per-worker throughput view.
@@ -36,7 +43,7 @@ def aggregate_metrics(telemetry_dir: Union[str, Path]) -> Dict[str, Any]:
     """
     spans: Dict[str, Dict[str, float]] = {}
     events: Dict[str, int] = {}
-    last_counters: Dict[str, Dict[str, float]] = {}
+    cache_hits = cache_probes = timeouts = 0
     workers: Dict[str, Dict[str, Any]] = {}
     sources = set()
     n_records = 0
@@ -55,7 +62,9 @@ def aggregate_metrics(telemetry_dir: Union[str, Path]) -> Dict[str, Any]:
             stats["count"] += 1
             stats["total_s"] += duration
             stats["max_s"] = max(stats["max_s"], duration)
-            if name == "task":
+            if name == "phase.cache-get":
+                cache_probes += int(record.get("keys", 0))
+            elif name == "task":
                 worker = workers.setdefault(
                     source,
                     {"role": str(record.get("role", "")), "tasks": 0,
@@ -65,19 +74,13 @@ def aggregate_metrics(telemetry_dir: Union[str, Path]) -> Dict[str, Any]:
                 worker["busy_s"] += duration
         elif kind == "event":
             events[name] = events.get(name, 0) + 1
-        elif kind == "counters":
-            counters = record.get("counters")
-            if isinstance(counters, dict):
-                last_counters[source] = {
-                    str(key): float(value)
-                    for key, value in counters.items()
-                    if isinstance(value, (int, float))
-                }
-
-    counters: Dict[str, float] = {}
-    for per_source in last_counters.values():
-        for name, value in per_source.items():
-            counters[name] = counters.get(name, 0.0) + value
+            if name == "campaign.end":
+                cache_hits += int(record.get("disk", 0))
+            elif (
+                name in _ATTEMPT_EVENTS
+                and record.get("error") == "TaskTimeoutError"
+            ):
+                timeouts += 1
 
     for stats in spans.values():
         stats["mean_s"] = (
@@ -91,20 +94,14 @@ def aggregate_metrics(telemetry_dir: Union[str, Path]) -> Dict[str, Any]:
 
     return {
         "spans": spans,
-        "counters": counters,
         "events": events,
+        "cache_hits": cache_hits,
+        "cache_probes": cache_probes,
+        "timeouts": timeouts,
         "workers": workers,
         "n_records": n_records,
         "n_sources": len(sources),
     }
-
-
-def _hit_rate(counters: Dict[str, float], hit: str, miss: str) -> str:
-    hits = counters.get(hit, 0.0)
-    total = hits + counters.get(miss, 0.0)
-    if total <= 0:
-        return "-"
-    return f"{100.0 * hits / total:.1f}% of {int(total)}"
 
 
 def render_metrics_table(summary: Dict[str, Any]) -> List[str]:
@@ -127,29 +124,22 @@ def render_metrics_table(summary: Dict[str, Any]) -> List[str]:
                 f"  max {stats['max_s']*1e3:8.2f}ms"
             )
 
-    counters = summary["counters"]
-    if counters:
+    probes = summary["cache_probes"]
+    if probes:
+        hits = summary["cache_hits"]
         lines.append("  cache:")
-        lines.append(
-            "    hits "
-            + _hit_rate(counters, "cache.file.hit", "cache.file.miss")
-        )
-        lines.append("  counters:")
-        for name in sorted(counters):
-            value = counters[name]
-            rendered = (
-                f"{value:.4g}" if value != int(value) else f"{int(value)}"
-            )
-            lines.append(f"    {name} = {rendered}")
+        lines.append(f"    hits {100.0 * hits / probes:.1f}% of {probes}")
 
     events = summary["events"]
-    retries = events.get("task.retry", 0) + events.get("retry.backoff", 0)
     if events:
         lines.append("  events:")
         for name in sorted(events):
             lines.append(f"    {name} x{events[name]}")
+    retries = events.get("task.retry", 0)
     if retries:
         lines.append(f"  retries observed: {retries}")
+    if summary["timeouts"]:
+        lines.append(f"  timeouts observed: {summary['timeouts']}")
 
     workers = summary["workers"]
     if workers:

@@ -1,13 +1,14 @@
-"""Structured telemetry: spans, events and counters for campaign execution.
+"""Structured telemetry: spans and events for campaign execution.
 
 The execution stack (evaluators, backends, result cache) calls
 :func:`get_recorder` and records what it is doing — phase spans around
-realize/simulate/analyze/cache work, lease lifecycle events, hit/miss
-counters.  By default the recorder is the :data:`NULL_RECORDER`: every
-method is a no-op returning a shared null context manager, so the
-disabled path costs one attribute lookup and an empty call — nothing is
-timed, formatted or written (the campaign-throughput benchmark pins
-this).
+realize/simulate/analyze/cache work, and events for the campaign and
+lease lifecycle.  Every count a summary needs is read off those records
+(see :mod:`repro.obs.metrics`).  By default the recorder is the
+:data:`NULL_RECORDER`: every method is a no-op returning a shared null
+context manager, so the disabled path costs one attribute lookup and an
+empty call — nothing is timed, formatted or written (the
+campaign-throughput benchmark pins this).
 
 Enabled (``--telemetry DIR`` / ``$REPRO_TELEMETRY``), a
 :class:`TelemetryRecorder` appends one JSON line per span/event to
@@ -50,10 +51,6 @@ TELEMETRY_ENV = "REPRO_TELEMETRY"
 #: from every simulation stream.
 _TORN_STREAM_SEED = 0x0B5E_EED5
 
-#: Seconds between periodic counter snapshots riding along with event
-#: writes (so long-lived workers' counters survive a hard kill).
-_COUNTER_FLUSH_S = 5.0
-
 
 class _NullSpan:
     """A reusable, stateless no-op context manager."""
@@ -81,12 +78,6 @@ class NullRecorder:
         return _NULL_SPAN
 
     def event(self, name: str, **fields: Any) -> None:
-        return None
-
-    def counter(self, name: str, value: Union[int, float] = 1) -> None:
-        return None
-
-    def flush(self) -> None:
         return None
 
     def close(self) -> None:
@@ -179,8 +170,6 @@ class TelemetryRecorder:
         self._write_failed = False
         self._seq = 0
         self._lock = threading.Lock()
-        self._counters: Dict[str, float] = {}
-        self._last_counter_flush = time.monotonic()
 
     # -- the recording API --------------------------------------------------
 
@@ -195,18 +184,6 @@ class TelemetryRecorder:
             record.update(fields)
         self._emit(record)
 
-    def counter(self, name: str, value: Union[int, float] = 1) -> None:
-        """Add ``value`` to a named monotonic counter (in-memory; the
-        aggregate is written as periodic snapshot records, not per
-        increment, so hot cache loops stay cheap)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-
-    def counters_snapshot(self) -> Dict[str, float]:
-        """The current counter aggregate (a copy)."""
-        with self._lock:
-            return dict(self._counters)
-
     # -- the sink -----------------------------------------------------------
 
     def _emit(self, record: Dict[str, Any]) -> None:
@@ -218,26 +195,6 @@ class TelemetryRecorder:
         record["pid"] = os.getpid()
         with self._lock:
             self._write_line(record)
-            now = time.monotonic()
-            if (
-                self._counters
-                and now - self._last_counter_flush >= _COUNTER_FLUSH_S
-            ):
-                self._last_counter_flush = now
-                self._write_counters_locked()
-
-    def _write_counters_locked(self) -> None:
-        if not self._counters:
-            return
-        self._write_line({
-            "v": EVENT_VERSION,
-            "type": "counters",
-            "ts": time.time(),
-            "source": self.source,
-            "role": self.role,
-            "pid": os.getpid(),
-            "counters": dict(self._counters),
-        })
 
     def _write_line(self, record: Dict[str, Any]) -> None:
         """Append one record (caller holds the lock); best-effort."""
@@ -275,15 +232,8 @@ class TelemetryRecorder:
                 stacklevel=3,
             )
 
-    def flush(self) -> None:
-        """Write a counters snapshot and flush the handle."""
-        with self._lock:
-            self._write_counters_locked()
-            self._last_counter_flush = time.monotonic()
-
     def close(self) -> None:
-        """Final counters snapshot, then release the handle."""
-        self.flush()
+        """Release the handle (every record is already flushed)."""
         with self._lock:
             if self._handle is not None:
                 try:

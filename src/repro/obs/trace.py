@@ -4,9 +4,9 @@
 converts the per-process JSONL event files into the Chrome trace-event
 JSON format, loadable in ``chrome://tracing`` or Perfetto
 (https://ui.perfetto.dev).  Each telemetry source (process) becomes a
-trace "process" with a named lane; spans become complete ("X") events,
-instantaneous events become "i" marks, and counter snapshots become
-counter ("C") tracks.
+trace "process" with a named lane; spans become complete ("X") events
+and instantaneous events become "i" marks.  Records of any other type
+(older logs' ``counters`` and ``gauge`` snapshots) are skipped.
 """
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ def chrome_trace_events(
                 "name": name, "ph": "i", "pid": pid, "tid": 1,
                 "ts": ts_us, "s": "p", "cat": "event", "args": args,
             })
-        elif kind == "counters":
-            counters = record.get("counters", {})
-            if isinstance(counters, dict):
-                for cname, cvalue in sorted(counters.items()):
-                    events.append({
-                        "name": cname, "ph": "C", "pid": pid, "ts": ts_us,
-                        "args": {cname: cvalue},
-                    })
     # Perfetto shows these as the process lane names.
     for source, pid in pids.items():
         label = source if not roles[source] else f"{roles[source]} {source}"

@@ -51,14 +51,18 @@ installs a campaign-progress printer
 both backends).
 
 Fault tolerance: execution runs under a
-:class:`~repro.runners.failures.FailurePolicy` (retries with
-deterministic backoff, per-task timeouts, ``raise``/``skip``/``degrade``
-exhaustion handling), each computed run is written to the result cache
-as it completes — so rerunning an interrupted campaign against the same
-cache simulates only what is missing — and
-:class:`~repro.runners.faults.FaultPlan` injects deterministic worker
-crashes, hangs and corrupt results/cache writes so every recovery path
-is provable in tests and CI.
+:class:`~repro.runners.failures.FailurePolicy` (immediate retries,
+per-task timeouts, ``raise``/``skip``/``degrade`` exhaustion handling),
+each computed run is written to the result cache as it completes — so
+rerunning an interrupted campaign against the same cache simulates only
+what is missing — and :class:`~repro.runners.faults.FaultPlan` injects
+deterministic worker crashes, hangs and corrupt results/cache writes so
+every recovery path is provable in tests and CI.
+
+A campaign is observed in two ways: the
+:class:`~repro.runners.campaign.CampaignResult` that ``run_campaign``
+returns, and the telemetry spans and events it records
+(:mod:`repro.obs`).
 """
 
 from repro.runners.backends import ProcessPoolBackend, SerialBackend

@@ -17,8 +17,8 @@ are identical to the ungrouped loop.
 Fault tolerance: each grouped task is a *lease* executed under a
 :class:`~repro.runners.failures.FailurePolicy`.  A task that raises,
 returns schema-invalid metrics, hangs past the policy's ``timeout_s`` or
-takes its worker process down with it is retried (deterministic backoff,
-bounded attempts) and, once exhausted, handled per ``on_exhausted`` —
+takes its worker process down with it is retried immediately (bounded
+attempts) and, once exhausted, handled per ``on_exhausted`` —
 recorded as a :class:`~repro.runners.failures.RunFailure` (``skip``),
 given one last in-parent attempt on the reference kernels (``degrade``),
 or surfaced in a :class:`CampaignExecutionError` *after* the rest of the
@@ -222,13 +222,10 @@ class _Lease:
     #: Index of the lease's first run in the ``execute`` input sequence.
     start: int
     #: Run key of the first covered run — the lease's identity in the
-    #: fault and backoff streams.
+    #: fault stream.
     key: str
     #: Attempt about to run (0 = the original try).
     attempt: int = 0
-    #: Monotonic time before which the lease must not be resubmitted
-    #: (retry backoff).
-    not_before: float = 0.0
 
     @property
     def n_runs(self) -> int:
@@ -294,9 +291,7 @@ class _ExecutionState:
             if self.on_failure is not None:
                 self.on_failure(failure)
         get_stats().failed += lease.n_runs
-        recorder = get_recorder()
-        recorder.counter("task.exhausted")
-        recorder.event(
+        get_recorder().event(
             "task.exhausted",
             key=lease.key[:12],
             attempts=lease.attempt + 1,
@@ -359,25 +354,21 @@ def _handle_failed_attempt(
     """One failed attempt: schedule a retry, degrade, or record failure."""
     policy = state.policy
     recorder = get_recorder()
-    if isinstance(error, TaskTimeoutError):
-        recorder.counter("task.timeout")
     if lease.attempt < policy.max_retries:
-        delay = policy.backoff_s(lease.key, lease.attempt + 1)
         lease.attempt += 1
-        lease.not_before = time.monotonic() + delay if delay > 0 else 0.0
         get_stats().retried += 1
-        recorder.counter("task.retry")
         recorder.event(
             "task.retry",
             key=lease.key[:12],
             attempt=lease.attempt,
-            backoff_s=round(delay, 4),
             error=type(error).__name__,
         )
         requeue(lease)
         return
     if policy.on_exhausted == "degrade":
-        recorder.event("task.degraded", key=lease.key[:12])
+        recorder.event(
+            "task.degraded", key=lease.key[:12], error=type(error).__name__
+        )
         flats, degrade_error = _degraded_attempt(lease)
         if flats is not None:
             state.deliver(lease, flats)
@@ -422,9 +413,6 @@ def _drain_serial(state: _ExecutionState, leases: Sequence[_Lease]) -> None:
     queue: Deque[_Lease] = deque(leases)
     while queue:
         lease = queue.popleft()
-        delay = lease.not_before - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
         payload = (lease.task, lease.key, lease.attempt)
         try:
             flats = _validated(
@@ -584,15 +572,9 @@ class ProcessPoolBackend:
         rebuild_cap = min(policy.max_pool_rebuilds, policy.max_retries)
         rebuilds = 0
         queue: Deque[_Lease] = deque(leases)
-        waiting: List[_Lease] = []  # backoff-delayed leases
+        requeue = queue.append
         in_flight: Dict[Any, Tuple[List[_Lease], Optional[float]]] = {}
         chunk_size = _chunk_size(len(leases), workers, policy.timeout_s)
-
-        def requeue(lease: _Lease) -> None:
-            if lease.not_before > time.monotonic():
-                waiting.append(lease)
-            else:
-                queue.append(lease)
 
         def fail_over_to_serial() -> None:
             remaining = [
@@ -600,20 +582,13 @@ class ProcessPoolBackend:
             ]
             in_flight.clear()
             remaining.extend(queue)
-            remaining.extend(waiting)
             queue.clear()
-            waiting.clear()
             remaining.sort(key=lambda lease: lease.start)
             _drain_serial(state, remaining)
 
         executor = self._new_executor(workers)
         try:
-            while queue or waiting or in_flight:
-                now = time.monotonic()
-                due = [lease for lease in waiting if lease.not_before <= now]
-                for lease in due:
-                    waiting.remove(lease)
-                    queue.append(lease)
+            while queue or in_flight:
                 broken = False
                 # Leases whose future died with the pool this round.
                 collapsed: List[_Lease] = []
@@ -645,12 +620,6 @@ class ProcessPoolBackend:
                         else None
                     )
                     in_flight[future] = (chunk, deadline)
-                if not in_flight and not broken:
-                    if waiting:
-                        pause = min(l.not_before for l in waiting) - time.monotonic()
-                        if pause > 0:
-                            time.sleep(min(pause, 0.25))
-                    continue
                 if in_flight and not broken:
                     done, _ = wait(
                         list(in_flight),
@@ -742,7 +711,6 @@ class ProcessPoolBackend:
                         else:
                             requeue(lease)
                     recorder = get_recorder()
-                    recorder.counter("pool.rebuild")
                     recorder.event(
                         "pool.rebuild",
                         rebuilds=rebuilds,

@@ -174,29 +174,22 @@ class ResultCache:
         masquerading as an eternal miss and shows up in :meth:`stats`.
         """
         path = self._path(key)
-        recorder = get_recorder()
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except OSError:
-            recorder.counter("cache.file.miss")
             return None
         except ValueError:
             self._quarantine(path)
-            recorder.counter("cache.file.miss")
             return None
         if not isinstance(payload, dict):
             self._quarantine(path)
-            recorder.counter("cache.file.miss")
             return None
         if payload.get("version") != CACHE_VERSION:
-            recorder.counter("cache.file.miss")
             return None  # a different-era entry, not a damaged one
         if "metrics" not in payload:
             self._quarantine(path)
-            recorder.counter("cache.file.miss")
             return None
-        recorder.counter("cache.file.hit")
         return payload
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Dict[str, Any]]:
@@ -219,9 +212,9 @@ class ResultCache:
         except OSError:
             return
         self.quarantined += 1
-        recorder = get_recorder()
-        recorder.counter("cache.file.quarantined")
-        recorder.event("cache.quarantine", tier="file", entry=path.stem[:12])
+        get_recorder().event(
+            "cache.quarantine", tier="file", entry=path.stem[:12]
+        )
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Atomically store ``payload`` (stamped with the cache version).
@@ -263,7 +256,6 @@ class ResultCache:
                 stacklevel=2,
             )
             return
-        get_recorder().counter("cache.file.put")
         if self.max_size_mb is not None:
             self._enforce_budget(path, replaced_size)
 

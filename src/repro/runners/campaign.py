@@ -8,18 +8,19 @@ The pipeline for every run of a spec:
    over a process pool (``jobs`` > 1), under the ambient
    :class:`~repro.runners.failures.FailurePolicy`.
 
-Results stream back: each computed run is written to the cache as it
-completes, so an interrupted campaign keeps every finished point and
-resumes by running again against the same cache.  Runs that exhaust
-their retries become :class:`~repro.runners.failures.RunFailure`
-records on the result (or a
+Each computed run is written to the cache as it completes, so an
+interrupted campaign keeps every finished point and resumes by running
+again against the same cache.  Runs that exhaust their retries become
+:class:`~repro.runners.failures.RunFailure` records on the result (or a
 :class:`~repro.runners.failures.CampaignExecutionError` under the
 default ``on_exhausted="raise"``) — the campaign, like the paper's
 broadcasts, completes around its dead members.
 
 Results are returned as a :class:`CampaignResult`, which resolves points
 by parameter values (not enumeration position), so callers read metrics
-the same way regardless of which layer produced them.
+the same way regardless of which layer produced them.  The result and
+the telemetry spans and events (:mod:`repro.obs`) are the only two ways
+to observe a campaign.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ from repro.runners.context import ProgressCallback, get_execution, get_stats
 from repro.runners.failures import FailurePolicy, RunFailure
 from repro.runners.points import metrics_from_dict, metrics_to_dict
 from repro.runners.spec import CampaignRun, CampaignSpec, run_key
-
-#: Per-point streaming hook: ``on_point(run, metrics)`` fires in the
-#: parent for every unique run of the campaign — reused points during
-#: the scan, computed points as each completes (before it is visible in
-#: the returned result) — so frontiers and figure panels can render
-#: incrementally.  Failed runs never fire it.
-OnPoint = Callable[[CampaignRun, Any], None]
 
 #: Results materialised in this process, keyed by run content hash.  This
 #: is what lets several figures share one campaign's points without
@@ -92,11 +86,6 @@ class CampaignResult:
         #: failed); empty for a fully-successful campaign.
         self.failures: tuple = tuple(failures)
         self._failed_keys = {failure.key for failure in self.failures}
-        #: Post-processing outputs by hook name (see ``run_campaign``'s
-        #: ``post_process``): derived artifacts — Pareto frontiers, knee
-        #: selections, summaries — computed once per execution and carried
-        #: with the results they were derived from.
-        self.artifacts: Dict[str, Any] = {}
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -196,9 +185,7 @@ def run_campaign(
     use_cache: Optional[bool] = None,
     backend: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
-    post_process: Optional[Mapping[str, Callable[["CampaignResult"], Any]]] = None,
     failure_policy: Optional[FailurePolicy] = None,
-    on_point: Optional[OnPoint] = None,
 ) -> CampaignResult:
     """Execute every run of ``spec`` and return its results.
 
@@ -215,15 +202,6 @@ def run_campaign(
     computed)`` once after the cache scan and then after every computed
     point.
 
-    ``on_point`` streams typed results: it fires in the parent as
-    ``on_point(run, metrics)`` for every unique run of the campaign —
-    reused points during the scan, computed points as each completes,
-    whatever backend runs them — and every fired point is visible
-    before the final :class:`CampaignResult` returns, so frontiers and
-    figure panels can render incrementally (see
-    :class:`repro.analysis.StreamingFrontier`).  Failed runs are
-    recorded as failures instead, never fired through ``on_point``.
-
     ``failure_policy`` is the retry/timeout/exhaustion envelope (see
     :class:`~repro.runners.failures.FailurePolicy`; the CLI sets it from
     ``--max-retries`` / ``--task-timeout-s`` / ``--on-exhausted``).
@@ -234,15 +212,8 @@ def run_campaign(
 
     Each computed run is written to the cache before it is reported, so
     a campaign killed mid-way resumes by running again against the same
-    cache: every point that finished is served from disk.
-
-    ``post_process`` maps artifact names to hooks run *after* every point
-    has materialised; each hook receives the finished
-    :class:`CampaignResult` and its return value lands in
-    ``result.artifacts[name]``.  Hooks run in sorted-name order (so
-    artifact production is deterministic) and may read earlier hooks'
-    outputs from ``result.artifacts`` — the analysis layer chains
-    frontier extraction and knee selection this way.
+    cache: every point that finished is served from disk.  Every cache
+    write is recorded as a ``phase.cache-put`` span.
     """
     config = get_execution()
     stats = get_stats()
@@ -286,11 +257,6 @@ def run_campaign(
     from_memo = 0
     from_disk = 0
 
-    def reuse(run: CampaignRun, metrics: Any) -> None:
-        by_key[run.key] = metrics
-        if on_point is not None:
-            on_point(run, metrics)
-
     for run in runs:
         if run.key in by_key or run.key in probe_keys:
             continue  # duplicate point within the spec
@@ -298,11 +264,12 @@ def run_campaign(
             metrics = _MEMO[run.key]
             stats.reused_memory += 1
             from_memo += 1
-            reuse(run, metrics)
+            by_key[run.key] = metrics
             if store is not None and not store.has(run.key):
                 # Backfill: a result computed before this cache directory
                 # was configured must still survive the process.
-                store.put(run.key, _payload_for(run, metrics))
+                with recorder.span("phase.cache-put"):
+                    store.put(run.key, _payload_for(run, metrics))
             continue
         probe.append(run)
         probe_keys.add(run.key)
@@ -325,7 +292,7 @@ def run_campaign(
                 _MEMO[run.key] = metrics
                 stats.reused_disk += 1
                 from_disk += 1
-                reuse(run, metrics)
+                by_key[run.key] = metrics
                 continue
         pending.append(run)
 
@@ -357,8 +324,6 @@ def run_campaign(
             if store is not None:
                 with recorder.span("phase.cache-put"):
                     store.put(run.key, _payload_for(run, metrics))
-            if on_point is not None:
-                on_point(run, metrics)
             done += 1
             if progress is not None:
                 progress(reused + done, total, reused, done)
@@ -385,8 +350,7 @@ def run_campaign(
         disk=from_disk,
         failures=len(failures),
     )
-    recorder.flush()
-    result = CampaignResult(
+    return CampaignResult(
         spec=spec,
         runs=runs,
         by_key=by_key,
@@ -394,7 +358,3 @@ def run_campaign(
         reused=reused,
         failures=failures,
     )
-    if post_process:
-        for name in sorted(post_process):
-            result.artifacts[name] = post_process[name](result)
-    return result

@@ -3,17 +3,15 @@
 The paper's broadcasts complete with dead nodes; this module lets a
 campaign complete with dead *runs*.  A :class:`FailurePolicy` says how a
 backend reacts when a task raises, crashes its worker, returns garbage or
-hangs past its deadline — how many retries, how long to back off between
-them, and what to do when retries are exhausted.  Every run that stays
-failed after the policy is spent becomes a :class:`RunFailure` record on
-the campaign result (or, with ``on_exhausted="raise"``, inside a
-:class:`CampaignExecutionError`) instead of aborting the sweep.
+hangs past its deadline — how many retries, and what to do when retries
+are exhausted.  Every run that stays failed after the policy is spent
+becomes a :class:`RunFailure` record on the campaign result (or, with
+``on_exhausted="raise"``, inside a :class:`CampaignExecutionError`)
+instead of aborting the sweep.
 
-Backoff delays are deterministic: each retry's jitter is drawn from a
-named :func:`~repro.util.rng.fold_seed` stream keyed by the run's content
-hash and the attempt number — the same common-random-numbers discipline
-the simulators use, applied to the harness, so a replayed campaign
-sleeps (and therefore schedules) identically.
+A failed attempt is retried immediately.  The faults are crashes, hangs
+and corrupt results of a pure function of ``(kind, params, seed)``, so
+waiting before a retry would change nothing.
 """
 
 from __future__ import annotations
@@ -21,15 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.util.rng import fold_seed, hash_to_unit_interval
-
 #: What a backend does with a run whose retries are exhausted.
 ON_EXHAUSTED = ("raise", "skip", "degrade")
-
-#: Root of the deterministic backoff-jitter stream.  A fixed constant —
-#: not the campaign's base seed — so harness scheduling never perturbs,
-#: and is never perturbed by, simulation seeding.
-_BACKOFF_STREAM_SEED = 0x5EED_BACC
 
 
 class TaskTimeoutError(RuntimeError):
@@ -49,8 +40,8 @@ class FailurePolicy:
     """How campaign execution reacts to a failing task.
 
     The policy is the retry envelope both backends share: the same runs
-    fail, retry, back off and exhaust identically whether they execute
-    serially or over a process pool.
+    fail, retry and exhaust identically whether they execute serially or
+    over a process pool.
     """
 
     #: Re-attempts after the first failure (0 disables retries).
@@ -59,10 +50,6 @@ class FailurePolicy:
     #: the deadline.  A batch task (one point, several grouped seeds) is
     #: one attempt.
     timeout_s: Optional[float] = None
-    #: First-retry backoff in seconds; 0 retries immediately.
-    backoff_base_s: float = 0.0
-    #: Multiplier applied per additional retry (exponential backoff).
-    backoff_factor: float = 2.0
     #: After ``max_retries`` failed re-attempts: ``raise`` a
     #: :class:`CampaignExecutionError` once the rest of the campaign has
     #: completed, ``skip`` the run (recorded in ``result.failures``), or
@@ -81,14 +68,6 @@ class FailurePolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.backoff_base_s < 0:
-            raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.on_exhausted not in ON_EXHAUSTED:
             raise ValueError(
                 f"on_exhausted must be one of {ON_EXHAUSTED}, "
@@ -98,35 +77,6 @@ class FailurePolicy:
             raise ValueError(
                 f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
             )
-
-    def backoff_s(self, key: str, attempt: int) -> float:
-        """Deterministic delay before retry ``attempt`` (1-based) of ``key``.
-
-        Exponential slots with half-slot jitter: the delay lands in
-        ``[slot/2, slot]`` where ``slot = base * factor**(attempt-1)``,
-        jittered by the run's own named stream so concurrent retries
-        decorrelate without a shared clock or RNG.
-        """
-        if self.backoff_base_s <= 0:
-            return 0.0
-        slot = self.backoff_base_s * self.backoff_factor ** max(0, attempt - 1)
-        jitter = hash_to_unit_interval(
-            fold_seed(_BACKOFF_STREAM_SEED, "retry-backoff", key), attempt
-        )
-        delay = slot * (0.5 + 0.5 * jitter)
-        # Observation only: the delay above is already fixed by (key,
-        # attempt), so recording it cannot perturb scheduling.
-        from repro.obs import get_recorder
-
-        recorder = get_recorder()
-        recorder.counter("retry.backoff_total_s", delay)
-        recorder.event(
-            "retry.backoff",
-            key=key[:12],
-            attempt=attempt,
-            delay_s=round(delay, 4),
-        )
-        return delay
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ from repro.analysis.pareto import Frontier
 from repro.experiments.pareto_figures import (
     PARETO02_POLICY,
     adaptive_campaign,
+    coverage_constraint,
+    energy_objective,
+    family_frontiers,
+    frontier_table,
+    hop_latency_objective,
     pareto_family_panel,
     run_pareto01,
     run_pareto02,
@@ -67,10 +72,18 @@ class TestPareto01:
             assert xs == sorted(xs)
             assert ys == sorted(ys, reverse=True)
 
-    def test_frontiers_ride_the_post_process_hook(self):
-        campaign_result = run_campaign(static_frontier_campaign(TINY))
-        assert campaign_result.artifacts == {}  # hook is per-invocation
-        run_pareto01(TINY)  # reuses the memoised points, adds artifacts
+    def test_frontiers_are_a_function_of_the_returned_campaign(self):
+        result = run_pareto01(TINY)
+        frontiers = family_frontiers(
+            run_campaign(static_frontier_campaign(TINY)),
+            pareto_family_panel(TINY),
+            (hop_latency_objective(), energy_objective()),
+            (coverage_constraint(TINY),),
+            TINY.bootstrap_resamples,
+        )
+        assert frontier_table(frontiers) == (
+            result.frontier_header, result.frontier_rows
+        )
 
     def test_rendering_includes_frontier_block(self):
         rendered = run_pareto01(TINY).render()

@@ -30,14 +30,18 @@ def test_noop_recorder_records_nothing_and_never_fails():
     with recorder.span("phase.simulate", kind="x"):
         pass
     recorder.event("anything", detail=1)
-    recorder.counter("cache.file.hit", 3)
-    recorder.flush()
     recorder.close()  # all of the above must be silent no-ops
 
 
 def test_recorders_record_no_gauges():
     assert not hasattr(NULL_RECORDER, "gauge")
     assert not hasattr(TelemetryRecorder, "gauge")
+
+
+@pytest.mark.parametrize("name", ["counter", "counters_snapshot", "flush"])
+def test_recorders_keep_no_counters(name):
+    assert not hasattr(NULL_RECORDER, name)
+    assert not hasattr(TelemetryRecorder, name)
 
 
 def test_noop_span_is_a_shared_reusable_object():
@@ -63,12 +67,11 @@ def test_records_carry_schema_and_provenance(tmp_path):
     with recorder.span("phase.realize", kind="grid", seed=7):
         pass
     recorder.event("campaign.begin", n_runs=3)
-    recorder.counter("cache.file.hit", 2)
     recorder.close()
 
     records = list(iter_events(tmp_path))
-    assert [r["type"] for r in records] == ["span", "event", "counters"]
-    span, event, counters = records
+    assert [r["type"] for r in records] == ["span", "event"]
+    span, event = records
     assert span["name"] == "phase.realize"
     assert span["kind"] == "grid" and span["seed"] == 7
     assert span["dur"] >= 0.0
@@ -78,7 +81,6 @@ def test_records_carry_schema_and_provenance(tmp_path):
         assert record["role"] == "parent"
         assert isinstance(record["ts"], float)
     assert event["n_runs"] == 3
-    assert counters["counters"] == {"cache.file.hit": 2}
 
 
 def test_span_records_the_error_that_escaped_it(tmp_path):
@@ -108,7 +110,7 @@ def test_torn_writes_are_skipped_by_the_reader(tmp_path):
     survivors = list(iter_events(tmp_path))
     assert 0 < len(survivors) < 41  # some torn away, none crash the reader
     for record in survivors:
-        assert record.get("name") == "tick" or record["type"] == "counters"
+        assert record["name"] == "tick"
 
 
 def test_torn_write_pattern_is_deterministic(tmp_path):
@@ -138,7 +140,6 @@ def test_unwritable_directory_degrades_with_one_warning(tmp_path):
         recorder.event("first")
     # Already degraded: further records are silently dropped, no rewarn.
     recorder.event("second")
-    recorder.counter("c")
     recorder.close()
 
 

@@ -490,48 +490,22 @@ class TestCacheLifecycle:
         assert ResultCache(tmp_path).stats().n_entries == 2
 
 
-class TestPostProcessHooks:
-    def test_hooks_populate_artifacts(self, tmp_path):
-        spec = tiny_percolation_spec()
-        result = run_campaign(
-            spec,
-            cache=str(tmp_path),
-            post_process={
-                "sides": lambda r: [pt["grid_side"] for pt in r.points()],
-                "n": lambda r: len(r.runs),
-            },
-        )
-        assert result.artifacts["sides"] == [6, 8]
-        assert result.artifacts["n"] == 2
+class TestRemovedObservers:
+    """The result and telemetry are the only ways to observe a campaign."""
 
-    def test_hooks_run_in_sorted_name_order_and_chain(self, tmp_path):
-        spec = tiny_percolation_spec()
-        result = run_campaign(
-            spec,
-            cache=str(tmp_path),
-            post_process={
-                "b_second": lambda r: r.artifacts["a_first"] + 1,
-                "a_first": lambda r: 41,
-            },
-        )
-        assert result.artifacts == {"a_first": 41, "b_second": 42}
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"on_point": lambda run, metrics: None},
+         {"post_process": {"n": lambda result: len(result.runs)}}],
+        ids=["on_point", "post_process"],
+    )
+    def test_run_campaign_rejects_the_removed_channels(self, tmp_path, kwargs):
+        with pytest.raises(TypeError):
+            run_campaign(tiny_percolation_spec(), cache=str(tmp_path), **kwargs)
 
-    def test_no_hooks_leaves_artifacts_empty(self, tmp_path):
+    def test_result_carries_no_artifacts(self, tmp_path):
         result = run_campaign(tiny_percolation_spec(), cache=str(tmp_path))
-        assert result.artifacts == {}
-
-    def test_hooks_see_cached_results_identically(self, tmp_path):
-        spec = tiny_percolation_spec()
-        hook = {
-            "fracs": lambda r: [
-                r.metrics(grid_side=side).critical_fraction for side in (6, 8)
-            ]
-        }
-        fresh = run_campaign(spec, cache=str(tmp_path), post_process=hook)
-        clear_run_caches()
-        warm = run_campaign(spec, cache=str(tmp_path), post_process=hook)
-        assert warm.computed == 0
-        assert warm.artifacts == fresh.artifacts
+        assert not hasattr(result, "artifacts")
 
 
 class TestSeedValueAccess:

@@ -31,7 +31,6 @@ from repro.runners import faults
 from repro.runners.failures import TaskTimeoutError
 
 KEY_A = "ab" * 32
-KEY_B = "cd" * 32
 
 
 @pytest.fixture(autouse=True)
@@ -127,20 +126,19 @@ class TestFaultPlan:
 
 
 class TestBackoff:
-    def test_zero_base_means_immediate_retry(self):
-        assert FailurePolicy().backoff_s(KEY_A, 1) == 0.0
+    """Retries are immediate: the policy has no backoff to configure."""
 
-    def test_deterministic_and_slot_bounded(self):
-        policy = FailurePolicy(backoff_base_s=0.1, backoff_factor=2.0)
-        for attempt in (1, 2, 3):
-            slot = 0.1 * 2.0 ** (attempt - 1)
-            delay = policy.backoff_s(KEY_A, attempt)
-            assert delay == policy.backoff_s(KEY_A, attempt)
-            assert slot / 2 <= delay <= slot
+    def test_policy_holds_exactly_four_fields(self):
+        from dataclasses import fields
 
-    def test_keys_decorrelate(self):
-        policy = FailurePolicy(backoff_base_s=0.1)
-        assert policy.backoff_s(KEY_A, 1) != policy.backoff_s(KEY_B, 1)
+        assert [field.name for field in fields(FailurePolicy)] == [
+            "max_retries", "timeout_s", "on_exhausted", "max_pool_rebuilds",
+        ]
+
+    @pytest.mark.parametrize("field", ["backoff_base_s", "backoff_factor"])
+    def test_backoff_fields_are_rejected(self, field):
+        with pytest.raises(TypeError):
+            FailurePolicy(**{field: 0.1})
 
     def test_policy_validation(self):
         with pytest.raises(ValueError, match="max_retries"):

@@ -316,35 +316,15 @@ class TestDegraded:
             with pytest.warns(RuntimeWarning):
                 for i in range(3):
                     cache.put(key(i), payload(i))
-            recorder.flush()
-            events = [
-                record
-                for record in obs.iter_events(tmp_path / "telemetry")
-                if record["type"] == "event"
-                and record["name"] == "cache.degraded"
-            ]
-            assert recorder.counters_snapshot().get("cache.file.put", 0) == 0
         finally:
             obs.reset_recorder()
-        assert [event["tier"] for event in events] == ["file"]
+        records = list(obs.iter_events(tmp_path / "telemetry"))
+        assert [(r["type"], r["name"], r["tier"]) for r in records] == [
+            ("event", "cache.degraded", "file")
+        ]
 
 
 class TestTelemetry:
-    def test_counters_track_hits_misses_and_puts(self, tmp_path):
-        recorder = obs.TelemetryRecorder(tmp_path / "telemetry", role="parent")
-        obs.set_recorder(recorder)
-        try:
-            cache = ResultCache(tmp_path / "cache")
-            for i in range(3):
-                cache.put(key(i), payload(i))
-            cache.get_many([key(i) for i in range(5)])
-            counters = recorder.counters_snapshot()
-        finally:
-            obs.reset_recorder()
-        assert counters["cache.file.put"] == 3
-        assert counters["cache.file.hit"] == 3
-        assert counters["cache.file.miss"] == 2
-
     def test_quarantine_is_counted_and_announced(self, tmp_path):
         recorder = obs.TelemetryRecorder(tmp_path / "telemetry", role="parent")
         obs.set_recorder(recorder)
@@ -353,19 +333,15 @@ class TestTelemetry:
             cache.put(key(1), payload(1))
             cache._path(key(1)).write_text("{ torn")
             assert cache.get(key(1)) is None
-            recorder.flush()
-            counters = recorder.counters_snapshot()
-            events = [
-                record
-                for record in obs.iter_events(tmp_path / "telemetry")
-                if record["type"] == "event"
-                and record["name"] == "cache.quarantine"
-            ]
+            assert cache.get(key(1)) is None  # moved aside: a plain miss
         finally:
             obs.reset_recorder()
-        assert counters["cache.file.quarantined"] == 1
-        assert counters["cache.file.miss"] == 1
-        assert [event["entry"] for event in events] == [key(1)[:12]]
+        records = list(obs.iter_events(tmp_path / "telemetry"))
+        assert [(r["type"], r["name"]) for r in records] == [
+            ("event", "cache.quarantine")
+        ]
+        assert records[0]["entry"] == key(1)[:12]
+        assert cache.quarantined == 1
 
 
 N_KEYS = 12

@@ -183,7 +183,8 @@ class TestParser:
 
 
 class TestRemovedSurface:
-    """The sharded queue's flags, subcommands and ``--profile`` are gone."""
+    """The sharded queue's flags, subcommands, ``--profile`` and the
+    pareto ``--watch-frontier`` stream view are gone."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -198,11 +199,13 @@ class TestRemovedSurface:
             ["worker", "--queue", "q"],
             ["queue", "status", "--queue", "q"],
             ["queue", "compact", "--queue", "q"],
+            ["pareto", "--watch-frontier"],
         ],
         ids=[
             "run-backend", "run-queue", "run-lease-block", "run-profile",
             "run-all-profile", "run-all-backend", "pareto-backend",
             "worker", "queue-status", "queue-compact",
+            "pareto-watch-frontier",
         ],
     )
     def test_exits_2_from_argparse(self, argv, capsys):
