@@ -43,8 +43,9 @@ from repro.detailed.batched import run_batch
 from repro.detailed.config import CodeDistributionParameters
 from repro.detailed.simulator import DetailedSimulator
 from repro.experiments import Scale
+from repro.experiments.scenario_figures import midrun_failure_campaign
 from repro.ideal.simulator import SchedulingMode
-from repro.runners import execution
+from repro.runners.points import evaluate_run_batch, metrics_to_dict
 
 
 def bench_scale() -> Scale:
@@ -75,11 +76,29 @@ def test_detailed_scenario_scen03(run_experiment):
     _assert_scen03_shape(result)
 
 
-def test_detailed_scenario_scen03_reference_kernel(run_experiment):
-    """Same regeneration on the event-heap loop, for the CI timing diff."""
-    with execution(detailed_fast_path=False):
-        result = run_experiment("scen03", bench_scale())
-    _assert_scen03_shape(result)
+def test_detailed_scenario_scen03_reference_kernel(benchmark):
+    """scen03's runs on the event-heap loop, for the CI timing diff.
+
+    Every run is evaluated the way a degraded campaign attempt does it
+    (``reference=True``) and must equal the default path's metrics.
+    """
+    runs = midrun_failure_campaign(bench_scale()).runs()
+
+    def evaluate(reference):
+        clear_harness_caches()
+        return [
+            metrics_to_dict(metrics)
+            for run in runs
+            for metrics in evaluate_run_batch(
+                run.kind, run.params_dict(), (run.seed,), reference=reference
+            )
+        ]
+
+    reference = benchmark.pedantic(
+        evaluate, args=(True,), rounds=1, iterations=1
+    )
+    benchmark.extra_info["runs"] = len(runs)
+    assert reference == evaluate(False)
 
 
 # --------------------------------------------------------------------------

@@ -77,12 +77,12 @@ def _per_broadcast(benchmark) -> None:
         benchmark.extra_info[f"ms_per_broadcast_{name}"] = value
 
 
-def _ideal_campaign(topology, fast_path: bool, **kwargs):
+def _ideal_campaign(topology, reference: bool = False, **kwargs):
     sim = IdealSimulator(
-        topology, PBBFParams(0.5, 0.6), AnalysisParameters(), seed=3,
-        fast_path=fast_path, **kwargs
+        topology, PBBFParams(0.5, 0.6), AnalysisParameters(), seed=3, **kwargs
     )
-    return lambda: sim.run_campaign(CAMPAIGN_BROADCASTS).mean_coverage()
+    run = sim.run_campaign_reference if reference else sim.run_campaign
+    return lambda: run(CAMPAIGN_BROADCASTS).mean_coverage()
 
 
 def test_ideal_campaign_throughput(benchmark):
@@ -92,14 +92,14 @@ def test_ideal_campaign_throughput(benchmark):
     against ``test_ideal_campaign_scalar_reference`` for the speedup the
     parity suite certifies as bit-identical.
     """
-    coverage = benchmark(_ideal_campaign(GridTopology(75), fast_path=True))
+    coverage = benchmark(_ideal_campaign(GridTopology(75)))
     _per_broadcast(benchmark)
     assert coverage > 0.5
 
 
 def test_ideal_campaign_scalar_reference(benchmark):
     """The same campaign through the scalar reference loop."""
-    run = _ideal_campaign(GridTopology(75), fast_path=False)
+    run = _ideal_campaign(GridTopology(75), reference=True)
     coverage = benchmark.pedantic(run, rounds=3, iterations=1)
     _per_broadcast(benchmark)
     assert coverage > 0.5
@@ -114,7 +114,7 @@ def test_random_topology_campaign_throughput(benchmark):
     neighbour matrix is ragged and the gather masks carry real weight.
     """
     topo = RandomTopology.connected(600, 10.0, 12.0, random.Random(42))
-    coverage = benchmark(_ideal_campaign(topo, fast_path=True, source=0))
+    coverage = benchmark(_ideal_campaign(topo, source=0))
     _per_broadcast(benchmark)
     assert coverage > 0.5
 

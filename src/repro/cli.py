@@ -24,10 +24,11 @@ in-process ``--jobs 1`` — and results are cached on disk by content
 hash, so a repeated invocation recomputes nothing unless parameters
 changed.  ``--no-cache`` forces fresh simulation; ``--cache-dir``
 relocates the cache (default ``~/.cache/repro`` or
-``$REPRO_CACHE_DIR``); ``--cache-max-size-mb`` (or
-``$REPRO_CACHE_MAX_MB``) arms the evict-on-insert size budget.  An
-interrupted ``run-all`` resumes by running the same command again:
-every point it finished is already in the cache.
+``$REPRO_CACHE_DIR``), and ``cache purge --max-age-days/--max-size-mb``
+is the one way to shrink it.  An interrupted ``run-all`` resumes by
+running the same command again: every point it finished is already in
+the cache.  No flag selects a simulator kernel; ``--on-exhausted
+degrade`` is the one route to the bit-identical reference loops.
 ``--telemetry [DIR]`` (or ``$REPRO_TELEMETRY``) records structured
 spans and events as JSONL under DIR and prints a metrics summary at
 exit; ``trace export`` turns the logs into a Perfetto-loadable Chrome
@@ -91,20 +92,6 @@ def _positive_seconds(value: str) -> float:
     return seconds
 
 
-def _nonnegative_mb(value: str) -> float:
-    try:
-        budget = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--cache-max-size-mb must be a number, got {value!r}"
-        )
-    if budget < 0:
-        raise argparse.ArgumentTypeError(
-            f"--cache-max-size-mb must be >= 0, got {budget:g}"
-        )
-    return budget
-
-
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_jobs, default=1,
                         help="worker processes for simulation points "
@@ -115,23 +102,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
                              "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the on-disk result cache entirely")
-    parser.add_argument("--cache-max-size-mb", type=_nonnegative_mb, default=None,
-                        help="evict-on-insert cache budget: writes that "
-                             "push the cache past this many MiB trigger "
-                             "the oldest-first purge automatically "
-                             "(default: $REPRO_CACHE_MAX_MB, else "
-                             "unbudgeted)")
-    parser.add_argument("--no-fast-path", action="store_true",
-                        help="use the scalar reference simulator kernels "
-                             "instead of the vectorized fast path "
-                             "(results are bit-identical; this is an "
-                             "escape hatch and parity-debugging aid)")
-    parser.add_argument("--no-detailed-fast-path", action="store_true",
-                        help="use the event-heap reference loop for "
-                             "detailed-simulator runs instead of the "
-                             "seed-batched kernel (results are "
-                             "bit-identical; escape hatch and "
-                             "parity-debugging aid)")
     parser.add_argument("--progress", action="store_true",
                         help="print periodic campaign progress lines "
                              "(completed/total with cached vs computed) "
@@ -284,9 +254,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
-            cache_max_size_mb=args.cache_max_size_mb,
-            fast_path=not args.no_fast_path,
-            detailed_fast_path=not args.no_detailed_fast_path,
             progress=_progress_printer() if args.progress else None,
             failure_policy=_failure_policy_from(args),
             telemetry_dir=telemetry_dir,
@@ -355,28 +322,33 @@ def _progress_printer(min_interval: float = 1.0):
     and retried tasks when the failure machinery fired) and carries an
     ETA extrapolated from the campaign's own simulation rate: points
     served from the cache arrive at once and cost no simulation time,
-    so only computed points count towards the rate.
+    so only computed points count towards the rate.  Every count is the
+    campaign's own: the process-wide failed and retried totals are
+    read relative to their values at the campaign's start.
     """
     from repro.obs import format_duration
 
     last = 0.0
     started = 0.0
+    before = (0, 0)  # (failed, retried) at the campaign's start
 
     def progress(completed: int, total: int, cached: int, computed: int) -> None:
-        nonlocal last, started
+        nonlocal last, started, before
         now = time.monotonic()
+        stats = get_stats()
         if computed == 0:
-            # A campaign's post-scan call: its simulation clock starts now.
+            # A campaign's post-scan call: its clock and counts start now.
             started = now
+            before = (stats.failed, stats.retried)
         if completed < total and now - last < min_interval:
             return
         last = now
-        stats = get_stats()
+        failed, retried = stats.failed - before[0], stats.retried - before[1]
         extra = ""
-        if stats.failed:
-            extra += f", {stats.failed} failed"
-        if stats.retried:
-            extra += f", {stats.retried} retried"
+        if failed:
+            extra += f", {failed} failed"
+        if retried:
+            extra += f", {retried} retried"
         eta = ""
         elapsed = now - started
         if computed and completed < total and elapsed > 0:

@@ -43,7 +43,9 @@ nodes and mid-run deaths supported; it has no machinery groups, and
 every fresh frame goes straight to CSMA ungated, with no p-coin).
 Everything else — smac/tmac, adaptive agents, custom MAC factories,
 tracers — falls back to the heap loop; :func:`fallback_reason` is the
-one statement of that scope and names the reason.
+one statement of that scope and names the reason.  No option turns the
+kernel off; ``DetailedSimulator.run_reference()`` runs the heap loop by
+name (the parity oracle, and degraded campaign attempts).
 """
 
 from __future__ import annotations
@@ -85,16 +87,14 @@ def fallback_reason(
     agent_factory=None,
     mac_factory=None,
     tracer=None,
-    fast_path: bool = True,
 ) -> Optional[str]:
     """Why a configuration runs on the heap loop, or ``None`` if it batches.
 
     The one statement of this kernel's scope, shared by
     :func:`supports_batch`, ``DetailedSimulator.run`` and the runner's
     seed batching; the reason also labels the reference loop's telemetry
-    span.  Scope checks come first, so ``"forced"`` (the fast path turned
-    off) marks exactly the runs the flag diverted.  ``ALWAYS_ON`` ignores
-    the scheduler, as the heap loop does.
+    span (``"forced"`` there marks an in-scope run on the heap loop).
+    ``ALWAYS_ON`` ignores the scheduler, as the heap loop does.
     """
     if mode is SchedulingMode.PSM_PBBF and scheduler != "psm":
         return "scheduler"
@@ -104,14 +104,12 @@ def fallback_reason(
         return "mac_factory"
     if tracer is not None:
         return "tracer"
-    if not fast_path:
-        return "forced"
     return None
 
 
 def supports_batch(sim) -> bool:
     """Can ``sim`` run on the batched kernel with bit-identical results?"""
-    return sim.fallback_reason(fast_path=True) is None
+    return sim.fallback_reason() is None
 
 
 class _Transmission:

@@ -4,6 +4,10 @@ A :class:`DetailedSimulator` is a pure function of ``(params, config,
 seed, mode)``: the same inputs rebuild the same deployment, the same
 traffic, and the same coin flips, which is what makes the paired
 protocol comparisons in Figures 13-18 meaningful.
+
+``DetailedSimulator.run`` takes the seed-batched kernel whenever the
+configuration is in its scope; ``run_reference`` is the event-heap loop,
+its bit-identical oracle, called by name and never by an option.
 """
 
 from __future__ import annotations
@@ -127,15 +131,12 @@ class DetailedSimulator:
         clock offsets model the PSM schedule phase; a skew-carrying
         scenario on any other scheduler/mode raises rather than silently
         caching nominal results under the perturbed token.
-    fast_path:
-        Kernel selection: ``True`` selects the seed-batched kernel
-        (:mod:`repro.detailed.batched`), ``False`` forces the heap-loop
-        reference, ``None`` (default) defers to the ambient
-        ``ExecutionConfig.detailed_fast_path``.  The batched kernel runs
-        both modes; S-MAC/T-MAC, an ``agent_factory``, a ``mac_factory``
-        or a ``tracer`` fall back to the reference automatically, and
-        :meth:`fallback_reason` says which.  Results are bit-identical
-        either way.
+
+    :meth:`run` takes the seed-batched kernel (:mod:`repro.detailed.batched`)
+    in either mode; S-MAC/T-MAC, an ``agent_factory``, a ``mac_factory``
+    or a ``tracer`` fall back to the heap loop, and :meth:`fallback_reason`
+    says which.  :meth:`run_reference` runs the heap loop directly.
+    Results are bit-identical either way.
     """
 
     def __init__(
@@ -153,7 +154,6 @@ class DetailedSimulator:
         tracer=None,
         mac_factory=None,
         scenario: Optional[RealizedScenario] = None,
-        fast_path: Optional[bool] = None,
     ) -> None:
         if scheduler not in ("psm", "smac", "tmac"):
             raise ValueError(
@@ -233,23 +233,11 @@ class DetailedSimulator:
                 topology.n_nodes
             )
         self._loss_probability = loss_probability
-        self._fast_path = fast_path
 
-    def _use_fast_path(self) -> bool:
-        """Batched kernel selection: explicit flag wins, else ambient config."""
-        if self._fast_path is not None:
-            return self._fast_path
-        from repro.runners.context import get_execution
-
-        return get_execution().detailed_fast_path
-
-    def fallback_reason(
-        self, fast_path: Optional[bool] = None
-    ) -> Optional[str]:
+    def fallback_reason(self) -> Optional[str]:
         """Why :meth:`run` takes the heap loop, or ``None`` if it batches.
 
-        See :func:`repro.detailed.batched.fallback_reason`; ``fast_path``
-        defaults to this simulator's kernel selection.
+        See :func:`repro.detailed.batched.fallback_reason`.
         """
         from repro.detailed.batched import fallback_reason
 
@@ -259,15 +247,14 @@ class DetailedSimulator:
             agent_factory=self._agent_factory,
             mac_factory=self._mac_factory,
             tracer=self._tracer,
-            fast_path=self._use_fast_path() if fast_path is None else fast_path,
         )
 
     def run(self, duration: Optional[float] = None) -> DetailedResult:
         """Execute the scenario and return its measurements.
 
         Routes through the seed-batched kernel
-        (:mod:`repro.detailed.batched`) when selected and supported —
-        bit-identical to the heap loop — and falls back to
+        (:mod:`repro.detailed.batched`) when the configuration is in its
+        scope — bit-identical to the heap loop — and falls back to
         :meth:`run_reference` otherwise.
         """
         if self.fallback_reason() is None:
@@ -280,8 +267,8 @@ class DetailedSimulator:
         """Execute via the event-heap reference loop (the parity baseline).
 
         Its telemetry span records why the reference ran: a scope reason
-        from :meth:`fallback_reason`, or ``"forced"`` when the batched
-        kernel was turned off or this method was called directly.
+        from :meth:`fallback_reason`, or ``"forced"`` for an in-scope run
+        (a degraded campaign attempt or a direct call).
         """
         duration = duration if duration is not None else self.config.duration
         cfg = self.config

@@ -32,6 +32,10 @@ priority queue over arrival times is both simpler and an order of magnitude
 faster than a full event-driven MAC, which matters at the paper's 5625-node
 scale.  The detailed simulator (:mod:`repro.detailed`) is the event-driven
 counterpart.
+
+``run_campaign``/``run_broadcast`` always run the lockstep array kernel;
+``run_campaign_reference``/``run_broadcast_reference`` run the scalar heap
+loop, its bit-identical oracle, called by name and never by an option.
 """
 
 from __future__ import annotations
@@ -317,14 +321,6 @@ class IdealSimulator:
         node per sleep period) or ``"broadcast"`` (one coin per node per
         broadcast — a sticky awake decision that collapses the per-frame
         renewal process onto exact bond percolation).
-    fast_path:
-        ``True`` forces the vectorized kernel that runs a campaign's
-        broadcasts in lockstep, ``False`` forces the scalar heap loop (the
-        reference implementation), and ``None`` (default) defers to the
-        ambient execution config (:mod:`repro.runners.context`, the CLI's
-        ``--no-fast-path``).  Both paths produce bit-identical
-        :class:`BroadcastOutcome`\\ s and campaign metrics — the parity
-        suite enforces it.
     failed_nodes:
         Failure injection: these nodes are dead before the first broadcast
         — they never receive, never forward, and count as unreached in
@@ -342,7 +338,6 @@ class IdealSimulator:
         source: Optional[int] = None,
         mode: SchedulingMode = SchedulingMode.PSM_PBBF,
         q_coin_scope: str = "frame",
-        fast_path: Optional[bool] = None,
         failed_nodes: Optional[Sequence[int]] = None,
     ) -> None:
         if q_coin_scope not in ("frame", "broadcast"):
@@ -374,20 +369,9 @@ class IdealSimulator:
             mask = np.zeros(topology.n_nodes, dtype=bool)
             mask[list(self.failed_nodes)] = True
             self._failed_mask = mask
-        self.fast_path = fast_path
         self._seed = seed
         self._q_salt = 0x51C0FFEE  # distinguishes q-coins from p-coins
         self._p_salt = 0x9B0ADCA5
-
-    def _use_fast_path(self) -> bool:
-        """Resolve the per-run kernel choice (explicit flag, else ambient)."""
-        if self.fast_path is not None:
-            return self.fast_path
-        # Imported lazily: repro.runners imports this module at package
-        # init, so a top-level import here would be circular.
-        from repro.runners.context import get_execution
-
-        return get_execution().fast_path
 
     # -- schedule geometry ----------------------------------------------------
 
@@ -456,13 +440,10 @@ class IdealSimulator:
         the containing frame's ATIM window, where the paper's updates always
         arrive) and propagates until no transmission remains pending.
 
-        Runs the vectorized kernel as a batch of one unless the scalar
-        reference loop was requested (``fast_path=False`` or the ambient
-        execution config); the two are bit-identical.
+        Runs the lockstep kernel as a batch of one;
+        :meth:`run_broadcast_reference` is its bit-identical oracle.
         """
         check_non_negative_int("index", index)
-        if not self._use_fast_path():
-            return self._run_broadcast_scalar(index)
         t_gen, receive, hops, parents, counters = self._run_batch([index])
         return _outcome(
             self.source, index, t_gen.item(), receive[0], hops[0], parents[0],
@@ -481,8 +462,10 @@ class IdealSimulator:
         t_gen = self.frame_start(frame)
         return t_gen, t_gen + cfg.t_active + cfg.l1
 
-    def _run_broadcast_scalar(self, index: int) -> BroadcastOutcome:
-        """Reference implementation: one heap entry per transmission."""
+    def run_broadcast_reference(self, index: int) -> BroadcastOutcome:
+        """:meth:`run_broadcast` on the scalar heap loop, the reference
+        implementation: one heap entry per transmission."""
+        check_non_negative_int("index", index)
         self._current_broadcast = index  # keys the broadcast-scope q-coins
         cfg = self.config
         n = self.topology.n_nodes
@@ -689,28 +672,43 @@ class IdealSimulator:
     def run_campaign(self, n_broadcasts: int) -> CampaignResult:
         """Generate ``n_broadcasts`` updates and aggregate their outcomes.
 
+        All broadcasts run as one lockstep kernel call (:meth:`_run_batch`).
         Energy accounting follows the paper's analysis: the duty-cycle term
         is the Eq. 7 expectation (which Figure 8 verifies the simulation
         matches exactly), plus the transmit-power premium for every actual
         transmission.  See DESIGN.md's ablation notes for what is folded in.
         """
+        return self._campaign(n_broadcasts, reference=False)
+
+    def run_campaign_reference(self, n_broadcasts: int) -> CampaignResult:
+        """:meth:`run_campaign` on the scalar heap loop, the kernel's oracle.
+
+        One :meth:`run_broadcast_reference` per broadcast; the result keeps
+        those records as its :attr:`CampaignResult.outcomes`.  Bit-identical
+        to :meth:`run_campaign` (the parity suite enforces it); the runner
+        calls it only for ``on_exhausted="degrade"`` attempts.
+        """
+        return self._campaign(n_broadcasts, reference=True)
+
+    def _campaign(self, n_broadcasts: int, reference: bool) -> CampaignResult:
         if n_broadcasts <= 0:
             raise ValueError(f"n_broadcasts must be > 0, got {n_broadcasts}")
         from repro.obs import get_recorder
 
-        fast = self._use_fast_path()
         outcomes: Optional[List[BroadcastOutcome]] = None
         with get_recorder().span(
             "kernel.ideal",
             broadcasts=n_broadcasts,
             nodes=self.topology.n_nodes,
-            fast_path=fast,
+            fast_path=not reference,
         ):
-            if fast:
-                arrays = self._run_batch(range(n_broadcasts))
-            else:
-                outcomes = [self._run_broadcast_scalar(i) for i in range(n_broadcasts)]
+            if reference:
+                outcomes = [
+                    self.run_broadcast_reference(i) for i in range(n_broadcasts)
+                ]
                 arrays = _stack_outcomes(outcomes)
+            else:
+                arrays = self._run_batch(range(n_broadcasts))
         t_gen, receive, hops, parents, counters = arrays
         duration = n_broadcasts * self.config.update_interval
         return CampaignResult(

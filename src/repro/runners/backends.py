@@ -20,8 +20,9 @@ returns schema-invalid metrics, hangs past the policy's ``timeout_s`` or
 takes its worker process down with it is retried immediately (bounded
 attempts) and, once exhausted, handled per ``on_exhausted`` —
 recorded as a :class:`~repro.runners.failures.RunFailure` (``skip``),
-given one last in-parent attempt on the reference kernels (``degrade``),
-or surfaced in a :class:`CampaignExecutionError` *after* the rest of the
+given one last in-parent attempt on the reference kernels (``degrade``,
+the one caller of ``evaluate_run_batch(..., reference=True)``), or
+surfaced in a :class:`CampaignExecutionError` *after* the rest of the
 batch completes (``raise``, the default).  The pool backend rebuilds its
 executor when workers die and falls back to in-parent serial execution
 when rebuilds exceed the policy's bound, so serial and pool behave
@@ -41,12 +42,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import ensure_recorder, get_recorder
 from repro.runners import faults
-from repro.runners.context import (
-    execution,
-    get_execution,
-    get_stats,
-    set_execution,
-)
+from repro.runners.context import get_execution, get_stats, set_execution
 from repro.runners.failures import (
     CampaignExecutionError,
     CorruptResultError,
@@ -84,12 +80,14 @@ _POLL_INTERVAL_S = 0.05
 _SMALL_CAMPAIGN_PER_WORKER = 8
 
 
-def _evaluate_batch_task(task: _BatchTask) -> List[Dict[str, Any]]:
+def _evaluate_batch_task(
+    task: _BatchTask, reference: bool = False
+) -> List[Dict[str, Any]]:
     """Evaluate one point's grouped seeds, one flat dict per seed."""
     kind, params, seeds = task
     return [
         metrics_to_dict(metrics)
-        for metrics in evaluate_run_batch(kind, params, seeds)
+        for metrics in evaluate_run_batch(kind, params, seeds, reference)
     ]
 
 
@@ -185,17 +183,14 @@ def _group_runs(runs: Sequence[CampaignRun]) -> List[_BatchTask]:
 
 
 def _init_worker(
-    fast_path: bool,
-    detailed_fast_path: bool,
     fault_plan_token: Optional[str] = None,
     telemetry_dir: Optional[str] = None,
 ) -> None:
-    """Install the parent's evaluation-affecting execution flags.
+    """Install the parent's fault plan and telemetry directory.
 
     The ambient :class:`ExecutionConfig` is a module global, so spawned
-    (or forkserver) workers re-import it with defaults; without this the
-    parent's ``--no-fast-path`` / ``--no-detailed-fast-path`` — and any
-    context-installed fault plan — would silently not reach the pool.
+    (or forkserver) workers re-import it with defaults; without this a
+    context-installed fault plan would silently not reach the pool.
     ``telemetry_dir`` rides along so pool workers append their own event
     files beside the parent's (observation only; it affects no result).
     """
@@ -204,12 +199,7 @@ def _init_worker(
         if fault_plan_token
         else None
     )
-    set_execution(
-        fast_path=fast_path,
-        detailed_fast_path=detailed_fast_path,
-        fault_plan=plan,
-        telemetry_dir=telemetry_dir,
-    )
+    set_execution(fault_plan=plan, telemetry_dir=telemetry_dir)
     ensure_recorder(telemetry_dir, role="pool-worker")
     faults.mark_pool_worker()
 
@@ -330,14 +320,13 @@ def _degraded_attempt(
 ) -> Tuple[Optional[List[Dict[str, Any]]], Optional[BaseException]]:
     """Last-resort in-parent attempt on the reference kernels.
 
-    Mirrors ``on_exhausted="degrade"``'s promise: no pool, no fast-path
+    Mirrors ``on_exhausted="degrade"``'s promise: no pool, no fast
     kernels, no fault injection — if the reference implementation can
     produce the point, the campaign gets it.
     """
     try:
-        with execution(fast_path=False, detailed_fast_path=False):
-            with faults.suppress_faults():
-                flats = _evaluate_batch_task(lease.task)
+        with faults.suppress_faults():
+            flats = _evaluate_batch_task(lease.task, reference=True)
         return _validated(lease, flats), None
     except KeyboardInterrupt:
         raise
@@ -556,8 +545,6 @@ class ProcessPoolBackend:
             max_workers=workers,
             initializer=_init_worker,
             initargs=(
-                config.fast_path,
-                config.detailed_fast_path,
                 plan.token if plan is not None else None,
                 config.telemetry_dir,
             ),

@@ -20,12 +20,10 @@ Writes are atomic (temp file + ``os.replace``) so a crashed run never
 leaves a half-written entry behind; tmp files orphaned by a killed
 writer are swept by ``purge`` once they are stale.
 
-Size budget: ``ResultCache(max_size_mb=...)`` (or the
-``REPRO_CACHE_MAX_MB`` environment variable, or the CLI's
-``--cache-max-size-mb``) applies the oldest-first size purge
-automatically at write time, so unattended long-running deployments
-never grow the cache past the budget — no scheduled ``cache purge``
-required.
+Writes never evict: ``purge`` (the CLI's ``cache purge
+--max-age-days/--max-size-mb``) is the one way to shrink the cache.  A
+full-scale run of every figure stores about 3,200 entries of about
+430 bytes each.
 """
 
 from __future__ import annotations
@@ -76,15 +74,11 @@ class PurgeReport(int):
 
     An ``int`` subclass so existing ``purge(...) == n`` call sites keep
     working unchanged; the sweep details ride along as attributes.
-    ``entry_bytes`` is what the removed entries occupied — the
-    evict-on-insert budget keeps its running byte total incremental by
-    subtracting it instead of re-walking the directory.
     """
 
     tmp_swept: int
     tmp_bytes: int
     corrupt_swept: int
-    entry_bytes: int
 
     def __new__(
         cls,
@@ -92,13 +86,11 @@ class PurgeReport(int):
         tmp_swept: int = 0,
         tmp_bytes: int = 0,
         corrupt_swept: int = 0,
-        entry_bytes: int = 0,
     ) -> "PurgeReport":
         self = super().__new__(cls, removed)
         self.tmp_swept = tmp_swept
         self.tmp_bytes = tmp_bytes
         self.corrupt_swept = corrupt_swept
-        self.entry_bytes = entry_bytes
         return self
 
     def __str__(self) -> str:
@@ -108,59 +100,18 @@ class PurgeReport(int):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PurgeReport(removed={int(self)}, tmp_swept={self.tmp_swept}, "
-            f"tmp_bytes={self.tmp_bytes}, corrupt_swept={self.corrupt_swept}, "
-            f"entry_bytes={self.entry_bytes})"
+            f"tmp_bytes={self.tmp_bytes}, corrupt_swept={self.corrupt_swept})"
         )
-
-
-def default_max_size_mb() -> Optional[float]:
-    """``$REPRO_CACHE_MAX_MB`` as a float, or ``None`` (unbudgeted).
-
-    An unparsable value degrades to no budget with one warning — the
-    cache is a performance layer and must never fail a campaign.
-    """
-    env = os.environ.get("REPRO_CACHE_MAX_MB")
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        warnings.warn(
-            f"ignoring REPRO_CACHE_MAX_MB={env!r} (not a number)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return value if value >= 0 else None
 
 
 class ResultCache:
-    """JSON-file cache of point results, sharded by key prefix.
+    """JSON-file cache of point results, sharded by key prefix."""
 
-    ``max_size_mb`` arms the evict-on-insert budget: every write that
-    pushes the cache past the budget triggers the same oldest-first purge
-    as ``cache purge --max-size-mb``.  ``None`` consults
-    ``$REPRO_CACHE_MAX_MB``; no budget anywhere means writes never evict.
-    """
-
-    def __init__(
-        self,
-        root: Optional[Union[str, Path]] = None,
-        max_size_mb: Optional[float] = None,
-    ) -> None:
+    def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        if max_size_mb is None:
-            max_size_mb = default_max_size_mb()
-        if max_size_mb is not None and max_size_mb < 0:
-            raise ValueError(f"max_size_mb must be >= 0, got {max_size_mb}")
-        self.max_size_mb = max_size_mb
         #: Corrupt entries this instance moved aside (see ``_quarantine``).
         self.quarantined = 0
         self._write_failed = False
-        #: Running byte total of stored entries, maintained across writes
-        #: once the first budget check scans the directory (so each
-        #: subsequent put is O(1) unless it actually evicts).
-        self._tracked_bytes: Optional[int] = None
 
     def _path(self, key: str) -> Path:
         return self.root / "points" / key[:2] / f"{key}.json"
@@ -239,10 +190,6 @@ class ResultCache:
             tmp = path.with_suffix(f".{os.getpid()}.tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(text)
-            try:
-                replaced_size = path.stat().st_size
-            except OSError:
-                replaced_size = 0  # fresh key: nothing being overwritten
             os.replace(tmp, path)
         except OSError as exc:
             self._write_failed = True
@@ -255,52 +202,6 @@ class ResultCache:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return
-        if self.max_size_mb is not None:
-            self._enforce_budget(path, replaced_size)
-
-    def _enforce_budget(self, just_written: Path, replaced_size: int) -> None:
-        """Evict-on-insert: shrink to the byte budget after a write.
-
-        The running byte total is seeded with one directory scan and then
-        maintained incrementally — overwrites contribute only their size
-        *delta* (``replaced_size`` is what the write displaced); over
-        budget, the standard oldest-first purge runs (the just-written
-        entry has the newest mtime, so it survives unless the budget is
-        smaller than that single entry) and the total drops by the
-        purge's reclaimed ``entry_bytes``.  A cache sitting *at* its
-        budget therefore pays one directory walk per purge (the eviction
-        scan itself, which needs every entry's mtime), never a second
-        full ``_scan_bytes`` re-measure per ``put``.  Concurrent writers
-        can drift the incremental total; a total that goes negative is
-        the tell, and triggers one corrective re-scan.
-        """
-        try:
-            written_size = just_written.stat().st_size
-        except OSError:
-            return  # raced with a concurrent purge; next write re-checks
-        if self._tracked_bytes is None:
-            self._tracked_bytes = self._scan_bytes()
-        else:
-            self._tracked_bytes += written_size - replaced_size
-        if self._tracked_bytes <= self.max_size_mb * 1024.0 * 1024.0:
-            return
-        before = self._tracked_bytes
-        report = self.purge(max_size_mb=self.max_size_mb)
-        remaining = before - report.entry_bytes
-        # purge() invalidated the total (it must, for external callers);
-        # restore it from the reclaimed-bytes report.
-        self._tracked_bytes = remaining if remaining >= 0 else self._scan_bytes()
-
-    def _scan_bytes(self) -> int:
-        """Total size of stored entries (one directory walk)."""
-        total = 0
-        for path in self.entry_paths():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
 
     def has(self, key: str) -> bool:
         """Cheap existence probe (no parse/validation; ``get`` still may miss)."""
@@ -398,25 +299,20 @@ class ResultCache:
             raise ValueError(f"max_size_mb must be >= 0, got {max_size_mb}")
         if tmp_age_s is None:
             tmp_age_s = self.TMP_SWEEP_AGE_S
-        # Any purge invalidates the evict-on-insert running total; the
-        # budget path restores it from this report's ``entry_bytes``.
-        self._tracked_bytes = None
         removed = 0
-        entry_bytes = 0
         entries: List[Tuple[float, int, Path]] = []
         for path in list(self.entry_paths()):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # raced with a concurrent purge
             if max_age_days is None and max_size_mb is None:
                 try:
                     path.unlink()
                     removed += 1
-                    entry_bytes += stat.st_size
                 except OSError:
-                    continue
+                    continue  # raced with a concurrent purge
                 continue
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # raced with a concurrent purge
             entries.append((stat.st_mtime, stat.st_size, path))
         if entries:
             reference = now if now is not None else time.time()
@@ -429,7 +325,6 @@ class ResultCache:
                     try:
                         path.unlink()
                         removed += 1
-                        entry_bytes += size
                     except OSError:
                         continue
                 else:
@@ -447,7 +342,6 @@ class ResultCache:
                     except OSError:
                         continue
                     removed += 1
-                    entry_bytes += size
                     total -= size
         points = self.root / "points"
         reference = now if now is not None else time.time()
@@ -491,7 +385,6 @@ class ResultCache:
             tmp_swept=tmp_swept,
             tmp_bytes=tmp_bytes,
             corrupt_swept=corrupt_swept,
-            entry_bytes=entry_bytes,
         )
 
     def __contains__(self, key: str) -> bool:

@@ -237,8 +237,7 @@ def run_campaign(
             store = cache
         else:
             store = ResultCache(
-                cache if cache is not None else config.cache_dir,
-                max_size_mb=config.cache_max_size_mb,
+                cache if cache is not None else config.cache_dir
             )
 
     runs = spec.runs()

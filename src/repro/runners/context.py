@@ -2,11 +2,12 @@
 
 Figure generators keep their ``runner(scale) -> ExperimentResult``
 signature, so execution choices — the worker count (``jobs``, the only
-parallelism choice), cache location, cache bypass — flow through an
-ambient :class:`ExecutionConfig` instead of being threaded through
-every call site.  The CLI installs one from its
-``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags; tests and benchmarks
-scope overrides with the :func:`execution` context manager.
+parallelism choice), cache location, cache bypass, progress, the failure
+policy, fault injection and telemetry — flow through an ambient
+:class:`ExecutionConfig` instead of being threaded through every call
+site.  The CLI installs one from its execution flags; tests and
+benchmarks scope overrides with the :func:`execution` context manager.
+No field selects a simulator kernel (see :mod:`repro.runners.points`).
 
 :class:`ExecutionStats` counts, per process, how many points were
 actually simulated versus satisfied from the in-process memo or the disk
@@ -42,17 +43,6 @@ class ExecutionConfig:
     cache_dir: Optional[str] = None
     #: Master switch for the on-disk cache.
     use_cache: bool = True
-    #: Evict-on-insert size budget in MiB for the on-disk cache; ``None``
-    #: falls back to ``$REPRO_CACHE_MAX_MB`` (no budget when unset).
-    cache_max_size_mb: Optional[float] = None
-    #: Route ideal-simulator broadcasts through the vectorized frontier
-    #: kernel (bit-identical to the scalar loop; ``--no-fast-path`` and
-    #: parity tests flip this off to exercise the reference path).
-    fast_path: bool = True
-    #: Route detailed-simulator runs through the seed-batched SoA kernel
-    #: (bit-identical to the event-heap loop; ``--no-detailed-fast-path``
-    #: and parity tests flip this off to exercise the reference path).
-    detailed_fast_path: bool = True
     #: Campaign-level progress reporting: called in the *parent* process
     #: after the cache scan and then after every computed point, whatever
     #: backend runs it (the CLI's ``--progress`` installs a printer).

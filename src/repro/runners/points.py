@@ -21,6 +21,11 @@ hands a backend only runs whose key it has not memoized yet.  The one
 in-process cache here is the scenario memo behind
 :func:`_realized_scenario`.
 
+Evaluators run each simulator's fast kernel; only degraded attempts
+(``on_exhausted="degrade"``) pass ``reference=True`` to
+:func:`evaluate_run_batch` for the reference loops.  Percolation has one
+kernel.
+
 Scenario resolution: all three kinds accept a ``scenario`` parameter — a
 :attr:`repro.scenarios.ScenarioSpec.token` string naming the topology
 family, source policy and perturbations (pre-broadcast failures, mid-run
@@ -140,12 +145,14 @@ def _grid_or_scenario(
 
 
 def _summarize_ideal_campaign(
-    simulator: IdealSimulator, n_broadcasts: int, hop_near: int, hop_far: int
+    simulator: IdealSimulator, n_broadcasts: int, hop_near: int, hop_far: int,
+    reference: bool = False,
 ) -> IdealPointMetrics:
     """Run one ideal-simulator campaign and summarise the figure metrics."""
+    run = simulator.run_campaign_reference if reference else simulator.run_campaign
     recorder = get_recorder()
     with recorder.span("phase.simulate", kind="ideal"):
-        campaign = simulator.run_campaign(n_broadcasts)
+        campaign = run(n_broadcasts)
     with recorder.span("phase.analyze", kind="ideal"):
         return IdealPointMetrics(
             reliability_90=campaign.reliability(0.90),
@@ -159,7 +166,7 @@ def _summarize_ideal_campaign(
 
 
 def _evaluate_ideal(
-    params: Mapping[str, Any], seeds: Sequence[int]
+    params: Mapping[str, Any], seeds: Sequence[int], reference: bool
 ) -> List[IdealPointMetrics]:
     """One ideal-simulator campaign per seed on the point's world."""
     pbbf = PBBFParams(p=float(params["p"]), q=float(params["q"]))
@@ -182,6 +189,7 @@ def _evaluate_ideal(
                 int(params["n_broadcasts"]),
                 int(params["hop_near"]),
                 int(params["hop_far"]),
+                reference,
             )
         )
     return bundles
@@ -253,16 +261,16 @@ def _detailed_simulator(params: Mapping[str, Any], seed: int):
 
 
 def _evaluate_detailed(
-    params: Mapping[str, Any], seeds: Sequence[int]
+    params: Mapping[str, Any], seeds: Sequence[int], reference: bool
 ) -> List[DetailedPointMetrics]:
     """Every seed of a detailed point, in one batched-kernel call if it can.
 
     The seeds share one configuration, so the first simulator's
     :meth:`~repro.detailed.simulator.DetailedSimulator.fallback_reason`
-    (which honours the ambient ``detailed_fast_path`` flag) speaks for
-    all of them: in scope, :func:`repro.detailed.batched.run_batch`
-    advances machinery instants once for every seed; otherwise each seed
-    runs on its own.  Results are bit-identical either way.
+    speaks for all of them: in scope, :func:`repro.detailed.batched.run_batch`
+    advances machinery instants once for every seed; otherwise, or with
+    ``reference``, each seed runs on the heap loop.  Results are
+    bit-identical either way.
     """
     from repro.detailed import batched
 
@@ -270,22 +278,23 @@ def _evaluate_detailed(
     with recorder.span("phase.realize", kind="detailed", seeds=len(seeds)):
         sims = [_detailed_simulator(params, seed) for seed in seeds]
     with recorder.span("phase.simulate", kind="detailed", seeds=len(seeds)):
-        if sims and sims[0].fallback_reason() is None:
+        if sims and not reference and sims[0].fallback_reason() is None:
             results = batched.run_batch(sims)
         else:
-            results = [sim.run() for sim in sims]
+            results = [sim.run_reference() for sim in sims]
     with recorder.span("phase.analyze", kind="detailed"):
         return [_summarize_detailed(result.metrics) for result in results]
 
 
 def _evaluate_percolation(
-    params: Mapping[str, Any], seeds: Sequence[int]
+    params: Mapping[str, Any], seeds: Sequence[int], reference: bool
 ) -> List[PercolationPointMetrics]:
     """Critical bond/site fraction summary per seed on the point's world.
 
     The percolation process itself is the failure model here, so a
     scenario's source policy and perturbations are ignored — only its
-    topology matters.
+    topology matters.  It has one kernel, so ``reference`` changes
+    nothing.
     """
     process = str(params.get("process", "bond"))
     if process not in ("bond", "site"):
@@ -327,7 +336,7 @@ class KindEvaluator(NamedTuple):
     """One simulator kind: its metrics bundle and its evaluator."""
 
     metrics_type: type
-    evaluate: Callable[[Mapping[str, Any], Sequence[int]], List[Any]]
+    evaluate: Callable[[Mapping[str, Any], Sequence[int], bool], List[Any]]
 
 
 #: The simulator kinds campaigns can run, by name.
@@ -348,10 +357,18 @@ def _lookup(kind: str) -> KindEvaluator:
 
 
 def evaluate_run_batch(
-    kind: str, params: Mapping[str, Any], seeds: Sequence[int]
+    kind: str,
+    params: Mapping[str, Any],
+    seeds: Sequence[int],
+    reference: bool = False,
 ) -> List[Any]:
-    """Evaluate one campaign point at every seed: bundles in seed order."""
-    return _lookup(kind).evaluate(params, list(seeds))
+    """Evaluate one campaign point at every seed: bundles in seed order.
+
+    ``reference`` runs the simulators' reference loops instead of their
+    fast kernels, with bit-identical results; only degraded attempts
+    (``on_exhausted="degrade"``) ask for it.
+    """
+    return _lookup(kind).evaluate(params, list(seeds), reference)
 
 
 def evaluate_run(kind: str, params: Mapping[str, Any], seed: int):

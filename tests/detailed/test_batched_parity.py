@@ -18,7 +18,6 @@ from repro.detailed.config import CodeDistributionParameters
 from repro.detailed.simulator import DetailedSimulator
 from repro.ideal.simulator import SchedulingMode
 from repro.net.trace import PacketTracer
-from repro.runners.context import execution, get_execution
 from repro.scenarios import ScenarioSpec
 
 CONFIG = CodeDistributionParameters(n_nodes=16, density=9.0, duration=150.0)
@@ -273,12 +272,12 @@ class TestBatchedScope:
         assert reason(agent_factory=PBBFAgent) == "agent_factory"
         assert reason(mac_factory=object()) == "mac_factory"
         assert reason(tracer=PacketTracer()) == "tracer"
-        assert reason(fast_path=False) == "forced"
-        with execution(detailed_fast_path=False):
-            assert reason() == "forced"
-            # A scope reason wins over the flag.
-            assert reason(scheduler="smac") == "scheduler"
-        assert fallback_reason(ALWAYS_ON, fast_path=False) == "forced"
+        assert fallback_reason(ALWAYS_ON) is None
+
+    def test_fast_path_is_not_a_constructor_argument(self):
+        """No option selects the kernel: ``run`` decides by scope alone."""
+        with pytest.raises(TypeError):
+            DetailedSimulator(PBBFParams(0.5, 0.5), CONFIG, seed=0, fast_path=False)
 
     def test_run_batch_rejects_unsupported(self):
         sim = DetailedSimulator(
@@ -337,31 +336,3 @@ class TestBatchedEnergyBookkeeping:
         for node in realized.failed_nodes:
             assert got.node_joules[node] == sleep_w * config.duration
 
-
-class TestDetailedFastPathSelection:
-    def test_defaults_to_ambient_execution_config(self):
-        sim = DetailedSimulator(PBBFParams(0.5, 0.5), CONFIG, seed=0)
-        assert get_execution().detailed_fast_path is True
-        assert sim._use_fast_path() is True
-        with execution(detailed_fast_path=False):
-            assert sim._use_fast_path() is False
-        assert sim._use_fast_path() is True
-
-    def test_explicit_flag_wins_over_context(self):
-        forced = DetailedSimulator(
-            PBBFParams(0.5, 0.5), CONFIG, seed=0, fast_path=True
-        )
-        with execution(detailed_fast_path=False):
-            assert forced._use_fast_path() is True
-        reference = DetailedSimulator(
-            PBBFParams(0.5, 0.5), CONFIG, seed=0, fast_path=False
-        )
-        assert reference._use_fast_path() is False
-
-    def test_run_respects_context_flip(self):
-        with execution(detailed_fast_path=False):
-            ref = DetailedSimulator(
-                PBBFParams(0.5, 0.5), CONFIG, seed=3
-            ).run()
-        fast = DetailedSimulator(PBBFParams(0.5, 0.5), CONFIG, seed=3).run()
-        assert ref.node_joules == fast.node_joules

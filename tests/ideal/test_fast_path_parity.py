@@ -1,12 +1,13 @@
 """Scalar-vs-vectorized parity contract for the ideal simulator.
 
-The vectorized kernel (`fast_path=True`), which runs a campaign's
-broadcasts in lockstep, must produce *bit-identical*
-:class:`BroadcastOutcome`\\ s to the scalar heap loop (`fast_path=False`)
-— same receive times (float-for-float), same hop counts, same
-spanning-tree parents, same transmission counters — across both
-scheduling modes, both q-coin scopes, and a wide seed/parameter matrix,
-both for single broadcasts (a batch of one) and for whole campaigns.
+The vectorized kernel (`run_broadcast` / `run_campaign`), which runs a
+campaign's broadcasts in lockstep, must produce *bit-identical*
+:class:`BroadcastOutcome`\\ s to the scalar heap loop
+(`run_broadcast_reference` / `run_campaign_reference`) — same receive
+times (float-for-float), same hop counts, same spanning-tree parents,
+same transmission counters — across both scheduling modes, both
+q-coin scopes, and a wide seed/parameter matrix, both for single
+broadcasts (a batch of one) and for whole campaigns.
 The array-backed :class:`CampaignResult` metrics must equal the loops
 over the outcomes they replaced.  This equality is what lets the fast
 path replace the reference implementation in every figure campaign
@@ -23,7 +24,6 @@ from repro.core.params import PBBFParams
 from repro.ideal.config import AnalysisParameters
 from repro.ideal.simulator import CampaignResult, IdealSimulator, SchedulingMode
 from repro.net.topology import GridTopology, RandomTopology
-from repro.runners.context import execution, get_execution
 from repro.runners.points import _summarize_ideal_campaign
 from repro.scenarios import ScenarioSpec
 
@@ -37,10 +37,10 @@ OPERATING_POINTS = [(0.0, 0.0), (0.2, 0.3), (0.5, 0.6), (1.0, 1.0), (0.05, 0.9)]
 
 def outcomes_pair(topology, params, index=0, **kwargs):
     scalar = IdealSimulator(
-        topology, params, CONFIG, fast_path=False, **kwargs
-    ).run_broadcast(index)
+        topology, params, CONFIG, **kwargs
+    ).run_broadcast_reference(index)
     fast = IdealSimulator(
-        topology, params, CONFIG, fast_path=True, **kwargs
+        topology, params, CONFIG, **kwargs
     ).run_broadcast(index)
     return scalar, fast
 
@@ -88,11 +88,11 @@ class TestBroadcastParity:
         for mode, scope in itertools.product(MODES, SCOPES):
             a = IdealSimulator(
                 GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5,
-                mode=mode, q_coin_scope=scope, fast_path=False,
-            ).run_campaign(4)
+                mode=mode, q_coin_scope=scope,
+            ).run_campaign_reference(4)
             b = IdealSimulator(
                 GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5,
-                mode=mode, q_coin_scope=scope, fast_path=True,
+                mode=mode, q_coin_scope=scope,
             ).run_campaign(4)
             assert a.outcomes == b.outcomes
             assert a.total_joules == b.total_joules
@@ -140,12 +140,10 @@ class TestFailureInjectionParity:
     def test_campaign_energy_parity_with_failures(self):
         failed = (0, 1, 16, 17, 44, 199)
         a = IdealSimulator(
-            GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5,
-            fast_path=False, failed_nodes=failed,
-        ).run_campaign(3)
+            GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5, failed_nodes=failed,
+        ).run_campaign_reference(3)
         b = IdealSimulator(
-            GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5,
-            fast_path=True, failed_nodes=failed,
+            GRID, PBBFParams(0.5, 0.6), CONFIG, seed=5, failed_nodes=failed,
         ).run_campaign(3)
         assert a.outcomes == b.outcomes
         assert a.total_joules == b.total_joules
@@ -157,10 +155,10 @@ ARRAYS = ("t_generated", "receive_times", "hops", "parents", "counters")
 
 def campaign_pair(topology, params, n_broadcasts, config=CONFIG, **kwargs):
     scalar = IdealSimulator(
-        topology, params, config, fast_path=False, **kwargs
-    ).run_campaign(n_broadcasts)
+        topology, params, config, **kwargs
+    ).run_campaign_reference(n_broadcasts)
     fast = IdealSimulator(
-        topology, params, config, fast_path=True, **kwargs
+        topology, params, config, **kwargs
     ).run_campaign(n_broadcasts)
     return scalar, fast
 
@@ -318,7 +316,6 @@ class TestCampaignParity:
         """``run_broadcast(i)`` is row ``i`` of the lockstep campaign."""
         sim = IdealSimulator(
             GRID, PBBFParams(0.3, 0.7), CONFIG, seed=4, q_coin_scope=scope,
-            fast_path=True,
         )
         campaign = sim.run_campaign(6)
         assert [sim.run_broadcast(i) for i in range(6)] == campaign.outcomes
@@ -334,7 +331,7 @@ class TestSummaryParity:
         for seed in range(3):
             campaign = IdealSimulator(
                 GRID, PBBFParams(p, q), CONFIG, seed=seed, mode=mode,
-                q_coin_scope=scope, fast_path=True,
+                q_coin_scope=scope,
             ).run_campaign(7)
             assert array_summary(campaign) == loop_summary(campaign)
 
@@ -344,7 +341,7 @@ class TestSummaryParity:
         for failed in (walled_in, walled_in[:2] + (0, 1, 2, 224)):
             campaign = IdealSimulator(
                 GRID, PBBFParams(0.5, 0.3), CONFIG, seed=8,
-                failed_nodes=failed, fast_path=True,
+                failed_nodes=failed,
             ).run_campaign(5)
             assert array_summary(campaign) == loop_summary(campaign)
 
@@ -352,7 +349,6 @@ class TestSummaryParity:
         campaign = IdealSimulator(
             GRID, PBBFParams(0.5, 0.3), CONFIG, seed=8,
             failed_nodes=tuple(GRID.neighbors(GRID.center_node())),
-            fast_path=True,
         ).run_campaign(4)
         assert campaign.mean_per_hop_latency() is None
         assert campaign.mean_hops_at_distance(2) is None
@@ -366,24 +362,14 @@ class TestSummaryParity:
             raise AssertionError("outcomes were materialized")
 
         monkeypatch.setattr(CampaignResult, "outcomes", property(refuse))
-        sim = IdealSimulator(GRID, PBBFParams(0.5, 0.6), CONFIG, seed=3, fast_path=True)
+        sim = IdealSimulator(GRID, PBBFParams(0.5, 0.6), CONFIG, seed=3)
         metrics = _summarize_ideal_campaign(sim, 5, 2, 4)
         assert 0.0 < metrics.mean_coverage <= 1.0
         assert sim.run_campaign(5).n_broadcasts == 5
 
 
-class TestFastPathSelection:
-    def test_defaults_to_ambient_execution_config(self):
-        sim = IdealSimulator(GRID, PBBFParams(0.5, 0.5))
-        assert get_execution().fast_path is True
-        assert sim._use_fast_path() is True
-        with execution(fast_path=False):
-            assert sim._use_fast_path() is False
-        assert sim._use_fast_path() is True
-
-    def test_explicit_flag_wins_over_context(self):
-        forced = IdealSimulator(GRID, PBBFParams(0.5, 0.5), fast_path=True)
-        with execution(fast_path=False):
-            assert forced._use_fast_path() is True
-        reference = IdealSimulator(GRID, PBBFParams(0.5, 0.5), fast_path=False)
-        assert reference._use_fast_path() is False
+class TestKernelsByName:
+    def test_fast_path_is_not_a_constructor_argument(self):
+        """No option selects the kernel: each is called by name."""
+        with pytest.raises(TypeError):
+            IdealSimulator(GRID, PBBFParams(0.5, 0.5), fast_path=False)

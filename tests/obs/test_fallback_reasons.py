@@ -15,12 +15,21 @@ from repro.adaptive import AdaptivePolicy
 from repro.ideal.simulator import SchedulingMode
 from repro.runners import (
     CampaignSpec,
+    FailurePolicy,
+    FaultPlan,
     clear_run_caches,
     execution,
     run_campaign,
 )
 
 PSM_PBBF = SchedulingMode.PSM_PBBF.value
+
+#: Every result comes back corrupt and no retry is allowed, so each run
+#: is recomputed by a degraded attempt on the reference kernels.
+DEGRADE = {
+    "fault_plan": FaultPlan(corrupt_result_rate=1.0, max_attempt=99),
+    "failure_policy": FailurePolicy(max_retries=0, on_exhausted="degrade"),
+}
 
 
 def detailed_spec(**extra) -> CampaignSpec:
@@ -71,7 +80,7 @@ def run_with_reasons(spec, telemetry_dir=None, **config):
     [
         ({"scheduler": "smac"}, {}, "scheduler"),
         ({"adaptive": AdaptivePolicy().token}, {}, "agent_factory"),
-        ({}, {"detailed_fast_path": False}, "forced"),
+        ({}, DEGRADE, "forced"),
     ],
     ids=["smac", "adaptive", "forced"],
 )

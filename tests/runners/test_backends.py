@@ -97,19 +97,18 @@ class TestDegradeRunsTheReferenceKernels:
         clear_run_caches()
         clean = SerialBackend().execute(runs)
         reference_runs = []
-        ideal_campaign = IdealSimulator.run_campaign
+        ideal_reference = IdealSimulator.run_campaign_reference
         detailed_reference = DetailedSimulator.run_reference
 
         def spy_ideal(sim, n_broadcasts):
-            if not sim._use_fast_path():
-                reference_runs.append("ideal")
-            return ideal_campaign(sim, n_broadcasts)
+            reference_runs.append("ideal")
+            return ideal_reference(sim, n_broadcasts)
 
         def spy_detailed(sim, duration=None):
             reference_runs.append("detailed")
             return detailed_reference(sim, duration)
 
-        monkeypatch.setattr(IdealSimulator, "run_campaign", spy_ideal)
+        monkeypatch.setattr(IdealSimulator, "run_campaign_reference", spy_ideal)
         monkeypatch.setattr(DetailedSimulator, "run_reference", spy_detailed)
         clear_run_caches()
         plan = FaultPlan(corrupt_result_rate=1.0, max_attempt=99)

@@ -241,137 +241,9 @@ class TestCliFlags:
         assert code == 2
 
 
-class TestEvictOnInsert:
-    """`ResultCache(max_size_mb=...)` applies the size purge at write time."""
+class TestNoWriteBudget:
+    """Writes never evict: ``purge`` is the one way to shrink the cache."""
 
-    def test_under_budget_writes_keep_everything(self, tmp_path):
-        cache = ResultCache(tmp_path, max_size_mb=1.0)
-        keys = seed_entries(cache, 4, size_bytes=200)
-        assert all(cache.has(k) for k in keys)
-
-    def test_over_budget_write_evicts_oldest_first(self, tmp_path):
-        # ~5 KiB budget, ~2 KiB entries: the 4th+ write must evict.
-        budget_mb = 5.0 / 1024.0
-        cache = ResultCache(tmp_path, max_size_mb=budget_mb)
-        now = time.time()
-        keys = seed_entries(cache, 3, size_bytes=2048, age_step_days=1.0, now=now)
-        fresh_key = "ff" + "cd" * 31
-        cache.put(fresh_key, {"kind": "ideal", "metrics": {}, "pad": "x" * 2000})
-        assert cache.has(fresh_key)       # the just-written entry survives
-        assert not cache.has(keys[0])     # the oldest paid for it
-        total = sum(p.stat().st_size for p in cache.entry_paths())
-        assert total <= budget_mb * 1024 * 1024
-
-    def test_budget_tracked_incrementally_across_writes(self, tmp_path):
-        budget_mb = 5.0 / 1024.0
-        cache = ResultCache(tmp_path, max_size_mb=budget_mb)
-        now = time.time()
-        seed_entries(cache, 2, size_bytes=2048, age_step_days=1.0, now=now)
-        for k in range(5):
-            cache.put(
-                f"e{k:01d}" + "ef" * 31,
-                {"kind": "ideal", "metrics": {}, "pad": "x" * 2000},
-            )
-        total = sum(p.stat().st_size for p in cache.entry_paths())
-        assert total <= budget_mb * 1024 * 1024
-
-    def test_overwrites_track_the_delta_not_the_sum(self, tmp_path):
-        """Re-putting an existing key must not inflate the byte total."""
-        budget_mb = 5.0 / 1024.0
-        cache = ResultCache(tmp_path, max_size_mb=budget_mb)
-        keys = seed_entries(cache, 2, size_bytes=1500)
-        hot_key = "aa" + "ba" * 31
-        for _ in range(10):  # naive sum-tracking would cross the budget
-            cache.put(
-                hot_key, {"kind": "ideal", "metrics": {}, "pad": "x" * 1400}
-            )
-        # Three entries (~4.4 KiB) fit the 5 KiB budget: nothing evicted.
-        assert all(cache.has(k) for k in keys)
-        assert cache.has(hot_key)
-
-    def test_no_budget_never_evicts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = seed_entries(cache, 6, size_bytes=2048)
-        assert all(cache.has(k) for k in keys)
-
-    def test_negative_budget_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_size_mb"):
-            ResultCache(tmp_path, max_size_mb=-1.0)
-
-    def test_env_var_supplies_the_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.0048828125")  # 5 KiB
-        cache = ResultCache(tmp_path)
-        assert cache.max_size_mb == pytest.approx(5.0 / 1024.0)
-        seed_entries(cache, 4, size_bytes=2048)
-        total = sum(p.stat().st_size for p in cache.entry_paths())
-        assert total <= 5 * 1024
-
-    def test_explicit_budget_beats_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1")
-        cache = ResultCache(tmp_path, max_size_mb=64.0)
-        assert cache.max_size_mb == 64.0
-
-    def test_unparsable_env_var_warns_and_disarms(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_CACHE_MAX_MB"):
-            cache = ResultCache(tmp_path)
-        assert cache.max_size_mb is None
-
-    def test_campaign_writes_respect_ambient_budget(self, tmp_path):
-        """run_campaign builds its cache with the ambient budget armed."""
-        from repro.runners import CampaignSpec, execution, run_campaign
-        from repro.runners.campaign import clear_memo
-
-        spec = CampaignSpec.build(
-            kind="percolation",
-            axes={"reliability": (0.8, 0.9)},
-            fixed={"grid_side": 6, "runs": 2, "process": "bond"},
-            seed_params=("grid_side", "reliability"),
-        )
-        clear_memo()
-        with execution(
-            cache_dir=str(tmp_path), cache_max_size_mb=64.0, use_cache=True
-        ):
-            run_campaign(spec)
-        entries = list(ResultCache(tmp_path).entry_paths())
-        assert entries  # the budgeted cache actually stored the points
-
-
-class TestBudgetScanRegression:
-    """Evict-on-insert must not re-walk the directory on every put."""
-
-    def test_over_budget_puts_rescan_at_most_once(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        real = ResultCache._scan_bytes
-
-        def counting(self):
-            calls["n"] += 1
-            return real(self)
-
-        monkeypatch.setattr(ResultCache, "_scan_bytes", counting)
-        cache = ResultCache(tmp_path, max_size_mb=1.0 / 1024.0)  # 1 KiB
-        for k in range(30):  # nearly every put crosses the budget
-            cache.put(
-                f"s{k:02d}" + "ab" * 30,
-                {"kind": "ideal", "metrics": {}, "pad": "x" * 400},
-            )
-        # One walk seeds the running total; every over-budget put after
-        # that restores it from the purge's reclaimed-bytes report.
-        assert calls["n"] <= 1
-
-    def test_external_purge_reseeds_with_one_walk(self, tmp_path, monkeypatch):
-        calls = {"n": 0}
-        real = ResultCache._scan_bytes
-
-        def counting(self):
-            calls["n"] += 1
-            return real(self)
-
-        monkeypatch.setattr(ResultCache, "_scan_bytes", counting)
-        cache = ResultCache(tmp_path, max_size_mb=64.0)
-        seed_entries(cache, 2)
-        assert calls["n"] == 1
-        cache.purge(max_age_days=999.0)  # invalidates the running total
-        seed_entries(cache, 2)
-        assert calls["n"] == 2  # exactly one corrective re-seed
-
+    def test_max_size_mb_is_not_a_constructor_argument(self, tmp_path):
+        with pytest.raises(TypeError):
+            ResultCache(tmp_path, max_size_mb=64.0)

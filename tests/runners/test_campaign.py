@@ -153,16 +153,6 @@ class TestCacheArgument:
         for side in (6, 8):
             assert first.metrics(grid_side=side) == second.metrics(grid_side=side)
 
-    def test_an_instance_keeps_its_own_budget(self, tmp_path):
-        spec = tiny_percolation_spec()
-        with execution(cache_max_size_mb=64.0):
-            run_campaign(spec, cache=ResultCache(tmp_path / "a", max_size_mb=0.0))
-            clear_run_caches()
-            run_campaign(spec, cache=str(tmp_path / "b"))
-        # A zero budget evicts every write; the ambient 64 MiB keeps both.
-        assert not list(ResultCache(tmp_path / "a").entry_paths())
-        assert len(list(ResultCache(tmp_path / "b").entry_paths())) == 2
-
     def test_memo_results_backfill_a_newly_named_cache(self, tmp_path):
         spec = tiny_percolation_spec()
         run_campaign(spec, cache=str(tmp_path / "first"))

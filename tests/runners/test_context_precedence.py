@@ -1,9 +1,9 @@
 """Config precedence for the ambient execution context.
 
-The contract under test: an explicit constructor/call argument always
-beats the ambient :class:`ExecutionConfig`, which in turn beats the
-built-in default — for the fast-path switch, the jobs count, and the
-cache settings — and the CLI installs its flags as the ambient layer.
+The contract under test: an explicit call argument always beats the
+ambient :class:`ExecutionConfig`, which in turn beats the built-in
+default — for the jobs count and the cache settings — and the CLI
+installs its flags as the ambient layer.
 """
 
 import pytest
@@ -32,16 +32,15 @@ class TestAmbientLayer:
         assert config.jobs == 1
         assert config.use_cache is True
         assert config.cache_dir is None
-        assert config.cache_max_size_mb is None
-        assert config.fast_path is True
+        assert config.telemetry_dir is None
 
     def test_execution_scopes_and_restores(self):
         before = get_execution()
-        with execution(jobs=7, fast_path=False, cache_max_size_mb=12.0):
+        with execution(jobs=7, use_cache=False, cache_dir="elsewhere"):
             inside = get_execution()
             assert inside.jobs == 7
-            assert inside.fast_path is False
-            assert inside.cache_max_size_mb == 12.0
+            assert inside.use_cache is False
+            assert inside.cache_dir == "elsewhere"
         assert get_execution() == before
 
     def test_nested_scopes_inner_wins_then_unwinds(self):
@@ -56,12 +55,12 @@ class TestAmbientLayer:
             config = set_execution(jobs=3)
             assert config.jobs == 3
             assert config.use_cache == before.use_cache
-            assert config.fast_path == before.fast_path
+            assert config.cache_dir == before.cache_dir
         finally:
             set_execution(**{
                 "jobs": before.jobs,
                 "use_cache": before.use_cache,
-                "fast_path": before.fast_path,
+                "cache_dir": before.cache_dir,
             })
 
 
@@ -170,16 +169,13 @@ class TestBackendChoice:
 
 
 class TestRemovedExecutionKnobs:
-    def test_config_holds_exactly_the_ten_execution_fields(self):
+    def test_config_holds_exactly_the_seven_execution_fields(self):
         from dataclasses import fields
 
         assert [field.name for field in fields(ExecutionConfig)] == [
             "jobs",
             "cache_dir",
             "use_cache",
-            "cache_max_size_mb",
-            "fast_path",
-            "detailed_fast_path",
             "progress",
             "failure_policy",
             "fault_plan",
@@ -191,34 +187,18 @@ class TestRemovedExecutionKnobs:
             with execution(backend="pool"):
                 pass
 
-
-class TestFastPathPrecedence:
-    def _simulator(self, fast_path=None):
-        from repro.core.params import PBBFParams
-        from repro.ideal.config import AnalysisParameters
-        from repro.ideal.simulator import IdealSimulator
-        from repro.net.topology import GridTopology
-
-        return IdealSimulator(
-            GridTopology(5),
-            PBBFParams(p=0.5, q=0.5),
-            AnalysisParameters(grid_side=5),
-            seed=1,
-            fast_path=fast_path,
-        )
-
-    def test_ambient_default_is_fast(self):
-        assert self._simulator()._use_fast_path() is True
-
-    def test_ambient_override_reaches_the_simulator(self):
-        with execution(fast_path=False):
-            assert self._simulator()._use_fast_path() is False
-
-    def test_explicit_constructor_arg_beats_ambient(self):
-        with execution(fast_path=False):
-            assert self._simulator(fast_path=True)._use_fast_path() is True
-        with execution(fast_path=True):
-            assert self._simulator(fast_path=False)._use_fast_path() is False
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("cache_max_size_mb", 64.0),
+            ("fast_path", False),
+            ("detailed_fast_path", False),
+        ],
+    )
+    def test_kernel_and_budget_fields_are_gone(self, field, value):
+        with pytest.raises(TypeError):
+            with execution(**{field: value}):
+                pass
 
 
 class TestCachePrecedence:
@@ -283,11 +263,9 @@ class TestCliInstallsTheAmbientLayer:
             "run", "stub",
             "--jobs", "2",
             "--cache-dir", str(tmp_path),
-            "--cache-max-size-mb", "9",
-            "--no-fast-path",
+            "--no-cache",
         ]) == 0
         config = captured["config"]
         assert config.jobs == 2
         assert config.cache_dir == str(tmp_path)
-        assert config.cache_max_size_mb == 9.0
-        assert config.fast_path is False
+        assert config.use_cache is False

@@ -11,7 +11,6 @@ import pytest
 from repro.ideal.simulator import SchedulingMode
 from repro.runners import CampaignSpec, SerialBackend, clear_run_caches
 from repro.runners.backends import _group_runs
-from repro.runners.context import execution
 from repro.runners.points import (
     evaluate_run,
     evaluate_run_batch,
@@ -74,6 +73,26 @@ UNBATCHED_POINTS = {
 }
 
 
+#: One point per kernel pair: ideal on the legacy grid and on a scenario
+#: world, detailed on PSM, on NO PSM and on S-MAC (outside the batched
+#: kernel's scope, so both paths take the heap loop), and percolation,
+#: which has one kernel.
+REFERENCE_POINTS = {
+    "ideal-grid": UNBATCHED_POINTS["ideal-grid"],
+    "ideal-scenario": UNBATCHED_POINTS["ideal-scenario"],
+    "detailed-psm": ("detailed", DETAILED_POINT),
+    "detailed-no-psm": (
+        "detailed",
+        dict(DETAILED_POINT, p=1.0, q=1.0, mode=SchedulingMode.ALWAYS_ON.value),
+    ),
+    "detailed-smac": (
+        "detailed",
+        dict(DETAILED_POINT, scheduler="smac", duration=60.0),
+    ),
+    "percolation": UNBATCHED_POINTS["percolation-grid"],
+}
+
+
 def small_detailed_spec(n_seeds=3):
     return CampaignSpec.build(
         kind="detailed",
@@ -113,17 +132,6 @@ class TestEvaluateRunBatch:
             metrics_to_dict(m) for m in loop
         ]
 
-    def test_disabled_context_falls_back_identically(self):
-        seeds = (11, 12)
-        clear_run_caches()
-        with execution(detailed_fast_path=False):
-            reference = evaluate_run_batch("detailed", DETAILED_POINT, seeds)
-        clear_run_caches()
-        batched = evaluate_run_batch("detailed", DETAILED_POINT, seeds)
-        assert [metrics_to_dict(m) for m in reference] == [
-            metrics_to_dict(m) for m in batched
-        ]
-
     def test_single_seed_takes_per_run_path(self):
         clear_run_caches()
         (only,) = evaluate_run_batch("detailed", DETAILED_POINT, (7,))
@@ -152,8 +160,7 @@ class TestEvaluateRunBatch:
         clear_run_caches()
         loop = [evaluate_run("detailed", point, s) for s in seeds]
         clear_run_caches()
-        with execution(detailed_fast_path=False):
-            reference = [evaluate_run("detailed", point, s) for s in seeds]
+        reference = evaluate_run_batch("detailed", point, seeds, reference=True)
         assert (
             [metrics_to_dict(m) for m in grouped]
             == [metrics_to_dict(m) for m in loop]
@@ -193,6 +200,47 @@ class TestEvaluateRunBatch:
         assert [metrics_to_dict(m) for m in batched] == [
             metrics_to_dict(m) for m in loop
         ]
+
+
+class TestReferenceFlag:
+    """``reference=True`` runs the reference loops, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_POINTS))
+    def test_reference_flag_matches_the_default_path(self, monkeypatch, case):
+        import repro.detailed.batched as batched
+        from repro.detailed.simulator import DetailedSimulator
+        from repro.ideal.simulator import IdealSimulator
+
+        kind, point = REFERENCE_POINTS[case]
+        seeds = (1, 2)
+        clear_run_caches()
+        default = evaluate_run_batch(kind, point, seeds)
+
+        ran = []
+        ideal_reference = IdealSimulator.run_campaign_reference
+        detailed_reference = DetailedSimulator.run_reference
+
+        def spy_ideal(sim, n_broadcasts):
+            ran.append("ideal")
+            return ideal_reference(sim, n_broadcasts)
+
+        def spy_detailed(sim, duration=None):
+            ran.append("detailed")
+            return detailed_reference(sim, duration)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fast kernel ran")
+
+        monkeypatch.setattr(IdealSimulator, "run_campaign_reference", spy_ideal)
+        monkeypatch.setattr(DetailedSimulator, "run_reference", spy_detailed)
+        monkeypatch.setattr(IdealSimulator, "run_campaign", refuse)
+        monkeypatch.setattr(batched, "run_batch", refuse)
+        clear_run_caches()
+        reference = evaluate_run_batch(kind, point, seeds, reference=True)
+        assert [metrics_to_dict(m) for m in reference] == [
+            metrics_to_dict(m) for m in default
+        ]
+        assert ran == ([] if kind == "percolation" else [kind] * len(seeds))
 
 
 class TestGroupRuns:
@@ -245,8 +293,14 @@ class TestSerialBackendBatching:
         clear_run_caches()
         grouped = SerialBackend().execute(runs)
         clear_run_caches()
-        with execution(detailed_fast_path=False):
-            ungrouped = SerialBackend().execute(runs)
+        # One run at a time, on the heap loop.
+        ungrouped = [
+            metrics_to_dict(metrics)
+            for run in runs
+            for metrics in evaluate_run_batch(
+                run.kind, run.params_dict(), (run.seed,), reference=True
+            )
+        ]
         assert grouped == ungrouped
 
     def test_one_tick_per_run_not_per_group(self):

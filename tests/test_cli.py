@@ -183,8 +183,9 @@ class TestParser:
 
 
 class TestRemovedSurface:
-    """The sharded queue's flags, subcommands, ``--profile`` and the
-    pareto ``--watch-frontier`` stream view are gone."""
+    """The sharded queue's flags, subcommands, ``--profile``, the pareto
+    ``--watch-frontier`` stream view, the kernel switches and the
+    evict-on-insert cache budget are gone."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -200,12 +201,21 @@ class TestRemovedSurface:
             ["queue", "status", "--queue", "q"],
             ["queue", "compact", "--queue", "q"],
             ["pareto", "--watch-frontier"],
+            ["run", "table1", "--no-fast-path"],
+            ["run", "table1", "--no-detailed-fast-path"],
+            ["run", "table1", "--cache-max-size-mb", "64"],
+            ["run-all", "--no-fast-path"],
+            ["run-all", "--no-detailed-fast-path"],
+            ["run-all", "--cache-max-size-mb", "64"],
         ],
         ids=[
             "run-backend", "run-queue", "run-lease-block", "run-profile",
             "run-all-profile", "run-all-backend", "pareto-backend",
             "worker", "queue-status", "queue-compact",
             "pareto-watch-frontier",
+            "run-no-fast-path", "run-no-detailed-fast-path",
+            "run-cache-max-size-mb", "run-all-no-fast-path",
+            "run-all-no-detailed-fast-path", "run-all-cache-max-size-mb",
         ],
     )
     def test_exits_2_from_argparse(self, argv, capsys):
@@ -282,6 +292,48 @@ class TestProgressEta:
         line = self._line(capsys)
         assert "10/10 points (5 cached, 5 computed)" in line
         assert "ETA" not in line
+
+
+class TestProgressCounts:
+    """Each campaign's progress lines count only its own failures."""
+
+    def test_retries_do_not_carry_into_the_next_campaign(self, capsys):
+        from repro.cli import _progress_printer
+        from repro.runners import (
+            CampaignSpec,
+            FailurePolicy,
+            FaultPlan,
+            clear_run_caches,
+            execution,
+            reset_stats,
+            run_campaign,
+        )
+
+        def spec(grid_side):
+            return CampaignSpec.build(
+                kind="percolation",
+                axes={"reliability": (0.8, 0.9)},
+                fixed={"grid_side": grid_side, "runs": 2, "process": "bond"},
+                seed_params=("grid_side", "reliability"),
+            )
+
+        reset_stats()
+        clear_run_caches()
+        progress = _progress_printer(min_interval=0.0)
+        # Every first attempt crashes, so each of the two runs retries once.
+        with execution(fault_plan=FaultPlan(crash_rate=1.0)):
+            run_campaign(
+                spec(6),
+                use_cache=False,
+                progress=progress,
+                failure_policy=FailurePolicy(max_retries=2),
+            )
+        first = capsys.readouterr().err.strip().splitlines()
+        assert first[-1].endswith("(0 cached, 2 computed, 2 retried)")
+        run_campaign(spec(7), use_cache=False, progress=progress)
+        second = capsys.readouterr().err.strip().splitlines()
+        assert second[0].endswith("0/2 points (0 cached, 0 computed)")
+        assert second[-1].endswith("2/2 points (0 cached, 2 computed)")
 
 
 class TestScenarios:
@@ -525,15 +577,3 @@ class TestParetoDetailed:
         err = capsys.readouterr().err
         assert "--family applies to the ideal simulator only" in err
 
-
-class TestCacheBudgetFlag:
-    def test_negative_budget_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "table1", "--cache-max-size-mb", "-5"])
-
-    def test_budget_flag_accepted(self, capsys, tmp_path):
-        assert main([
-            "run", "table1",
-            "--cache-dir", str(tmp_path),
-            "--cache-max-size-mb", "64",
-        ]) == 0
