@@ -10,10 +10,11 @@ Two jobs share this module:
 
 * ``python benchmarks/bench_detailed_scenario.py`` — measure the
   event-heap reference loop against the seed-batched kernel on real
-  campaign points (the Figures 17-18 density sweep) and write the
-  result to ``BENCH_detailed.json`` at the repo root.  The committed
-  copy of that file pins the speedup this repo claims; regenerate it on
-  quiet hardware after touching the kernel.
+  campaign points (the Figures 17-18 density sweep, scen04's skewed
+  world and pareto02's adaptive controller, each of the last two beside
+  its twin) and write the result to ``BENCH_detailed.json`` at the repo
+  root.  The committed copy of that file pins the speedup this repo
+  claims; regenerate it on quiet hardware after touching the kernel.
 
 Timing methodology for the A/B harness: the two kernels are interleaved
 rep by rep (so machine-load drift hits both equally), gc is disabled
@@ -43,9 +44,18 @@ from repro.detailed.batched import run_batch
 from repro.detailed.config import CodeDistributionParameters
 from repro.detailed.simulator import DetailedSimulator
 from repro.experiments import Scale
-from repro.experiments.scenario_figures import midrun_failure_campaign
+from repro.experiments.pareto_figures import adaptive_campaign
+from repro.experiments.scenario_figures import (
+    frontier_robustness_campaign,
+    frontier_robustness_scenarios,
+    midrun_failure_campaign,
+)
 from repro.ideal.simulator import SchedulingMode
-from repro.runners.points import evaluate_run_batch, metrics_to_dict
+from repro.runners.points import (
+    _detailed_simulator,
+    evaluate_run_batch,
+    metrics_to_dict,
+)
 
 
 def bench_scale() -> Scale:
@@ -149,6 +159,83 @@ def measure_point(
             for s in seeds
         ]
 
+    point = {
+        "mode": mode,
+        "p": p,
+        "q": q,
+        "density": density,
+        "n_nodes": n_nodes,
+        "duration_s": duration,
+        "n_seeds": n_seeds,
+    }
+    point.update(time_heap_vs_batched(sims, reps))
+    return point
+
+
+def extension_points(scale: Scale, p: float, scen04_q: float, pareto02_q0: float):
+    """(label, runs) of the extension figures' points, each beside its twin.
+
+    scen04's perturbed world (per-node clock skew plus mid-run deaths)
+    and its nominal twin, and pareto02's adaptive controller and the
+    static run it starts from.  ``runs`` are the campaign's own
+    ``(params, seed)`` pairs for the point, so the simulators are built
+    exactly as the runner builds them.
+    """
+
+    def runs_at(spec, **where):
+        return [
+            (params, run.seed)
+            for run in spec.runs()
+            for params in (run.params_dict(),)
+            if all(params[name] == value for name, value in where.items())
+        ]
+
+    nominal, perturbed = (
+        spec.token for _, spec in frontier_robustness_scenarios(scale)
+    )
+    scen04 = frontier_robustness_campaign(scale)
+    adaptive = runs_at(adaptive_campaign(scale), p=p, q=pareto02_q0)
+    static = [
+        ({k: v for k, v in params.items() if k != "adaptive"}, seed)
+        for params, seed in adaptive
+    ]
+    return (
+        (
+            f"scen04 perturbed p={p:g} q={scen04_q:g}",
+            runs_at(scen04, scenario=perturbed, p=p, q=scen04_q),
+        ),
+        (
+            f"scen04 nominal twin p={p:g} q={scen04_q:g}",
+            runs_at(scen04, scenario=nominal, p=p, q=scen04_q),
+        ),
+        (f"pareto02 adaptive p={p:g} q0={pareto02_q0:g}", adaptive),
+        (f"pareto02 static twin p={p:g} q={pareto02_q0:g}", static),
+    )
+
+
+def measure_runs(runs, reps: int) -> dict:
+    """Interleaved min-of-``reps`` A/B of one campaign point's seed list."""
+
+    def sims():
+        return [_detailed_simulator(params, seed) for params, seed in runs]
+
+    sample = sims()[0]
+    point = {
+        "mode": sample.mode.value,
+        "p": sample.params.p,
+        "q": sample.params.q,
+        "n_nodes": sample.topology.n_nodes,
+        "duration_s": sample.config.duration,
+        "n_seeds": len(runs),
+        "adaptive": sample.adaptive is not None,
+        "clock_skew": bool(sample.scenario and sample.scenario.clock_offsets),
+    }
+    point.update(time_heap_vs_batched(sims, reps))
+    return point
+
+
+def time_heap_vs_batched(sims, reps: int) -> dict:
+    """Heap loop vs batched kernel on fresh ``sims()``, rep by rep."""
     heap_s, batched_s = [], []
     for _ in range(reps):
         heap_sims = sims()
@@ -176,13 +263,6 @@ def measure_point(
         ]
 
     return {
-        "mode": mode,
-        "p": p,
-        "q": q,
-        "density": density,
-        "n_nodes": n_nodes,
-        "duration_s": duration,
-        "n_seeds": n_seeds,
         "heap_seconds": min(heap_s),
         "batched_seconds": min(batched_s),
         "speedup": round(min(heap_s) / min(batched_s), 2),
@@ -216,13 +296,19 @@ def main(argv=None) -> int:
         if args.quick
         else {"n_nodes": 50, "duration": 500.0, "n_seeds": 10}
     )
+    # The fast preset has no p = 0.25 and no q0 = 0.1.
+    extension = (
+        extension_points(Scale.fast(), 0.1, 0.5, 0.5)
+        if args.quick
+        else extension_points(Scale.full(), 0.25, 0.5, 0.1)
+    )
     points = []
-    for spec in CAMPAIGN_POINTS:
-        spec = dict(spec)
-        label = spec.pop("label") + (" (quick)" if args.quick else "")
+
+    def record(label, measure, *measure_args, **measure_kwargs):
+        label += " (quick)" if args.quick else ""
         print(f"measuring {label} ...", flush=True)
         point = {"label": label}
-        point.update(measure_point(**spec, **size, reps=args.reps))
+        point.update(measure(*measure_args, **measure_kwargs))
         print(
             f"  heap {point['heap_seconds']:.3f}s"
             f"  batched {point['batched_seconds']:.3f}s"
@@ -231,12 +317,21 @@ def main(argv=None) -> int:
         )
         points.append(point)
 
+    for spec in CAMPAIGN_POINTS:
+        spec = dict(spec)
+        record(spec.pop("label"), measure_point, **spec, **size, reps=args.reps)
+    for label, runs in extension:
+        record(label, measure_runs, runs, args.reps)
+    batched = [point["batched_seconds"] for point in points[-4:]]
+
     report = {
         "benchmark": "detailed-kernel-speedup",
         "description": (
             "Event-heap reference loop vs seed-batched SoA kernel on "
-            "Figures 17-18 campaign points (one kernel call per point's "
-            "seed list); parity asserted on every rep"
+            "Figures 17-18 campaign points, scen04's skewed world and "
+            "pareto02's adaptive controller, each beside its twin (one "
+            "kernel call per point's seed list); parity asserted on every "
+            "rep"
         ),
         "method": (
             f"interleaved A/B, min of {args.reps} reps, gc disabled "
@@ -245,6 +340,9 @@ def main(argv=None) -> int:
         "command": "python benchmarks/bench_detailed_scenario.py",
         "quick": args.quick,
         "points": points,
+        # Batched cost of each extension point over its twin's.
+        "scen04_skew_over_nominal": round(batched[0] / batched[1], 2),
+        "pareto02_adaptive_over_static": round(batched[2] / batched[3], 2),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

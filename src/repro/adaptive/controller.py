@@ -75,6 +75,30 @@ class AdaptivePolicy:
         if self.q_min > self.q_max:
             raise ValueError(f"q_min ({self.q_min}) > q_max ({self.q_max})")
 
+    def adjust(
+        self, p: float, q: float, heard: int, misses: int, receptions: int
+    ) -> Tuple[float, float]:
+        """One window's AIAD step: the next ``(p, q)`` from its counts.
+
+        ``heard`` counts frames heard (duplicates included), ``misses``
+        the sequence gaps detected and ``receptions`` the sequenced frames
+        received.  The one statement of the control law, shared by
+        :class:`AdaptivePBBFAgent` and the seed-batched detailed kernel.
+        """
+        if heard > self.activity_target:
+            p = min(self.p_max, p + self.p_step)
+        elif heard < self.activity_target:
+            p = max(self.p_min, p - self.p_step)
+
+        observed = receptions + misses
+        if observed > 0:
+            miss_fraction = misses / observed
+            if miss_fraction > self.miss_target:
+                q = min(self.q_max, q + self.q_step)
+            else:
+                q = max(self.q_min, q - self.q_step)
+        return p, q
+
     @property
     def token(self) -> str:
         """Canonical JSON of the policy's fields.
@@ -154,22 +178,13 @@ class AdaptivePBBFAgent(PBBFAgent):
     # -- controller ---------------------------------------------------------
 
     def _adjust(self) -> None:
-        policy = self.policy
-        p, q = self.params.p, self.params.q
-
-        if self._frames_heard_this_window > policy.activity_target:
-            p = min(policy.p_max, p + policy.p_step)
-        elif self._frames_heard_this_window < policy.activity_target:
-            p = max(policy.p_min, p - policy.p_step)
-
-        observed = self._receptions_this_window + self._misses_this_window
-        if observed > 0:
-            miss_fraction = self._misses_this_window / observed
-            if miss_fraction > policy.miss_target:
-                q = min(policy.q_max, q + policy.q_step)
-            else:
-                q = max(policy.q_min, q - policy.q_step)
-
+        p, q = self.policy.adjust(
+            self.params.p,
+            self.params.q,
+            self._frames_heard_this_window,
+            self._misses_this_window,
+            self._receptions_this_window,
+        )
         if (p, q) != (self.params.p, self.params.q):
             self.params = PBBFParams(p=p, q=q)
         self.trajectory = self.trajectory + ((p, q),)

@@ -318,37 +318,39 @@ def _progress_printer(min_interval: float = 1.0):
     Campaigns fire one callback per completed point; printing each would
     swamp small terminals, so lines are rate-limited to one per
     ``min_interval`` seconds — except the final one, which always prints.
-    Each line breaks completions down (cached vs computed, plus failed
-    and retried tasks when the failure machinery fired) and carries an
-    ETA extrapolated from the campaign's own simulation rate: points
-    served from the cache arrive at once and cost no simulation time,
-    so only computed points count towards the rate.  Every count is the
-    campaign's own: the process-wide failed and retried totals are
-    read relative to their values at the campaign's start.
+    Each line breaks completions down (cached vs computed, plus failed,
+    retried and degraded runs when the failure machinery fired) and
+    carries an ETA extrapolated from the campaign's own simulation rate:
+    points served from the cache arrive at once and cost no simulation
+    time, so only computed points count towards the rate.  Every count is the
+    campaign's own: the process-wide failed, retried and degraded
+    totals are read relative to their values at the campaign's start.
     """
     from repro.obs import format_duration
 
     last = 0.0
     started = 0.0
-    before = (0, 0)  # (failed, retried) at the campaign's start
+    before = (0, 0, 0)  # (failed, retried, degraded) at campaign start
 
     def progress(completed: int, total: int, cached: int, computed: int) -> None:
         nonlocal last, started, before
         now = time.monotonic()
         stats = get_stats()
+        counts = (stats.failed, stats.retried, stats.degraded)
         if computed == 0:
             # A campaign's post-scan call: its clock and counts start now.
             started = now
-            before = (stats.failed, stats.retried)
+            before = counts
         if completed < total and now - last < min_interval:
             return
         last = now
-        failed, retried = stats.failed - before[0], stats.retried - before[1]
-        extra = ""
-        if failed:
-            extra += f", {failed} failed"
-        if retried:
-            extra += f", {retried} retried"
+        extra = "".join(
+            f", {count - base} {label}"
+            for count, base, label in zip(
+                counts, before, ("failed", "retried", "degraded")
+            )
+            if count != base
+        )
         eta = ""
         elapsed = now - started
         if computed and completed < total and elapsed > 0:

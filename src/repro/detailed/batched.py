@@ -4,13 +4,20 @@ The heap-loop :class:`~repro.detailed.simulator.DetailedSimulator` spends
 the bulk of its time on beacon-interval *machinery*: two events per node
 per BI (window open, Sleep-Decision-Handler) that every node executes at
 schedule-determined instants regardless of traffic.  This kernel advances
-**all seeds of a campaign point simultaneously**: per-node radio/energy/
-PBBF state lives in numpy arrays of shape ``(n_nodes, n_seeds)`` and each
-machinery instant is a handful of vectorized mask operations instead of
-``n_nodes * n_seeds`` Python callbacks.  Sparse *traffic* (CSMA
-contention, transmissions, receptions, application updates, node deaths)
-runs per seed through a lean tuple-event heap that replaces the engine's
-``EventHandle``/closure plumbing with direct dispatch.
+**all seeds of a campaign point in one call**: per-node radio/energy/
+PBBF state lives in numpy arrays of shape ``(n_nodes, n_seeds)``, one
+*cell* per (node, seed).  Cells sharing a schedule offset form one
+machinery group.  A group of many cells (a nominal world is one group
+holding every cell) runs each machinery instant as a handful of
+vectorized mask operations instead of ``n_nodes * n_seeds`` Python
+callbacks; a group of one cell (clock skew gives every cell its own
+offset) runs it as scalar code on that cell, so a skewed world costs
+about what its cells do rather than a full-array pass per cell.  An
+instant drains the traffic of only the seeds its group touches.  Sparse
+*traffic* (CSMA contention, transmissions, receptions, application
+updates, node deaths) runs per seed through a lean tuple-event heap that
+replaces the engine's ``EventHandle``/closure plumbing with direct
+dispatch.
 
 Bit-identical parity with the heap loop is a hard contract (the figures
 must not move by one ulp), which pins three design rules:
@@ -20,7 +27,8 @@ must not move by one ulp), which pins three design rules:
   self-rescheduling ``engine.schedule`` calls do) while gate times use
   the closed forms in :mod:`repro.mac.pbbf`; energy accumulates at
   exactly the instants the heap loop calls ``set_state`` — splitting a
-  ``w*(c-a)`` rectangle at ``b`` is not an IEEE no-op.
+  ``w*(c-a)`` rectangle at ``b`` is not an IEEE no-op.  The scalar and
+  vectorized machinery paths evaluate the same expressions.
 * **Per-stream draw order is preserved.**  Every named
   :class:`~repro.util.rng.RandomStreams` stream is independently seeded,
   so only the draw sequence *within* a stream must match — which it
@@ -33,19 +41,25 @@ must not move by one ulp), which pins three design rules:
   delay (gate wait, DIFS+backoff, busy-defer, airtime) is shorter;
   within a machinery instant, window opens precede window ends and nodes
   are processed in ascending id order, matching the seq order their
-  self-rescheduling callbacks hold in the engine heap.
+  self-rescheduling callbacks hold in the engine heap.  Seeds share no
+  traffic, so when a seed's heap is drained does not matter, only that
+  it is drained up to each of its own machinery instants.
 
 Scope: default agents and MACs without a tracer, in either mode —
 ``PSM_PBBF`` on the PSM scheduler (loss, k > 1, pre-failed nodes,
-mid-run deaths, scenario clock offsets and half-normal skew all
-supported) or ``ALWAYS_ON``, the NO PSM baseline (loss, pre-failed
-nodes and mid-run deaths supported; it has no machinery groups, and
-every fresh frame goes straight to CSMA ungated, with no p-coin).
-Everything else — smac/tmac, adaptive agents, custom MAC factories,
-tracers — falls back to the heap loop; :func:`fallback_reason` is the
-one statement of that scope and names the reason.  No option turns the
-kernel off; ``DetailedSimulator.run_reference()`` runs the heap loop by
-name (the parity oracle, and degraded campaign attempts).
+mid-run deaths, scenario clock offsets, half-normal skew and the
+adaptive controller all supported) or ``ALWAYS_ON``, the NO PSM baseline
+(loss, pre-failed nodes and mid-run deaths supported; it has no
+machinery groups, and every fresh frame goes straight to CSMA ungated,
+with no p-coin).  Under an :class:`~repro.adaptive.AdaptivePolicy` each
+node keeps its own (p, q) and the counts
+:class:`~repro.adaptive.AdaptivePBBFAgent` keeps, and adjusts at each of
+its window ends before the q-coin.  Everything else — smac/tmac, custom
+agent and MAC factories, tracers — falls back to the heap loop;
+:func:`fallback_reason` is the one statement of that scope and names
+the reason.  No option turns the kernel off;
+``DetailedSimulator.run_reference()`` runs the heap loop by name (the
+parity oracle, and degraded campaign attempts).
 """
 
 from __future__ import annotations
@@ -131,7 +145,8 @@ class _SeedState:
         "sim", "s", "n", "source", "heap", "seq", "offsets",
         "neighbors", "audible", "recent", "max_duration",
         "channel_stats", "mac_stats", "loss_p", "loss_rng",
-        "backoff_rngs", "pbbf_rngs", "p", "q", "seen",
+        "backoff_rngs", "pbbf_rngs", "p", "q", "adaptive", "heard",
+        "misses", "highest", "seen",
         "normal_queue", "queued_nodes", "csma_queue", "pending_id",
         "transmitting", "failed", "updates", "receptions",
         "next_update_id", "state_l", "since_l", "mirror_fresh",
@@ -164,8 +179,15 @@ class _SeedState:
         self.pbbf_rngs = [] if always_on else [
             streams.stream(f"node.{node_id}.pbbf") for node_id in range(n)
         ]
-        self.p = sim.params.p
-        self.q = sim.params.q
+        # Per-node (p, q): fixed for the static agent, adjusted at every
+        # window end under an adaptive policy from its window counts.
+        self.p = [sim.params.p] * n
+        self.q = [sim.params.q] * n
+        self.adaptive = sim.adaptive
+        if self.adaptive is not None:
+            self.heard = [0] * n
+            self.misses = [0] * n
+            self.highest: List[Dict[int, int]] = [{} for _ in range(n)]
         self.seen: List[Set[Tuple[int, int]]] = [set() for _ in range(n)]
         self.normal_queue: List[List[Packet]] = [[] for _ in range(n)]
         self.queued_nodes: Set[int] = set()
@@ -217,13 +239,22 @@ class _SeedState:
 
 
 class _Group:
-    """Nodes sharing one schedule offset (one machinery stream)."""
+    """The (node, seed) cells sharing one schedule offset.
 
-    __slots__ = ("offset", "mask")
+    One machinery stream.  A group of one cell (every cell of a skewed
+    world) runs its BI starts and window ends as scalar code on that
+    cell; larger groups (every nominal world is one) run them as mask
+    operations over ``mask``, which is ``None`` for a single cell.
+    ``seeds`` are the seed indices the cells touch, ascending.
+    """
 
-    def __init__(self, offset: float, n: int, n_seeds: int) -> None:
+    __slots__ = ("offset", "cells", "seeds", "mask")
+
+    def __init__(self, offset: float) -> None:
         self.offset = offset
-        self.mask = np.zeros((n, n_seeds), dtype=bool)
+        self.cells: List[Tuple[int, int]] = []
+        self.seeds: List[int] = []
+        self.mask: Optional[np.ndarray] = None
 
 
 class _Batch:
@@ -282,9 +313,15 @@ class _Batch:
             for node_id, offset in enumerate(st.offsets):
                 group = groups.get(offset)
                 if group is None:
-                    group = groups[offset] = _Group(offset, n, S)
-                group.mask[node_id, st.s] = True
+                    group = groups[offset] = _Group(offset)
+                group.cells.append((node_id, st.s))
         self.groups = list(groups.values())
+        for group in self.groups:
+            group.seeds = sorted({s for _, s in group.cells})
+            if len(group.cells) > 1:
+                group.mask = np.zeros((n, S), dtype=bool)
+                nodes, seeds = zip(*group.cells)
+                group.mask[list(nodes), list(seeds)] = True
         # Pre-broadcast failures: the MAC never starts, the radio sleeps
         # from t=0 (set_state at the boot instant changes no energy).
         for st in self.states:
@@ -343,16 +380,24 @@ class _Batch:
 
     # -- beacon interval machinery --------------------------------------------
 
-    def _on_bi_start(self, now: float, group: _Group) -> None:
+    def _on_bi_start(self, now: float, group: _Group) -> bool:
+        """Open a window on the group's live cells; ``False`` if none is.
+
+        Cells never come back to life, so a group with no live cell has
+        no further machinery.
+        """
+        if group.mask is None:
+            return self._cell_bi_start(now, group)
         active = group.mask & self.live
         if not active.any():
-            return
+            return False
         non_tx = active & (self.state != _TX)
         self._accumulate_bulk(now, non_tx)
         to_listen = non_tx & (self.state != _LISTEN)
         self.state[to_listen] = _LISTEN
         self.state_since[to_listen] = now
-        for st in self.states:
+        states = [self.states[s] for s in group.seeds]
+        for st in states:
             st.mirror_fresh = False
         bi = bi_index_at(now, group.offset, self.bi)
         self.bi_index[active] = bi
@@ -360,7 +405,7 @@ class _Batch:
         self.announced_rx[active] = False
         self.awake[active] = True
         beacon_node = bi % self.n if self.send_beacons else -1
-        for st in self.states:
+        for st in states:
             column = active[:, st.s]
             candidates = set(st.queued_nodes)
             if beacon_node >= 0:
@@ -369,44 +414,89 @@ class _Batch:
                 if not column[node]:
                     continue
                 if node == beacon_node:
-                    beacon = Packet(
-                        kind=PacketKind.BEACON,
-                        origin=node,
-                        sender=node,
-                        seqno=bi,
-                        size_bytes=self.beacon_size,
-                    )
-                    self._enqueue(st, node, beacon, False, _TAG_BEACON, now)
+                    self._send_beacon(st, node, bi, now)
                 if st.normal_queue[node]:
                     self._announce_pending(st, node, now)
+        return True
+
+    def _cell_bi_start(self, now: float, group: _Group) -> bool:
+        """``_on_bi_start`` on a group of one cell, as scalar code."""
+        node, s = group.cells[0]
+        if not self.live[node, s]:
+            return False
+        st = self.states[s]
+        if self.state[node, s] != _TX:
+            self._set_state(st, node, _LISTEN, now)
+        bi = bi_index_at(now, group.offset, self.bi)
+        self.bi_index[node, s] = bi
+        self.announced_tx[node, s] = False
+        self.announced_rx[node, s] = False
+        self.awake[node, s] = True
+        if self.send_beacons and bi % self.n == node:
+            self._send_beacon(st, node, bi, now)
+        if st.normal_queue[node]:
+            self._announce_pending(st, node, now)
+        return True
+
+    def _send_beacon(self, st: _SeedState, node: int, bi: int, now: float) -> None:
+        """Queue BI ``bi``'s synchronisation beacon (round robin sender)."""
+        beacon = Packet(
+            kind=PacketKind.BEACON,
+            origin=node,
+            sender=node,
+            seqno=bi,
+            size_bytes=self.beacon_size,
+        )
+        self._enqueue(st, node, beacon, False, _TAG_BEACON, now)
+
+    def _adjust(self, st: _SeedState, node: int) -> None:
+        """``AdaptivePBBFAgent._adjust``: the closing window's (p, q) step.
+
+        Every data frame carries an ``(origin, seqno)`` id, so each frame
+        heard is also a sequenced reception for the controller.
+        """
+        heard = st.heard[node]
+        st.p[node], st.q[node] = st.adaptive.adjust(
+            st.p[node], st.q[node], heard, st.misses[node], heard
+        )
+        st.heard[node] = 0
+        st.misses[node] = 0
 
     def _on_window_end(self, now: float, group: _Group) -> None:
+        if group.mask is None:
+            self._cell_window_end(now, group)
+            return
         active = group.mask & self.live
         if not active.any():
             return
-        # Sleep-Decision-Handler: the q-coin is drawn (in ascending node
-        # order, matching the heap's event seq order) only when the node
-        # neither holds pending frames nor was announced to.
-        for st in self.states:
-            column = active[:, st.s]
+        # Sleep-Decision-Handler, in ascending node order (the heap's
+        # event seq order): an adaptive node first adjusts (p, q), and the
+        # q-coin is drawn only when the node neither holds pending frames
+        # nor was announced to.
+        for s in group.seeds:
+            st = self.states[s]
+            column = active[:, s]
             if column.all():
                 nodes = self.all_nodes
             elif column.any():
                 nodes = np.nonzero(column)[0].tolist()
             else:
                 continue
-            announced = self.announced_rx[:, st.s].tolist()
+            announced = self.announced_rx[:, s].tolist()
             queue = st.csma_queue
             transmitting = st.transmitting
             rngs = st.pbbf_rngs
             q = st.q
+            adaptive = st.adaptive is not None
             stay = []
             for node in nodes:
+                if adaptive:
+                    self._adjust(st, node)
                 if announced[node] or queue[node] or transmitting[node]:
                     stay.append(True)
                 else:
-                    stay.append(rngs[node].random() < q)
-            self.awake[nodes, st.s] = stay
+                    stay.append(rngs[node].random() < q[node])
+            self.awake[nodes, s] = stay
         non_tx = active & (self.state != _TX)
         self._accumulate_bulk(now, non_tx)
         if in_atim_window_at(now, group.offset, self.bi, self.aw):
@@ -419,8 +509,33 @@ class _Batch:
         self.state_since[to_listen] = now
         self.state[to_sleep] = _SLEEP
         self.state_since[to_sleep] = now
-        for st in self.states:
-            st.mirror_fresh = False
+        for s in group.seeds:
+            self.states[s].mirror_fresh = False
+
+    def _cell_window_end(self, now: float, group: _Group) -> None:
+        """``_on_window_end`` on a group of one cell, as scalar code."""
+        node, s = group.cells[0]
+        if not self.live[node, s]:
+            return
+        st = self.states[s]
+        if st.adaptive is not None:
+            self._adjust(st, node)
+        if (
+            self.announced_rx[node, s]
+            or st.csma_queue[node]
+            or st.transmitting[node]
+        ):
+            awake = True
+        else:
+            awake = st.pbbf_rngs[node].random() < st.q[node]
+        self.awake[node, s] = awake
+        if self.state[node, s] != _TX:
+            listen = (
+                in_atim_window_at(now, group.offset, self.bi, self.aw)
+                or awake
+                or self.pending[node, s]
+            )
+            self._set_state(st, node, _LISTEN if listen else _SLEEP, now)
 
     # -- MAC ------------------------------------------------------------------
 
@@ -458,6 +573,17 @@ class _Batch:
                 st.mac_stats[node].atims_received += 1
                 self.announced_rx[node, st.s] = True
             return  # beacons carry no payload; synchronisation is assumed
+        if st.adaptive is not None:
+            # AdaptivePBBFAgent.receive_broadcast's window counts,
+            # duplicates included.
+            st.heard[node] += 1
+            origin, seqno = broadcast_id
+            highest = st.highest[node]
+            previous = highest.get(origin)
+            if previous is not None and seqno > previous + 1:
+                st.misses[node] += seqno - previous - 1
+            if previous is None or seqno > previous:
+                highest[origin] = seqno
         stats = st.mac_stats[node]
         seen = st.seen[node]
         if broadcast_id in seen:
@@ -467,7 +593,7 @@ class _Batch:
         # AlwaysOnMac floods every fresh packet at once, ungated, and
         # draws no p-coin.
         always_on = self.always_on
-        immediate = always_on or st.pbbf_rngs[node].random() < st.p
+        immediate = always_on or st.pbbf_rngs[node].random() < st.p[node]
         stats.data_received += 1
         records = st.receptions[node]
         for update_id in packet.updates:
@@ -774,9 +900,9 @@ class _Batch:
                 # The heap loop runs t=0 window opens synchronously during
                 # node start-up, before traffic generation or deaths are
                 # scheduled; replicate that seq order here.
-                self._on_bi_start(0.0, group)
-                heapq.heappush(machinery, (0.0 + self.aw, 1, gid))
-                heapq.heappush(machinery, (0.0 + self.bi, 0, gid))
+                if self._on_bi_start(0.0, group):
+                    heapq.heappush(machinery, (0.0 + self.aw, 1, gid))
+                    heapq.heappush(machinery, (0.0 + self.bi, 0, gid))
             else:
                 heapq.heappush(machinery, (group.offset, 0, gid))
         for st in self.states:
@@ -801,13 +927,16 @@ class _Batch:
                 # split coincides with the final settlement instant and
                 # its coin draws are stream tails nothing consumes after.
                 break
-            for st in self.states:
-                self._drain_before(st, now)
+            # Seeds share no traffic, so an instant drains only the seeds
+            # its group touches; the others catch up at their own next
+            # instant, in the same order.
             group = self.groups[gid]
+            for s in group.seeds:
+                self._drain_before(self.states[s], now)
             if cls == 0:
-                self._on_bi_start(now, group)
-                heapq.heappush(machinery, (now + self.aw, 1, gid))
-                heapq.heappush(machinery, (now + self.bi, 0, gid))
+                if self._on_bi_start(now, group):
+                    heapq.heappush(machinery, (now + self.aw, 1, gid))
+                    heapq.heappush(machinery, (now + self.bi, 0, gid))
             else:
                 self._on_window_end(now, group)
         for st in self.states:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
 from repro.apps.code_distribution import CodeDistributionApp
 from repro.apps.metrics import BroadcastMetrics
 from repro.core.params import PBBFParams
@@ -102,8 +103,15 @@ class DetailedSimulator:
         ``ALWAYS_ON`` mode.
     agent_factory:
         Optional ``factory(node_id, rng) -> PBBFAgent`` overriding the
-        default static agent — the hook the adaptive-PBBF extension
-        plugs into.
+        default static agent, for custom agents.  It always runs on the
+        heap loop.
+    adaptive:
+        Optional :class:`~repro.adaptive.AdaptivePolicy`: every node runs
+        the self-tuning controller, an
+        :class:`~repro.adaptive.AdaptivePBBFAgent` starting at ``params``
+        and drawing from the node's own stream.  Unlike an
+        ``agent_factory`` building the same agents, it stays on the
+        seed-batched kernel.  Mutually exclusive with ``agent_factory``.
     clock_skew_std:
         Failure injection: per-node schedule offsets drawn from a
         half-normal with this standard deviation (seconds).  The paper
@@ -133,10 +141,11 @@ class DetailedSimulator:
         caching nominal results under the perturbed token.
 
     :meth:`run` takes the seed-batched kernel (:mod:`repro.detailed.batched`)
-    in either mode; S-MAC/T-MAC, an ``agent_factory``, a ``mac_factory``
-    or a ``tracer`` fall back to the heap loop, and :meth:`fallback_reason`
-    says which.  :meth:`run_reference` runs the heap loop directly.
-    Results are bit-identical either way.
+    in either mode, static or ``adaptive``; S-MAC/T-MAC, an
+    ``agent_factory``, a ``mac_factory`` or a ``tracer`` fall back to the
+    heap loop, and :meth:`fallback_reason` says which.
+    :meth:`run_reference` runs the heap loop directly.  Results are
+    bit-identical either way.
     """
 
     def __init__(
@@ -154,6 +163,7 @@ class DetailedSimulator:
         tracer=None,
         mac_factory=None,
         scenario: Optional[RealizedScenario] = None,
+        adaptive: Optional[AdaptivePolicy] = None,
     ) -> None:
         if scheduler not in ("psm", "smac", "tmac"):
             raise ValueError(
@@ -179,8 +189,13 @@ class DetailedSimulator:
                 f"scheduler (got scheduler={scheduler!r}, "
                 f"mode={mode.value!r})"
             )
+        if adaptive is not None and agent_factory is not None:
+            raise ValueError(
+                "pass either an adaptive policy or an agent_factory, not both"
+            )
         self.scenario = scenario
         self.scheduler = scheduler
+        self.adaptive = adaptive
         self._agent_factory = agent_factory
         self._clock_skew_std = clock_skew_std
         # Scenario death schedule first, explicit injection layered over it.
@@ -317,6 +332,10 @@ class DetailedSimulator:
                 agent_rng = self._streams.stream(f"node.{node_id}.pbbf")
                 if self._agent_factory is not None:
                     agent = self._agent_factory(node_id, agent_rng)
+                elif self.adaptive is not None:
+                    agent = AdaptivePBBFAgent(
+                        self.params, agent_rng, self.adaptive
+                    )
                 else:
                     agent = PBBFAgent(self.params, agent_rng)
                 if self.scheduler == "smac":

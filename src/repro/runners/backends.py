@@ -360,6 +360,7 @@ def _handle_failed_attempt(
         )
         flats, degrade_error = _degraded_attempt(lease)
         if flats is not None:
+            get_stats().degraded += lease.n_runs
             state.deliver(lease, flats)
             return
         error = degrade_error if degrade_error is not None else error

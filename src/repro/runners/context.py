@@ -75,6 +75,10 @@ class ExecutionStats:
     failed: int = 0
     #: Task retries scheduled (parent-side requeues).
     retried: int = 0
+    #: Runs recomputed by a degraded attempt on the reference kernels
+    #: after exhausting their retries (counted parent-side; also in
+    #: ``computed``).
+    degraded: int = 0
 
     @property
     def reused(self) -> int:
@@ -93,6 +97,7 @@ class ExecutionStats:
         self.reused_disk = 0
         self.failed = 0
         self.retried = 0
+        self.degraded = 0
 
 
 _config = ExecutionConfig()

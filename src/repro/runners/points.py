@@ -215,10 +215,10 @@ def _detailed_simulator(params: Mapping[str, Any], seed: int):
     failed set, mid-run death schedule and clock offsets, with the config
     sized to the realized topology) or, without one, a connected random
     deployment at the point's ``density``.  An ``adaptive`` parameter
-    (an :attr:`repro.adaptive.AdaptivePolicy.token`) gives every node its
-    own :class:`~repro.adaptive.AdaptivePBBFAgent` starting at ``(p, q)``
-    and seeded from the run's named streams, so the run stays a pure
-    function of its parameters.
+    (an :attr:`repro.adaptive.AdaptivePolicy.token`) hands the simulator
+    that policy: every node runs the controller from ``(p, q)``, seeded
+    from the run's named streams, so the run stays a pure function of its
+    parameters.
     """
     # Imported lazily: the detailed stack is the heaviest import chain and
     # ideal/percolation campaigns never need it.
@@ -237,17 +237,11 @@ def _detailed_simulator(params: Mapping[str, Any], seed: int):
         config = CodeDistributionParameters(
             density=float(params["density"]), duration=duration
         )
-    agent_factory = None
+    adaptive = None
     if "adaptive" in params:
-        from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
+        from repro.adaptive import AdaptivePolicy
 
-        policy = AdaptivePolicy.from_token(str(params["adaptive"]))
-
-        def agent_factory(
-            node_id: int, rng: random.Random
-        ) -> AdaptivePBBFAgent:
-            return AdaptivePBBFAgent(pbbf, rng, policy=policy)
-
+        adaptive = AdaptivePolicy.from_token(str(params["adaptive"]))
     return DetailedSimulator(
         pbbf,
         config,
@@ -255,8 +249,8 @@ def _detailed_simulator(params: Mapping[str, Any], seed: int):
         mode=SchedulingMode(str(params["mode"])),
         scheduler=str(params.get("scheduler", "psm")),
         loss_probability=float(params.get("loss_probability", 0.0)),
-        agent_factory=agent_factory,
         scenario=scenario,
+        adaptive=adaptive,
     )
 
 

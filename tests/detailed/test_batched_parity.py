@@ -9,13 +9,24 @@ matrix.  This equality is what lets the kernel replace the reference in
 every Section 5 campaign without changing a single plotted number.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
 from repro.core.params import PBBFParams
 from repro.core.pbbf import PBBFAgent
-from repro.detailed.batched import fallback_reason, run_batch, supports_batch
+from repro.detailed.batched import (
+    _Batch,
+    fallback_reason,
+    run_batch,
+    supports_batch,
+)
 from repro.detailed.config import CodeDistributionParameters
 from repro.detailed.simulator import DetailedSimulator
+from repro.experiments import Scale
+from repro.experiments.pareto_figures import PARETO02_POLICY
+from repro.experiments.scenario_figures import frontier_robustness_scenarios
 from repro.ideal.simulator import SchedulingMode
 from repro.net.trace import PacketTracer
 from repro.scenarios import ScenarioSpec
@@ -38,6 +49,19 @@ def results_pair(seed, params=None, config=CONFIG, **kwargs):
         [DetailedSimulator(params, config, seed=seed, **kwargs)]
     )[0]
     return reference, batched
+
+
+def assert_batch_matches_reference(make_sim, seeds):
+    """One ``run_batch`` call over ``seeds`` equals per-seed heap loops.
+
+    ``make_sim(seed)`` builds a fresh simulator (runs consume streams).
+    Returns the batched results.
+    """
+    batched = run_batch([make_sim(seed) for seed in seeds])
+    assert len(batched) == len(seeds)
+    for seed, got in zip(seeds, batched):
+        assert_identical(make_sim(seed).run_reference(), got)
+    return batched
 
 
 def assert_identical(reference, batched):
@@ -155,6 +179,173 @@ class TestBatchedParity:
                 PBBFParams(0.5, 0.25), CONFIG, seed=seed
             ).run_reference()
             assert_identical(ref, got)
+
+
+class TestSkewedSeedBatches:
+    """Skewed worlds with many seeds in one kernel call.
+
+    Clock skew gives every (node, seed) cell its own schedule offset, so
+    each cell is a machinery group of its own, run as scalar code beside
+    the other seeds' cells.
+    """
+
+    def test_scen04_perturbed_world(self):
+        scale = Scale.fast()
+        spec = dict(frontier_robustness_scenarios(scale))["perturbed"]
+        for p, q in [(0.1, 0.25), (0.5, 0.5), (0.1, 1.0)]:
+
+            def make_sim(seed):
+                realized = spec.realize(seed)
+                config = CodeDistributionParameters.for_topology(
+                    realized.topology,
+                    duration=scale.detailed_scenario_duration,
+                )
+                return DetailedSimulator(
+                    PBBFParams(p, q), config, seed=seed, scenario=realized
+                )
+
+            assert_batch_matches_reference(make_sim, range(4))
+
+    def test_quick_skew_with_death(self):
+        assert_batch_matches_reference(
+            lambda seed: DetailedSimulator(
+                PBBFParams(0.5, 0.5),
+                CONFIG,
+                seed=seed,
+                clock_skew_std=0.8,
+                node_failures={5: 70.0},
+            ),
+            range(6),
+        )
+
+    def test_mixed_offset_groups(self):
+        """Start-up, shared and per-seed offsets in one batch.
+
+        Nodes 0-3 sit at offset 0.0 (their first window opens during
+        start-up), nodes 4-7 share offset 2.5 in every seed (one group of
+        16 cells) and every other cell has an offset of its own.
+        """
+        realized = ScenarioSpec.build("grid", {"side": 4}).realize(0)
+        config = CodeDistributionParameters.for_topology(
+            realized.topology, duration=150.0
+        )
+
+        def offsets(seed):
+            return tuple(
+                0.0 if node < 4 else 2.5 if node < 8 else
+                1.0 + 0.7 * node + 0.1 * seed
+                for node in range(16)
+            )
+
+        def make_sim(seed):
+            world = dataclasses.replace(realized, clock_offsets=offsets(seed))
+            return DetailedSimulator(
+                PBBFParams(0.5, 0.25), config, seed=seed, scenario=world
+            )
+
+        seeds = range(4)
+        sizes = sorted(
+            len(group.cells)
+            for group in _Batch([make_sim(s) for s in seeds], 150.0).groups
+        )
+        assert sizes == [1] * 32 + [16, 16]
+        assert_batch_matches_reference(make_sim, seeds)
+
+
+#: Controller policies for the adaptive parity matrix: the default,
+#: pareto02's, and one with a high activity target and a zero miss target
+#: that keeps p and q moving every window.
+ADAPTIVE_POLICIES = {
+    "default": AdaptivePolicy(),
+    "pareto02": PARETO02_POLICY,
+    "restless": AdaptivePolicy(
+        p_min=0.1,
+        p_step=0.1,
+        q_min=0.2,
+        q_step=0.02,
+        activity_target=3.0,
+        miss_target=0.0,
+    ),
+}
+
+#: Worlds for the adaptive parity matrix, as simulator keyword arguments.
+ADAPTIVE_WORLDS = {
+    "nominal": {},
+    "loss": {"loss_probability": 0.3},
+    "skew and death": {"clock_skew_std": 0.8, "node_failures": {5: 70.0}},
+}
+
+
+class TestAdaptiveParity:
+    """``DetailedSimulator(adaptive=...)`` runs the controller in the kernel.
+
+    Per-node (p, q) adjust at every window end from the window's counts,
+    exactly as each node's :class:`AdaptivePBBFAgent` does in the heap
+    loop.
+    """
+
+    @pytest.mark.parametrize("world", sorted(ADAPTIVE_WORLDS))
+    @pytest.mark.parametrize("policy", sorted(ADAPTIVE_POLICIES))
+    @pytest.mark.parametrize(
+        "p,q", [(0.0, 0.0), (0.5, 0.05), (0.25, 0.5), (1.0, 1.0)]
+    )
+    def test_matrix_over_4_seeds(self, p, q, policy, world):
+        assert_batch_matches_reference(
+            lambda seed: DetailedSimulator(
+                PBBFParams(p, q),
+                CONFIG,
+                seed=seed,
+                adaptive=ADAPTIVE_POLICIES[policy],
+                **ADAPTIVE_WORLDS[world],
+            ),
+            range(4),
+        )
+
+    def test_quick_adaptive(self):
+        batched = assert_batch_matches_reference(
+            lambda seed: DetailedSimulator(
+                PBBFParams(0.5, 0.05),
+                CONFIG,
+                seed=seed,
+                adaptive=PARETO02_POLICY,
+            ),
+            range(3),
+        )
+        # The controller moved the run off its static start point.
+        static = run_batch(
+            [
+                DetailedSimulator(PBBFParams(0.5, 0.05), CONFIG, seed=seed)
+                for seed in range(3)
+            ]
+        )
+        assert [r.node_joules for r in batched] != [
+            r.node_joules for r in static
+        ]
+
+    def test_adaptive_equals_an_agent_factory_of_adaptive_agents(self):
+        start = PBBFParams(0.25, 0.5)
+        policy = ADAPTIVE_POLICIES["restless"]
+        factory = DetailedSimulator(
+            start,
+            CONFIG,
+            seed=3,
+            agent_factory=lambda node, rng: AdaptivePBBFAgent(
+                start, rng, policy=policy
+            ),
+        )
+        assert factory.fallback_reason() == "agent_factory"
+        adaptive = DetailedSimulator(start, CONFIG, seed=3, adaptive=policy)
+        assert adaptive.fallback_reason() is None
+        assert_identical(factory.run(), adaptive.run())
+
+    def test_adaptive_and_agent_factory_are_exclusive(self):
+        with pytest.raises(ValueError, match="agent_factory"):
+            DetailedSimulator(
+                PBBFParams(0.5, 0.5),
+                CONFIG,
+                adaptive=AdaptivePolicy(),
+                agent_factory=PBBFAgent,
+            )
 
 
 class TestAlwaysOnParity:

@@ -79,10 +79,9 @@ def run_with_reasons(spec, telemetry_dir=None, **config):
     "extra,config,reason",
     [
         ({"scheduler": "smac"}, {}, "scheduler"),
-        ({"adaptive": AdaptivePolicy().token}, {}, "agent_factory"),
         ({}, DEGRADE, "forced"),
     ],
-    ids=["smac", "adaptive", "forced"],
+    ids=["smac", "forced"],
 )
 def test_reference_span_records_its_reason(tmp_path, extra, config, reason):
     spec = detailed_spec(**extra)
@@ -93,10 +92,15 @@ def test_reference_span_records_its_reason(tmp_path, extra, config, reason):
 
 
 def test_in_scope_points_record_no_reference_span(tmp_path):
-    for mode in (PSM_PBBF, SchedulingMode.ALWAYS_ON.value):
-        telemetry = tmp_path / mode
+    in_scope = {
+        PSM_PBBF: {"mode": PSM_PBBF},
+        "always_on": {"mode": SchedulingMode.ALWAYS_ON.value},
+        "adaptive": {"adaptive": AdaptivePolicy().token},
+    }
+    for name, extra in in_scope.items():
+        telemetry = tmp_path / name
         _, reasons = run_with_reasons(
-            detailed_spec(mode=mode), telemetry_dir=telemetry
+            detailed_spec(**extra), telemetry_dir=telemetry
         )
         assert reasons == []
         batched = [

@@ -335,6 +335,53 @@ class TestProgressCounts:
         assert second[0].endswith("0/2 points (0 cached, 0 computed)")
         assert second[-1].endswith("2/2 points (0 cached, 2 computed)")
 
+    def test_degraded_runs_are_counted(self, capsys):
+        from repro.cli import _progress_printer
+        from repro.runners import (
+            CampaignSpec,
+            FailurePolicy,
+            FaultPlan,
+            clear_run_caches,
+            execution,
+            get_stats,
+            reset_stats,
+            run_campaign,
+        )
+
+        def spec(grid_side):
+            return CampaignSpec.build(
+                kind="percolation",
+                axes={"reliability": (0.8, 0.9)},
+                fixed={"grid_side": grid_side, "runs": 2, "process": "bond"},
+                seed_params=("grid_side", "reliability"),
+            )
+
+        reset_stats()
+        clear_run_caches()
+        progress = _progress_printer(min_interval=0.0)
+        # Every result comes back corrupt and no retry is allowed, so each
+        # run is recomputed by a degraded attempt on the reference kernels.
+        with execution(
+            fault_plan=FaultPlan(corrupt_result_rate=1.0, max_attempt=99)
+        ):
+            run_campaign(
+                spec(6),
+                use_cache=False,
+                progress=progress,
+                failure_policy=FailurePolicy(
+                    max_retries=0, on_exhausted="degrade"
+                ),
+            )
+        first = capsys.readouterr().err.strip().splitlines()
+        assert first[-1].endswith("(0 cached, 2 computed, 2 degraded)")
+        stats = get_stats()
+        assert (stats.degraded, stats.computed, stats.failed) == (2, 2, 0)
+        run_campaign(spec(7), use_cache=False, progress=progress)
+        second = capsys.readouterr().err.strip().splitlines()
+        assert second[-1].endswith("2/2 points (0 cached, 2 computed)")
+        reset_stats()
+        assert get_stats().degraded == 0
+
 
 class TestScenarios:
     def test_lists_families_and_policies(self, capsys):
