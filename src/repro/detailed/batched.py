@@ -20,7 +20,7 @@ replaces the engine's ``EventHandle``/closure plumbing with direct
 dispatch.
 
 Bit-identical parity with the heap loop is a hard contract (the figures
-must not move by one ulp), which pins three design rules:
+must not move by one ulp), which pins four design rules:
 
 * **Float expressions are transcribed, not simplified.**  Machinery
   instants accumulate (``t + BI`` from the previous instant, exactly as
@@ -44,6 +44,16 @@ must not move by one ulp), which pins three design rules:
   self-rescheduling callbacks hold in the engine heap.  Seeds share no
   traffic, so when a seed's heap is drained does not matter, only that
   it is drained up to each of its own machinery instants.
+* **Every channel query sees the frames the heap loop's would.**  A
+  seed keeps its transmissions for ``max(2 * longest airtime seen,
+  CsmaConfig.lookback)`` (69 ms at the defaults; the heap loop's channel
+  keeps them at least 1 s), because no query reaches further back: a
+  fire's countdown began at most DIFS + (cw - 1) slots earlier, a
+  completion looks back one airtime, and carrier sense reads only frames
+  still on the air.  Frames are shared and never mutated: a forward
+  re-sends the frame it received, since the kernel reads only its kind,
+  origin, seqno, size and updates (sender and hops matter only to the
+  unicast MAC and the tracer, both outside its scope).
 
 Scope: default agents and MACs without a tracer, in either mode —
 ``PSM_PBBF`` on the PSM scheduler (loss, k > 1, pre-failed nodes,
@@ -93,6 +103,17 @@ _ATTEMPT, _FIRE, _CH_DONE, _TX_DONE, _GEN, _DIE = 0, 1, 2, 3, 4, 5
 
 # CSMA frame tags mapping completions to the MAC's stats hooks.
 _TAG_BEACON, _TAG_ATIM, _TAG_NORMAL, _TAG_IMMEDIATE = 0, 1, 2, 3
+
+# Frame kinds, read once: an enum class attribute or ``.value`` costs a
+# Python-level lookup per use.
+_DATA, _ATIM = PacketKind.DATA, PacketKind.ATIM
+# ``ChannelStats.by_kind`` key of each tag's frames.
+_TAG_KIND_VALUE = (
+    PacketKind.BEACON.value,
+    PacketKind.ATIM.value,
+    PacketKind.DATA.value,
+    PacketKind.DATA.value,
+)
 
 
 def fallback_reason(
@@ -286,6 +307,7 @@ class _Batch:
         self.slot_time = csma.slot_time
         self.difs = csma.difs
         self.cw = csma.contention_window
+        self.lookback = csma.lookback
         # MacConfig defaults carried by the simulator's wiring.
         self.atim_size = 28
         self.beacon_size = 28
@@ -294,6 +316,8 @@ class _Batch:
         self.power_lut = np.array(
             [power.listen_w, power.tx_w, power.sleep_w], dtype=np.float64
         )
+        # The same levels as Python floats, for the scalar paths.
+        self.power_w = self.power_lut.tolist()
         # SoA radio/energy/PBBF state, trailing seed axis.
         self.state = np.full((n, S), _LISTEN, dtype=np.int8)
         self.state_since = np.zeros((n, S), dtype=np.float64)
@@ -335,15 +359,6 @@ class _Batch:
 
     # -- energy bookkeeping ---------------------------------------------------
 
-    def _accumulate(self, st: _SeedState, node: int, now: float) -> None:
-        """Scalar ``RadioEnergyModel._accumulate`` (traffic path)."""
-        elapsed = now - self.last_time[node, st.s]
-        if elapsed > 0.0:
-            self.joules[node, st.s] += (
-                self.power_lut[self.state[node, st.s]] * elapsed
-            )
-            self.last_time[node, st.s] = now
-
     def _accumulate_bulk(self, now: float, sel: np.ndarray) -> None:
         """Vectorized accumulate at one shared instant.
 
@@ -357,11 +372,23 @@ class _Batch:
         self.last_time[idx] = now
 
     def _set_state(self, st: _SeedState, node: int, code: int, now: float) -> None:
-        """Scalar ``RadioEnergyModel.set_state`` (traffic path)."""
-        self._accumulate(st, node, now)
-        if self.state[node, st.s] != code:
-            self.state[node, st.s] = code
-            self.state_since[node, st.s] = now
+        """Scalar ``RadioEnergyModel.set_state`` (traffic path).
+
+        Reads the arrays with ``ndarray.item`` and the power levels as
+        Python floats: the same IEEE arithmetic without boxing a numpy
+        scalar per operand.
+        """
+        s = st.s
+        state = self.state.item(node, s)
+        elapsed = now - self.last_time.item(node, s)
+        if elapsed > 0.0:
+            self.joules[node, s] = (
+                self.joules.item(node, s) + self.power_w[state] * elapsed
+            )
+            self.last_time[node, s] = now
+        if state != code:
+            self.state[node, s] = code
+            self.state_since[node, s] = now
             if st.mirror_fresh:
                 st.state_l[node] = code
                 st.since_l[node] = now
@@ -374,7 +401,7 @@ class _Batch:
             now, st.offsets[node], self.bi, self.aw
         ):
             return _LISTEN
-        if self.awake[node, st.s] or st.has_pending(node):
+        if self.awake.item(node, st.s) or st.has_pending(node):
             return _LISTEN
         return _SLEEP
 
@@ -422,10 +449,10 @@ class _Batch:
     def _cell_bi_start(self, now: float, group: _Group) -> bool:
         """``_on_bi_start`` on a group of one cell, as scalar code."""
         node, s = group.cells[0]
-        if not self.live[node, s]:
+        if not self.live.item(node, s):
             return False
         st = self.states[s]
-        if self.state[node, s] != _TX:
+        if self.state.item(node, s) != _TX:
             self._set_state(st, node, _LISTEN, now)
         bi = bi_index_at(now, group.offset, self.bi)
         self.bi_index[node, s] = bi
@@ -515,13 +542,13 @@ class _Batch:
     def _cell_window_end(self, now: float, group: _Group) -> None:
         """``_on_window_end`` on a group of one cell, as scalar code."""
         node, s = group.cells[0]
-        if not self.live[node, s]:
+        if not self.live.item(node, s):
             return
         st = self.states[s]
         if st.adaptive is not None:
             self._adjust(st, node)
         if (
-            self.announced_rx[node, s]
+            self.announced_rx.item(node, s)
             or st.csma_queue[node]
             or st.transmitting[node]
         ):
@@ -529,11 +556,11 @@ class _Batch:
         else:
             awake = st.pbbf_rngs[node].random() < st.q[node]
         self.awake[node, s] = awake
-        if self.state[node, s] != _TX:
+        if self.state.item(node, s) != _TX:
             listen = (
                 in_atim_window_at(now, group.offset, self.bi, self.aw)
                 or awake
-                or self.pending[node, s]
+                or self.pending.item(node, s)
             )
             self._set_state(st, node, _LISTEN if listen else _SLEEP, now)
 
@@ -542,12 +569,12 @@ class _Batch:
     def _announce_pending(self, st: _SeedState, node: int, now: float) -> None:
         if not st.normal_queue[node]:
             return
-        if not self.announced_tx[node, st.s]:
+        if not self.announced_tx.item(node, st.s):
             atim = Packet(
-                kind=PacketKind.ATIM,
+                kind=_ATIM,
                 origin=node,
                 sender=node,
-                seqno=int(self.bi_index[node, st.s]),
+                seqno=self.bi_index.item(node, st.s),
                 size_bytes=self.atim_size,
             )
             self._enqueue(st, node, atim, False, _TAG_ATIM, now)
@@ -568,8 +595,8 @@ class _Batch:
     ) -> None:
         if st.failed[node]:
             return
-        if kind is not PacketKind.DATA:
-            if kind is PacketKind.ATIM:
+        if kind is not _DATA:
+            if kind is _ATIM:
                 st.mac_stats[node].atims_received += 1
                 self.announced_rx[node, st.s] = True
             return  # beacons carry no payload; synchronisation is assumed
@@ -599,11 +626,12 @@ class _Batch:
         for update_id in packet.updates:
             if update_id not in records:
                 records[update_id] = now
-        forward = packet.forwarded_by(node)
+        # The forward re-sends the received frame (see the module
+        # docstring: nothing in scope reads its sender or hops).
         if immediate:
-            self._enqueue(st, node, forward, not always_on, _TAG_IMMEDIATE, now)
+            self._enqueue(st, node, packet, not always_on, _TAG_IMMEDIATE, now)
         else:
-            st.normal_queue[node].append(forward)
+            st.normal_queue[node].append(packet)
             st.queued_nodes.add(node)
             if in_atim_window_at(now, st.offsets[node], self.bi, self.aw):
                 self._announce_pending(st, node, now)
@@ -617,7 +645,7 @@ class _Batch:
             record.update_id for record in st.updates[-self.cfg.k:]
         )
         packet = Packet(
-            kind=PacketKind.DATA,
+            kind=_DATA,
             origin=st.source,
             sender=st.source,
             seqno=update_id,
@@ -648,7 +676,7 @@ class _Batch:
         self.pending[node, st.s] = st.transmitting[node]
         st.normal_queue[node].clear()
         st.queued_nodes.discard(node)
-        if self.state[node, st.s] != _SLEEP:
+        if self.state.item(node, st.s) != _SLEEP:
             self._set_state(st, node, _SLEEP, now)
 
     # -- CSMA -----------------------------------------------------------------
@@ -667,17 +695,27 @@ class _Batch:
         queue = st.csma_queue[node]
         if not queue:
             return
-        packet, gated, _tag = queue[0]
-        gate_time = (
-            data_gate_at(now, st.offsets[node], self.bi, self.aw) if gated else now
-        )
-        if gate_time > now:
-            st.pending_id[node] = st.push(
-                now + (gate_time - now), 0, _ATTEMPT, node
-            )
-            return
-        if self._is_busy(st, node, now):
-            resume = self._busy_until(st, node, now) - now
+        _packet, gated, _tag = queue[0]
+        if gated:
+            gate_time = data_gate_at(now, st.offsets[node], self.bi, self.aw)
+            if gate_time > now:
+                st.pending_id[node] = st.push(
+                    now + (gate_time - now), 0, _ATTEMPT, node
+                )
+                return
+        # Carrier sense and busy-until in one pass: the medium is busy
+        # exactly when an audible frame on the air ends after ``now``.
+        audible = st.audible[node]
+        busy_until = now
+        for tx in st.recent:
+            if (
+                tx.start <= now
+                and tx.end > busy_until
+                and (tx.sender in audible or tx.sender == node)
+            ):
+                busy_until = tx.end
+        if busy_until > now:
+            resume = busy_until - now
             jitter = st.backoff_rngs[node].random() * self.slot_time
             st.pending_id[node] = st.push(
                 now + (resume + jitter), 0, _ATTEMPT, node
@@ -692,15 +730,19 @@ class _Batch:
         if not queue:
             return
         packet, gated, tag = queue[0]
-        gate_time = (
-            data_gate_at(now, st.offsets[node], self.bi, self.aw) if gated else now
-        )
-        if gate_time > now:
+        if gated and data_gate_at(now, st.offsets[node], self.bi, self.aw) > now:
             self._attempt(st, node, now)
             return
-        if self._busy_during(st, node, countdown_start, now):
-            self._attempt(st, node, now)
-            return
+        # ``Channel.busy_during(node, countdown_start, now)``.
+        audible = st.audible[node]
+        for tx in st.recent:
+            if (
+                tx.start < now
+                and tx.end > countdown_start
+                and (tx.sender in audible or tx.sender == node)
+            ):
+                self._attempt(st, node, now)
+                return
         queue.pop(0)
         st.transmitting[node] = True
         self._set_state(st, node, _TX, now)
@@ -708,11 +750,10 @@ class _Batch:
         transmission = _Transmission(node, packet, now, now + duration)
         st.recent.append(transmission)
         st.max_duration = max(st.max_duration, duration)
-        st.channel_stats.transmissions += 1
-        kind = packet.kind.value
-        st.channel_stats.by_kind[kind] = (
-            st.channel_stats.by_kind.get(kind, 0) + 1
-        )
+        stats = st.channel_stats
+        stats.transmissions += 1
+        kind = _TAG_KIND_VALUE[tag]
+        stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
         # The channel's completion resolves first, then the MAC's (the
         # channel schedules before the transmitter, so its event holds the
         # lower seq); their instants can differ by an ulp, so both delay
@@ -720,16 +761,13 @@ class _Batch:
         seq = st.seq
         heapq.heappush(st.heap, (now + duration, 0, seq, _CH_DONE, transmission))
         mac_delay = transmission.end - transmission.start
-        heapq.heappush(
-            st.heap, (now + mac_delay, 0, seq + 1, _TX_DONE, node, (packet, gated, tag))
-        )
+        heapq.heappush(st.heap, (now + mac_delay, 0, seq + 1, _TX_DONE, node, tag))
         st.seq = seq + 2
 
-    def _tx_done(self, st: _SeedState, node: int, frame, now: float) -> None:
+    def _tx_done(self, st: _SeedState, node: int, tag: int, now: float) -> None:
         st.transmitting[node] = False
         self.pending[node, st.s] = bool(st.csma_queue[node])
         self._set_state(st, node, self._scheduled_code(st, node, now), now)
-        packet, _gated, tag = frame
         stats = st.mac_stats[node]
         if tag == _TAG_BEACON:
             stats.beacons_sent += 1
@@ -749,38 +787,6 @@ class _Batch:
             self._attempt(st, node, now)
 
     # -- channel --------------------------------------------------------------
-
-    def _is_busy(self, st: _SeedState, node: int, now: float) -> bool:
-        audible = st.audible[node]
-        for tx in st.recent:
-            if tx.start <= now < tx.end and (
-                tx.sender in audible or tx.sender == node
-            ):
-                return True
-        return False
-
-    def _busy_until(self, st: _SeedState, node: int, now: float) -> float:
-        audible = st.audible[node]
-        latest = now
-        for tx in st.recent:
-            if tx.start <= now < tx.end and (
-                tx.sender in audible or tx.sender == node
-            ):
-                latest = max(latest, tx.end)
-        return latest
-
-    def _busy_during(
-        self, st: _SeedState, node: int, start: float, end: float
-    ) -> bool:
-        audible = st.audible[node]
-        for tx in st.recent:
-            if (
-                (tx.sender in audible or tx.sender == node)
-                and tx.start < end
-                and tx.end > start
-            ):
-                return True
-        return False
 
     def _channel_complete(
         self, st: _SeedState, transmission: _Transmission, now: float
@@ -814,7 +820,7 @@ class _Batch:
         # Packet attributes are receiver-independent: resolve the kind and
         # the (property-computed) broadcast id once per completion.
         kind = packet.kind
-        broadcast_id = packet.broadcast_id if kind is PacketKind.DATA else ()
+        broadcast_id = packet.broadcast_id if kind is _DATA else ()
         for receiver in st.neighbors[transmission.sender]:
             if (
                 failed[receiver]
@@ -838,7 +844,12 @@ class _Batch:
         self._prune(st, now)
 
     def _prune(self, st: _SeedState, now: float) -> None:
-        keep_for = max(2.0 * st.max_duration, 1.0)
+        """Drop transmissions no channel query can reach any more.
+
+        The look-back bound of the module docstring: twice the longest
+        airtime seen, or ``CsmaConfig.lookback`` if that is longer.
+        """
+        keep_for = max(2.0 * st.max_duration, self.lookback)
         horizon = now - keep_for
         for tx in st.recent:
             if tx.end < horizon:
@@ -847,48 +858,38 @@ class _Batch:
 
     # -- event dispatch -------------------------------------------------------
 
-    def _dispatch(self, st: _SeedState, event: tuple) -> None:
-        time = event[0]
-        kind = event[3]
-        if kind == _ATTEMPT:
-            node = event[4]
-            if st.pending_id[node] != event[2]:
-                return
-            self._attempt(st, node, time)
-        elif kind == _FIRE:
-            node = event[4]
-            if st.pending_id[node] != event[2]:
-                return
-            self._fire(st, node, time, event[5])
-        elif kind == _CH_DONE:
-            self._channel_complete(st, event[4], time)
-        elif kind == _TX_DONE:
-            self._tx_done(st, event[4], event[5], time)
-        elif kind == _GEN:
-            self._generate(st, time)
-        else:
-            self._die(st, event[4], time)
+    def _drain(self, st: _SeedState, bound: Tuple[float, int]) -> None:
+        """Run the seed's traffic events whose keys sort before ``bound``.
 
-    def _drain_before(self, st: _SeedState, instant: float) -> None:
-        """Run traffic strictly before ``instant`` (deaths at it included).
-
-        Machinery at a shared instant precedes same-time default-priority
-        traffic (its events always hold lower seqs — see module docstring)
-        but follows control-priority deaths.
+        An event's key is its ``(time, priority, seq, ...)`` tuple.
+        ``(t, 0)`` runs the traffic before machinery at ``t``: deaths at
+        ``t`` (control priority) run, same-time default-priority traffic
+        waits, since its events always hold higher seqs than the machinery
+        (see module docstring).  ``(t, 1)`` runs everything through ``t``,
+        as ``engine.run(until=t)`` does.
         """
         heap = st.heap
-        while heap:
-            head = heap[0]
-            if head[0] < instant or (head[0] == instant and head[1] < 0):
-                self._dispatch(st, heapq.heappop(heap))
+        pending_id = st.pending_id
+        pop = heapq.heappop
+        while heap and heap[0] < bound:
+            event = pop(heap)
+            kind = event[3]
+            if kind == _ATTEMPT:
+                node = event[4]
+                if pending_id[node] == event[2]:
+                    self._attempt(st, node, event[0])
+            elif kind == _FIRE:
+                node = event[4]
+                if pending_id[node] == event[2]:
+                    self._fire(st, node, event[0], event[5])
+            elif kind == _CH_DONE:
+                self._channel_complete(st, event[4], event[0])
+            elif kind == _TX_DONE:
+                self._tx_done(st, event[4], event[5], event[0])
+            elif kind == _GEN:
+                self._generate(st, event[0])
             else:
-                break
-
-    def _drain_through(self, st: _SeedState, until: float) -> None:
-        """Run all remaining traffic with ``time <= until`` (engine.run)."""
-        heap = st.heap
-        while heap and heap[0][0] <= until:
-            self._dispatch(st, heapq.heappop(heap))
+                self._die(st, event[4], event[0])
 
     # -- top-level ------------------------------------------------------------
 
@@ -932,7 +933,7 @@ class _Batch:
             # instant, in the same order.
             group = self.groups[gid]
             for s in group.seeds:
-                self._drain_before(self.states[s], now)
+                self._drain(self.states[s], (now, 0))
             if cls == 0:
                 if self._on_bi_start(now, group):
                     heapq.heappush(machinery, (now + self.aw, 1, gid))
@@ -940,7 +941,7 @@ class _Batch:
             else:
                 self._on_window_end(now, group)
         for st in self.states:
-            self._drain_through(st, duration)
+            self._drain(st, (duration, 1))
         self._accumulate_bulk(duration, np.ones((self.n, self.S), dtype=bool))
         return [self._result(st) for st in self.states]
 

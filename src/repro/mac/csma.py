@@ -57,6 +57,17 @@ class CsmaConfig:
         check_non_negative("difs", self.difs)
         check_positive_int("contention_window", self.contention_window)
 
+    @property
+    def lookback(self) -> float:
+        """How far back (s) any carrier-sense query of this MAC reaches.
+
+        The longest query is the fire-time ``busy_during`` check over a
+        DIFS + backoff countdown, at most DIFS + (cw - 1) slots (67 ms at
+        the defaults).  The bound adds one more slot, so the rounding of
+        ``countdown_start + wait`` can never push a query past it.
+        """
+        return self.difs + self.contention_window * self.slot_time
+
 
 @dataclass
 class _QueuedFrame:

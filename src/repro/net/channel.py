@@ -185,9 +185,12 @@ class Channel:
         Supports CSMA's "medium stayed idle through DIFS + backoff" check:
         the MAC records when its backoff countdown began and asks, at fire
         time, whether anything was heard since.  Only transmissions still
-        within the channel's retention horizon are considered, which covers
-        every interval a MAC can legitimately ask about (bounded by twice
-        the longest packet airtime).
+        within the channel's retention horizon are considered.  That covers
+        every interval a MAC can legitimately ask about: the longest is the
+        CSMA countdown, bounded by
+        :attr:`~repro.mac.csma.CsmaConfig.lookback` (69 ms at the defaults,
+        beyond twice the longest packet airtime), and ``RETENTION_FLOOR``
+        exceeds that bound.
         """
         if end < start:
             raise ValueError(f"interval end {end} before start {start}")
@@ -260,7 +263,8 @@ class Channel:
         return self._interference[node_id]
 
     #: How long (s) a finished transmission stays queryable for
-    #: ``busy_during``; must exceed the longest DIFS+backoff a MAC can wait.
+    #: ``busy_during``; must be at least ``CsmaConfig.lookback``, which
+    #: bounds the longest DIFS+backoff a MAC can wait.
     RETENTION_FLOOR = 1.0
 
     def _prune(self) -> None:

@@ -17,6 +17,7 @@ from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
 from repro.core.params import PBBFParams
 from repro.core.pbbf import PBBFAgent
 from repro.detailed.batched import (
+    _TAG_IMMEDIATE,
     _Batch,
     fallback_reason,
     run_batch,
@@ -28,6 +29,8 @@ from repro.experiments import Scale
 from repro.experiments.pareto_figures import PARETO02_POLICY
 from repro.experiments.scenario_figures import frontier_robustness_scenarios
 from repro.ideal.simulator import SchedulingMode
+from repro.mac.csma import CsmaConfig
+from repro.net.packet import Packet, PacketKind
 from repro.net.trace import PacketTracer
 from repro.scenarios import ScenarioSpec
 
@@ -527,3 +530,58 @@ class TestBatchedEnergyBookkeeping:
         for node in realized.failed_nodes:
             assert got.node_joules[node] == sleep_w * config.duration
 
+
+class TestLookBack:
+    """The kernel keeps every frame a channel query can still reach.
+
+    Parity runs cannot show a retention bound that is too short: the
+    frames it drops too early are seldom still asked about.  So this
+    drives the kernel's CSMA by hand through the longest query there is.
+    """
+
+    def test_quick_frame_heard_early_in_the_longest_countdown(self):
+        batch = _Batch(
+            [DetailedSimulator(PBBFParams(0.5, 0.5), CONFIG, seed=0)],
+            CONFIG.duration,
+        )
+        st = batch.states[0]
+        node = 0
+        neighbor = st.neighbors[node][0]
+
+        def queue(sender, size):
+            packet = Packet(
+                kind=PacketKind.DATA,
+                origin=sender,
+                sender=sender,
+                seqno=0,
+                size_bytes=size,
+            )
+            entry = (packet, False, _TAG_IMMEDIATE)
+            st.csma_queue[sender].append(entry)
+            return entry
+
+        countdown_start = 12.0
+        # A 64-byte frame (26.7 ms) sets the longest airtime seen ...
+        queue(neighbor, 64)
+        batch._fire(st, neighbor, countdown_start - 1.0, countdown_start - 1.0)
+        # ... and an audible 28-byte frame (11.7 ms) starts 1 ms after the
+        # node's countdown began.
+        queue(neighbor, 28)
+        batch._fire(st, neighbor, countdown_start + 0.001, countdown_start + 0.001)
+        short = st.recent[-1]
+        # The countdown is maximal, DIFS + (cw - 1) slots (67 ms), so twice
+        # the longest airtime does not reach back to the short frame.
+        csma = CsmaConfig()
+        fire = countdown_start + (
+            csma.difs + (csma.contention_window - 1) * csma.slot_time
+        )
+        assert short.end < fire - 2.0 * st.max_duration
+        batch._prune(st, fire)
+        assert short in st.recent
+        # The fire finds the medium was busy: nothing is sent, and the
+        # frame contends again.
+        entry = queue(node, 64)
+        batch._fire(st, node, fire, countdown_start)
+        assert st.channel_stats.transmissions == 2
+        assert st.csma_queue[node] == [entry]
+        assert st.pending_id[node] is not None

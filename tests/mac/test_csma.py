@@ -181,3 +181,14 @@ class TestConfig:
     def test_rejects_bad_contention_window(self):
         with pytest.raises(ValueError):
             CsmaConfig(contention_window=0)
+
+    def test_lookback_exceeds_the_longest_countdown(self):
+        config = CsmaConfig()
+        longest = config.difs + (config.contention_window - 1) * config.slot_time
+        assert config.lookback > longest
+        assert config.lookback == pytest.approx(0.069)
+        # Beyond twice the longest airtime of the paper's 64-byte frames.
+        assert config.lookback > 2 * 64 * 8.0 / BIT_RATE
+
+    def test_channel_retention_floor_covers_the_lookback(self):
+        assert Channel.RETENTION_FLOOR >= CsmaConfig().lookback
