@@ -27,6 +27,7 @@ rep, so a timing run doubles as an end-to-end bit-identity check.
 import argparse
 import gc
 import json
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -289,6 +290,7 @@ def main(argv=None) -> int:
         default=Path(__file__).resolve().parent.parent / "BENCH_detailed.json",
         help="where to write the JSON report",
     )
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
     size = (
@@ -337,7 +339,9 @@ def main(argv=None) -> int:
             f"interleaved A/B, min of {args.reps} reps, gc disabled "
             "inside timed regions"
         ),
-        "command": "python benchmarks/bench_detailed_scenario.py",
+        "command": shlex.join(
+            ["python", "benchmarks/bench_detailed_scenario.py", *argv]
+        ),
         "quick": args.quick,
         "points": points,
         # Batched cost of each extension point over its twin's.

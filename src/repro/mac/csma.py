@@ -113,6 +113,7 @@ class CsmaTransmitter:
         self._begin_tx = begin_tx
         self._end_tx = end_tx
         self.config = config if config is not None else CsmaConfig()
+        channel.register_lookback(self.config.lookback)
         self._queue: Deque[_QueuedFrame] = deque()
         self._pending_event: Optional[EventHandle] = None
         self._transmitting = False

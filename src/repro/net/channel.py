@@ -130,6 +130,7 @@ class Channel:
         self._listeners: Dict[int, ChannelListener] = {}
         self._recent: List[Transmission] = []
         self._max_duration_seen = 0.0
+        self._lookback = 0.0
         self.stats = ChannelStats()
         self._tracer = tracer
 
@@ -143,6 +144,16 @@ class Channel:
         if not 0 <= node_id < self._topology.n_nodes:
             raise IndexError(f"node {node_id} outside topology")
         self._listeners[node_id] = listener
+
+    def register_lookback(self, lookback: float) -> None:
+        """Keep finished transmissions queryable ``lookback`` s after now.
+
+        Each CSMA transmitter registers its
+        :attr:`~repro.mac.csma.CsmaConfig.lookback` at construction, so
+        the channel retains frames for the longest look-back of any MAC
+        attached to it.
+        """
+        self._lookback = max(self._lookback, lookback)
 
     def packet_duration(self, packet: Packet) -> float:
         """On-air time of ``packet`` on this channel."""
@@ -184,13 +195,15 @@ class Channel:
 
         Supports CSMA's "medium stayed idle through DIFS + backoff" check:
         the MAC records when its backoff countdown began and asks, at fire
-        time, whether anything was heard since.  Only transmissions still
-        within the channel's retention horizon are considered.  That covers
-        every interval a MAC can legitimately ask about: the longest is the
-        CSMA countdown, bounded by
-        :attr:`~repro.mac.csma.CsmaConfig.lookback` (69 ms at the defaults,
-        beyond twice the longest packet airtime), and ``RETENTION_FLOOR``
-        exceeds that bound.
+        time, whether anything was heard since.  Only transmissions within
+        the channel's retention horizon are considered: a frame stays
+        until it ended more than ``max(2 × longest airtime seen, longest
+        registered lookback)`` before the last transmission completed.
+        That covers every interval a MAC can legitimately ask about: the
+        longest is the CSMA countdown, bounded by the
+        :attr:`~repro.mac.csma.CsmaConfig.lookback` every
+        :class:`~repro.mac.csma.CsmaTransmitter` registers (69 ms at the
+        defaults, beyond twice the longest packet airtime).
         """
         if end < start:
             raise ValueError(f"interval end {end} before start {start}")
@@ -262,14 +275,13 @@ class Channel:
     def _audible_set(self, node_id: int) -> Tuple[int, ...]:
         return self._interference[node_id]
 
-    #: How long (s) a finished transmission stays queryable for
-    #: ``busy_during``; must be at least ``CsmaConfig.lookback``, which
-    #: bounds the longest DIFS+backoff a MAC can wait.
-    RETENTION_FLOOR = 1.0
-
     def _prune(self) -> None:
-        """Drop transmissions too old to overlap anything still in flight."""
-        keep_for = max(2.0 * self._max_duration_seen, self.RETENTION_FLOOR)
+        """Drop transmissions no query can reach any more.
+
+        Receptions look back one airtime and carrier sense one registered
+        lookback, so frames that ended longer ago than either are gone.
+        """
+        keep_for = max(2.0 * self._max_duration_seen, self._lookback)
         horizon = self._engine.now - keep_for
         if any(tx.end < horizon for tx in self._recent):
             self._recent = [tx for tx in self._recent if tx.end >= horizon]

@@ -6,18 +6,31 @@ growth is monotone, the first activation count at which a predicate becomes
 true (e.g. "the source's cluster covers 90% of nodes") is that run's
 critical bond count; dividing by the number of edges gives the critical
 *fraction* plotted in Figure 6.
+
+The sweep loop keeps its disjoint-set forest in plain lists and records
+only the steps at which a cluster grew.  :func:`bond_sweep` expands those
+steps into full occupation curves; a threshold estimate stops the same
+loop once the source's cluster reaches the highest coverage it needs.
+The edge order is shuffled in full first, so stopping early draws the
+same random numbers as a full sweep.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.net.topology import Topology
-from repro.util.union_find import UnionFind
 from repro.util.validation import check_probability
+
+#: ``(m, size)`` pairs in order: a cluster's size from the ``m``-th
+#: occupation on, one pair per occupation that grew it.
+Steps = List[Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -80,45 +93,121 @@ def bond_sweep(
         grids and node 0 otherwise, matching the paper's "source as near
         to the center of the grid as possible".
     """
-    if source is None:
-        source = _default_source(topology)
-    csr = topology.csr
-    n_edges = csr.n_edges
-    # Shuffling index positions draws exactly the same permutation as
-    # shuffling the edge list itself (Fisher-Yates only looks at length),
-    # so results stay bit-identical while the edge reorder becomes one
-    # vectorized gather from the topology's cached CSR edge arrays.
-    order = list(range(n_edges))
-    rng.shuffle(order)
-    us = csr.edge_u[order].tolist()
-    vs = csr.edge_v[order].tolist()
-    uf = UnionFind(topology.n_nodes)
-    union = uf.union
-    find = uf.find
-    component_size = uf.component_size
-    source_sizes: List[int] = [1]
-    largest_sizes: List[int] = [1 if topology.n_nodes else 0]
-    append_source = source_sizes.append
-    append_largest = largest_sizes.append
-    # Track the source's root incrementally: after a merge the old root is
-    # at most one parent hop from the new one, so this replaces a full
-    # find-from-source per bond with a near-free root check.
-    source_root = find(source)
-    source_size = 1
-    for u, v in zip(us, vs):
-        if union(u, v):
-            root = find(u)
-            if find(source_root) == root:
-                source_root = root
-                source_size = component_size(root)
-        append_source(source_size)
-        append_largest(uf.largest_component_size)
+    n_edges = topology.csr.n_edges
+    source_steps, largest_steps = _bond_steps(
+        topology, rng, source, stop=topology.n_nodes
+    )
     return BondSweepResult(
         n_nodes=topology.n_nodes,
         n_edges=n_edges,
-        source_cluster_sizes=tuple(source_sizes),
-        largest_cluster_sizes=tuple(largest_sizes),
+        source_cluster_sizes=_expand_steps(source_steps, n_edges),
+        largest_cluster_sizes=_expand_steps(largest_steps, n_edges),
     )
+
+
+def _first_bond_counts(
+    topology: Topology,
+    coverages: Sequence[float],
+    rng: random.Random,
+    source: Optional[int] = None,
+) -> List[Optional[int]]:
+    """One sweep's smallest occupied-bond count reaching each coverage.
+
+    The sweep stops once the source's cluster reaches the highest
+    coverage; ``None`` marks a coverage it never reached (e.g. on a
+    disconnected graph).  Equal to ``first_bond_count_reaching`` on the
+    :func:`bond_sweep` of the same ``rng`` state.
+    """
+    needed = [
+        max(1, math.ceil(check_probability("coverage", c) * topology.n_nodes))
+        for c in coverages
+    ]
+    steps, _ = _bond_steps(topology, rng, source, stop=max(needed))
+    return [_first_step_reaching(steps, size) for size in needed]
+
+
+def _bond_steps(
+    topology: Topology,
+    rng: random.Random,
+    source: Optional[int],
+    stop: int,
+) -> Tuple[Steps, Steps]:
+    """The sweep loop: the source's and the largest cluster's steps.
+
+    Stops at the bond that grows the source's cluster to ``stop`` nodes.
+    Union by size with path halving; any disjoint-set forest yields the
+    same clusters, so the sizes do not depend on that choice.
+    """
+    source = operator.index(
+        _default_source(topology) if source is None else source
+    )
+    csr = topology.csr
+    n = topology.n_nodes
+    # Shuffling index positions draws exactly the same permutation as
+    # shuffling the edge list itself (Fisher-Yates only looks at length),
+    # so the edge reorder is one vectorized gather from the topology's
+    # cached CSR edge arrays.
+    order = list(range(csr.n_edges))
+    rng.shuffle(order)
+    _check_node_ids(n, [source], csr.edge_u, csr.edge_v)
+    us = csr.edge_u[order].tolist()
+    vs = csr.edge_v[order].tolist()
+    parent = list(range(n))
+    size = [1] * n
+    # ``source_root`` is always a root: when the source's cluster merges,
+    # the merged root is the winner of that union.
+    source_root = source
+    largest = 1
+    source_steps: Steps = [(0, 1)]
+    largest_steps: Steps = [(0, 1)]
+    for m, u, v in zip(range(1, len(us) + 1), us, vs):
+        # Path halving: each node on the walk skips to its grandparent.
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            continue
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        grown = size[u] + size[v]
+        size[u] = grown
+        if grown > largest:
+            largest = grown
+            largest_steps.append((m, grown))
+        if v == source_root or u == source_root:
+            source_root = u
+            source_steps.append((m, grown))
+            if grown >= stop:
+                break
+    return source_steps, largest_steps
+
+
+def _check_node_ids(n_nodes: int, *ids: Sequence[int]) -> None:
+    """Once per sweep: every id in ``ids`` names one of ``n_nodes`` nodes."""
+    for array in ids:
+        if np.size(array) and not (
+            0 <= np.min(array) and np.max(array) < n_nodes
+        ):
+            raise IndexError(f"node id out of range [0, {n_nodes})")
+
+
+def _expand_steps(steps: Steps, last: int) -> Tuple[int, ...]:
+    """The size after each of ``0 .. last`` occupations."""
+    sizes: List[int] = []
+    bounds = [m for m, _ in steps[1:]] + [last + 1]
+    for (m, size), until in zip(steps, bounds):
+        sizes.extend([size] * (until - m))
+    return tuple(sizes)
+
+
+def _first_step_reaching(steps: Steps, size: int) -> Optional[int]:
+    """The first occupation count at which the size is at least ``size``."""
+    for m, grown in steps:
+        if grown >= size:
+            return m
+    return None
 
 
 def coverage_bond_fraction(
@@ -140,13 +229,12 @@ def coverage_bond_fraction(
         raise ValueError(f"runs must be > 0, got {runs}")
     fractions: List[float] = []
     for _ in range(runs):
-        sweep = bond_sweep(topology, rng, source)
-        count = sweep.first_bond_count_reaching(coverage)
+        [count] = _first_bond_counts(topology, (coverage,), rng, source)
         if count is None:
             raise RuntimeError(
                 f"sweep never reached coverage {coverage}; is the graph connected?"
             )
-        fractions.append(count / sweep.n_edges)
+        fractions.append(count / topology.n_edges)
     return fractions
 
 

@@ -7,7 +7,10 @@ baseline for examples and to demonstrate the structural difference Remark 1
 relies on (bond thresholds sit below site thresholds on the same lattice).
 
 The Newman-Ziff formulation activates sites one at a time in random order;
-an activated site merges with every already-active neighbour.
+an activated site merges with every already-active neighbour.  As for
+bonds, one list-based loop records the steps at which the largest active
+cluster grew: :func:`site_sweep` expands them into the full curve, and
+:func:`coverage_site_fraction` stops the loop at the coverage it needs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.net.topology import Topology
-from repro.util.union_find import UnionFind
+from repro.percolation.bond import (
+    Steps,
+    _check_node_ids,
+    _expand_steps,
+    _first_step_reaching,
+)
 from repro.util.validation import check_probability
 
 
@@ -45,27 +53,50 @@ class SiteSweepResult:
 
 def site_sweep(topology: Topology, rng: random.Random) -> SiteSweepResult:
     """Run one Newman-Ziff site sweep over ``topology``."""
+    n = topology.n_nodes
+    return SiteSweepResult(
+        n_nodes=n,
+        largest_cluster_sizes=_expand_steps(_site_steps(topology, rng, n), n),
+    )
+
+
+def _site_steps(topology: Topology, rng: random.Random, stop: int) -> Steps:
+    """The sweep loop: the largest active cluster's steps.
+
+    Stops at the site that grows the largest active cluster to ``stop``
+    nodes.  Inactive sites stay untouched singletons, so the activated
+    site is its own root until it merges.
+    """
+    n = topology.n_nodes
     order = list(topology.nodes())
     rng.shuffle(order)
-    uf = UnionFind(topology.n_nodes)
-    union = uf.union
+    _check_node_ids(n, topology.csr.indices)
     neighbors = topology.neighbors
-    active = [False] * topology.n_nodes
-    sizes: List[int] = [0]
-    append = sizes.append
-    # Inactive nodes stay singletons and unions only ever join active
-    # sites, so the union-find's O(1) largest-component counter *is* the
-    # largest active cluster once any site is active — no per-site find.
-    for site in order:
+    active = [False] * n
+    parent = list(range(n))
+    size = [1] * n
+    largest = 0
+    steps: Steps = [(0, 0)]
+    for m, site in zip(range(1, n + 1), order):
         active[site] = True
+        root = site
         for nbr in neighbors(site):
             if active[nbr]:
-                union(site, nbr)
-        append(uf.largest_component_size)
-    return SiteSweepResult(
-        n_nodes=topology.n_nodes,
-        largest_cluster_sizes=tuple(sizes),
-    )
+                # Path halving: each node on the walk skips to its
+                # grandparent.
+                while parent[nbr] != nbr:
+                    parent[nbr] = nbr = parent[parent[nbr]]
+                if nbr != root:
+                    if size[root] < size[nbr]:
+                        root, nbr = nbr, root
+                    parent[nbr] = root
+                    size[root] += size[nbr]
+        if size[root] > largest:
+            largest = size[root]
+            steps.append((m, largest))
+            if largest >= stop:
+                break
+    return steps
 
 
 def coverage_site_fraction(
@@ -74,16 +105,22 @@ def coverage_site_fraction(
     rng: random.Random,
     runs: int = 20,
 ) -> List[float]:
-    """Per-run critical site fractions for the largest cluster to reach ``coverage``."""
+    """Per-run critical site fractions for the largest cluster to reach ``coverage``.
+
+    Each sweep stops once the largest active cluster covers ``coverage``.
+    """
     if runs <= 0:
         raise ValueError(f"runs must be > 0, got {runs}")
+    check_probability("coverage", coverage)
+    n = topology.n_nodes
+    needed = max(1, math.ceil(coverage * n))
     fractions: List[float] = []
     for _ in range(runs):
-        sweep = site_sweep(topology, rng)
-        count = sweep.first_site_count_reaching(coverage)
+        steps = _site_steps(topology, rng, needed)
+        count = _first_step_reaching(steps, needed)
         if count is None:
             raise RuntimeError(
                 f"sweep never reached coverage {coverage}; is the graph connected?"
             )
-        fractions.append(count / topology.n_nodes)
+        fractions.append(count / n)
     return fractions

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.net.topology import GridTopology, Topology
+from repro.percolation.bond import _first_bond_counts
 from repro.util.stats import Summary, summarize
 from repro.util.validation import check_probability
 
@@ -69,18 +70,17 @@ def _sweep_thresholds(
     levels: Sequence[float],
     rng: random.Random,
 ) -> List[float]:
-    """One sweep, thresholds for every level read off the same run."""
-    from repro.percolation.bond import bond_sweep  # local to avoid cycle at import
+    """One sweep, thresholds for every level read off the same run.
 
-    sweep = bond_sweep(topology, rng)
+    The sweep stops once the source's cluster covers the highest level.
+    """
     fractions: List[float] = []
-    for level in levels:
-        count = sweep.first_bond_count_reaching(level)
+    for level, count in zip(levels, _first_bond_counts(topology, levels, rng)):
         if count is None:
             raise RuntimeError(
                 f"sweep never reached coverage {level}; is the topology connected?"
             )
-        fractions.append(count / sweep.n_edges)
+        fractions.append(count / topology.n_edges)
     return fractions
 
 

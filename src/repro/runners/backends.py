@@ -27,6 +27,12 @@ batch completes (``raise``, the default).  The pool backend rebuilds its
 executor when workers die and falls back to in-parent serial execution
 when rebuilds exceed the policy's bound, so serial and pool behave
 identically under the same injected faults.
+
+Pool dispatch: every submission carries one lease, and without a task
+deadline a second lease waits in the executor's call queue behind each
+running one, so a worker that finishes starts its next lease without a
+round trip to the parent.  A worker death collapses the pool and charges
+every submitted lease one attempt, queued ones included.
 """
 
 from __future__ import annotations
@@ -74,11 +80,6 @@ OnFailure = Optional[Callable[[RunFailure], None]]
 #: How often the pool loop wakes to check deadlines and top up leases.
 _POLL_INTERVAL_S = 0.05
 
-#: Campaigns with at most this many leases per worker count as "small":
-#: the pool groups their leases into one submission per worker, so IPC
-#: and future bookkeeping stop dominating short tasks.
-_SMALL_CAMPAIGN_PER_WORKER = 8
-
 
 def _evaluate_batch_task(
     task: _BatchTask, reference: bool = False
@@ -114,47 +115,6 @@ def _evaluate_leased_task(
     if marker == "corrupt_result":
         return [dict(faults.CORRUPT_RESULT_MARKER) for _ in flats]
     return flats
-
-
-def _evaluate_lease_chunk(
-    payloads: Sequence[Tuple[_BatchTask, str, int]]
-) -> List[Tuple[Any, ...]]:
-    """Evaluate several leases in one pool submission, outcomes aligned.
-
-    Used for small campaigns where per-lease submission overhead would
-    dominate.  Failures are captured per lease as ``("error", type
-    name, message)`` tuples instead of raising, so one bad lease never
-    charges its chunk-mates an attempt — only a worker *death* (which
-    no handler survives) keeps the whole-chunk collateral accounting.
-    """
-    outcomes: List[Tuple[Any, ...]] = []
-    for payload in payloads:
-        try:
-            outcomes.append(("ok", _evaluate_leased_task(payload)))
-        except KeyboardInterrupt:  # pragma: no cover - parent-driven
-            raise
-        except BaseException as error:
-            outcomes.append(("error", type(error).__name__, str(error)))
-    return outcomes
-
-
-_CHUNK_ERROR_TYPES = {
-    cls.__name__: cls
-    for cls in (CorruptResultError, TaskTimeoutError, WorkerCrashError)
-}
-
-
-def _chunk_error(name: str, message: str) -> BaseException:
-    """Rebuild a chunk lease's worker-side failure from its wire form.
-
-    Unknown types become a synthetic RuntimeError subclass carrying the
-    original name, so ``RunFailure.error_type`` reads the same whether
-    the lease ran chunked or singleton.
-    """
-    cls = _CHUNK_ERROR_TYPES.get(name)
-    if cls is None:
-        cls = type(name, (RuntimeError,), {})
-    return cls(message)
 
 
 def _group_runs(runs: Sequence[CampaignRun]) -> List[_BatchTask]:
@@ -443,26 +403,6 @@ class SerialBackend:
         return "SerialBackend()"
 
 
-def _chunk_size(
-    n_leases: int, workers: int, timeout_s: Optional[float]
-) -> int:
-    """Leases per pool submission for one ``_drain_pool`` call.
-
-    Small campaigns (more leases than workers, at most
-    ``_SMALL_CAMPAIGN_PER_WORKER`` per worker) go out as one submission
-    per worker instead of one per lease, so IPC and future bookkeeping
-    stop dominating short tasks.  Never chunked under a task deadline —
-    the submission-time deadline only approximates a start-time one at
-    one task per submission.
-    """
-    if timeout_s is not None or n_leases <= workers:
-        return 1
-    per_worker = -(-n_leases // workers)  # ceil
-    if n_leases > workers * _SMALL_CAMPAIGN_PER_WORKER:
-        return 1
-    return per_worker
-
-
 def _kill_executor(executor: ProcessPoolExecutor) -> None:
     """Tear a pool down even when its workers are hung or dead.
 
@@ -491,19 +431,25 @@ def _kill_executor(executor: ProcessPoolExecutor) -> None:
 class ProcessPoolBackend:
     """Leased fan-out over a process pool, resilient to worker loss.
 
-    Each grouped task is leased to one worker via async submission (at
-    most one in-flight task per worker, so a submission-time deadline
-    approximates a start-time one).  A worker that raises or returns
-    garbage charges its lease one attempt; a worker that *dies* breaks
-    the whole pool, so every in-flight lease is charged one attempt
-    (the guilty one is unknowable) and the pool is rebuilt — bounded by
-    ``FailurePolicy.max_pool_rebuilds`` (and ``max_retries``).  The
-    collapse past that bound charges nobody: the remaining leases
-    degrade to in-parent serial execution, where crash faults raise
-    instead of exiting and attribution is exact.  A lease past its
-    deadline times out alone; its hung worker is reclaimed by a pool
-    rebuild that requeues the innocent in-flight leases at their
-    *current* attempt (no charge).
+    Each submission carries one grouped task (a lease).  Without a task
+    deadline the pool keeps two leases submitted per worker: one running
+    and one waiting in the executor's shared call queue, which hands it
+    to whichever worker frees first, so no worker idles for a parent
+    round trip between leases.  Under ``timeout_s`` it keeps one per
+    worker, so every submission starts at once and a submission-time
+    deadline approximates a start-time one.
+
+    A worker that raises or returns garbage charges its lease one
+    attempt; a worker that *dies* breaks the whole pool, so every
+    submitted lease, queued ones included, is charged one attempt (the
+    guilty one is unknowable) and the pool is rebuilt — bounded by
+    ``FailurePolicy.max_pool_rebuilds`` (and ``max_retries``).  One
+    collapse charges a lease at most once.  The collapse past that bound
+    charges nobody: the remaining leases degrade to in-parent serial
+    execution, where crash faults raise instead of exiting and
+    attribution is exact.  A lease past its deadline times out alone;
+    its hung worker is reclaimed by a pool rebuild that requeues the
+    innocent in-flight leases at their *current* attempt (no charge).
 
     Parameters
     ----------
@@ -554,6 +500,9 @@ class ProcessPoolBackend:
     def _drain_pool(self, state: _ExecutionState, leases: List[_Lease]) -> None:
         policy = state.policy
         workers = min(self.jobs, len(leases))
+        # One lease queued behind each running one, except under a
+        # deadline, which must start counting when its lease starts.
+        depth = workers if policy.timeout_s else 2 * workers
         # An innocent lease loses one attempt per charged pool collapse,
         # so the rebuild budget must never exceed the retry budget —
         # otherwise a single poisoned task could exhaust its neighbours.
@@ -561,13 +510,10 @@ class ProcessPoolBackend:
         rebuilds = 0
         queue: Deque[_Lease] = deque(leases)
         requeue = queue.append
-        in_flight: Dict[Any, Tuple[List[_Lease], Optional[float]]] = {}
-        chunk_size = _chunk_size(len(leases), workers, policy.timeout_s)
+        in_flight: Dict[Any, Tuple[_Lease, Optional[float]]] = {}
 
         def fail_over_to_serial() -> None:
-            remaining = [
-                lease for chunk, _ in in_flight.values() for lease in chunk
-            ]
+            remaining = [lease for lease, _ in in_flight.values()]
             in_flight.clear()
             remaining.extend(queue)
             queue.clear()
@@ -580,26 +526,15 @@ class ProcessPoolBackend:
                 broken = False
                 # Leases whose future died with the pool this round.
                 collapsed: List[_Lease] = []
-                while queue and len(in_flight) < workers:
-                    chunk = [queue.popleft()]
-                    while len(chunk) < chunk_size and queue:
-                        chunk.append(queue.popleft())
-                    payloads = [
-                        (lease.task, lease.key, lease.attempt)
-                        for lease in chunk
-                    ]
+                while queue and len(in_flight) < depth:
+                    lease = queue.popleft()
                     try:
-                        if len(chunk) == 1:
-                            future = executor.submit(
-                                _evaluate_leased_task, payloads[0]
-                            )
-                        else:
-                            future = executor.submit(
-                                _evaluate_lease_chunk, payloads
-                            )
+                        future = executor.submit(
+                            _evaluate_leased_task,
+                            (lease.task, lease.key, lease.attempt),
+                        )
                     except BrokenExecutor:
-                        for lease in reversed(chunk):
-                            queue.appendleft(lease)
+                        queue.appendleft(lease)
                         broken = True
                         break
                     deadline = (
@@ -607,7 +542,7 @@ class ProcessPoolBackend:
                         if policy.timeout_s
                         else None
                     )
-                    in_flight[future] = (chunk, deadline)
+                    in_flight[future] = (lease, deadline)
                 if in_flight and not broken:
                     done, _ = wait(
                         list(in_flight),
@@ -615,73 +550,51 @@ class ProcessPoolBackend:
                         return_when=FIRST_COMPLETED,
                     )
                     for future in done:
-                        chunk, _deadline = in_flight.pop(future)
+                        lease, _deadline = in_flight.pop(future)
                         try:
-                            raw = future.result()
+                            flats = _validated(lease, future.result())
                         except BrokenExecutor:
                             broken = True
-                            collapsed.extend(chunk)
+                            collapsed.append(lease)
                             continue
                         except KeyboardInterrupt:
                             raise
                         except Exception as error:
-                            for lease in chunk:
-                                _handle_failed_attempt(
-                                    state, lease, error, requeue
-                                )
+                            _handle_failed_attempt(
+                                state, lease, error, requeue
+                            )
                             continue
-                        outcomes = (
-                            [("ok", raw)] if len(chunk) == 1 else raw
-                        )
-                        for lease, outcome in zip(chunk, outcomes):
-                            if outcome[0] != "ok":
-                                _handle_failed_attempt(
-                                    state,
-                                    lease,
-                                    _chunk_error(outcome[1], outcome[2]),
-                                    requeue,
-                                )
-                                continue
-                            try:
-                                flats = _validated(lease, outcome[1])
-                            except CorruptResultError as error:
-                                _handle_failed_attempt(
-                                    state, lease, error, requeue
-                                )
-                            else:
-                                state.deliver(lease, flats)
+                        state.deliver(lease, flats)
                 expired: List[Any] = []
                 if not broken and policy.timeout_s:
                     now = time.monotonic()
                     expired = [
                         future
-                        for future, (_chunk, deadline) in in_flight.items()
+                        for future, (_lease, deadline) in in_flight.items()
                         if deadline is not None and now >= deadline
                     ]
                     for future in expired:
-                        chunk, _deadline = in_flight.pop(future)
-                        for lease in chunk:
-                            _handle_failed_attempt(
-                                state,
-                                lease,
-                                TaskTimeoutError(
-                                    f"task exceeded "
-                                    f"timeout_s={policy.timeout_s:g}"
-                                ),
-                                requeue,
-                            )
+                        lease, _deadline = in_flight.pop(future)
+                        _handle_failed_attempt(
+                            state,
+                            lease,
+                            TaskTimeoutError(
+                                f"task exceeded timeout_s={policy.timeout_s:g}"
+                            ),
+                            requeue,
+                        )
                 if broken or expired:
                     # The pool is unusable: workers died (pool poisoned)
                     # or are hung holding expired leases.  Re-lease the
-                    # in-flight tasks and start a fresh pool — a worker
-                    # death charges them one attempt (guilty unknown), a
-                    # timeout elsewhere does not (they are innocent and
-                    # merely rescheduled).  The collapse that spends the
+                    # submitted tasks and start a fresh pool — a worker
+                    # death charges each of them, queued ones included,
+                    # one attempt (guilty unknown), a timeout elsewhere
+                    # does not (they are innocent and merely
+                    # rescheduled).  The collapse that spends the
                     # rebuild budget charges nobody: serial fail-over
                     # attributes the next crash exactly, so collateral
                     # deaths alone can never exhaust an innocent lease.
-                    for chunk, _deadline in in_flight.values():
-                        collapsed.extend(chunk)
+                    collapsed.extend(lease for lease, _ in in_flight.values())
                     in_flight.clear()
                     _kill_executor(executor)
                     rebuilds += 1

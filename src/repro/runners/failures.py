@@ -57,10 +57,11 @@ class FailurePolicy:
     #: with fault injection suppressed, skipping only if that also fails.
     on_exhausted: str = "raise"
     #: Pool rebuilds tolerated before the remaining tasks fall back to
-    #: in-parent serial execution.  Kept at or below ``max_retries`` (a
-    #: broken pool charges every in-flight task one attempt without
-    #: knowing the guilty one, so this bound guarantees an innocent task
-    #: can never exhaust purely through collateral pool deaths).
+    #: in-parent serial execution.  Kept at or below ``max_retries``: a
+    #: broken pool charges every submitted task one attempt, queued ones
+    #: included, without knowing the guilty one, and one collapse charges
+    #: a task at most once, so this bound guarantees an innocent task can
+    #: never exhaust purely through collateral pool deaths.
     max_pool_rebuilds: int = 3
 
     def __post_init__(self) -> None:

@@ -190,5 +190,36 @@ class TestConfig:
         # Beyond twice the longest airtime of the paper's 64-byte frames.
         assert config.lookback > 2 * 64 * 8.0 / BIT_RATE
 
-    def test_channel_retention_floor_covers_the_lookback(self):
-        assert Channel.RETENTION_FLOOR >= CsmaConfig().lookback
+    @pytest.mark.parametrize("registered", [True, False])
+    def test_channel_keeps_what_the_longest_countdown_can_hear(
+        self, registered
+    ):
+        # A MAC with a slow custom config begins its longest countdown at
+        # 0; a neighbour's frame starts just after.  A frame the MAC
+        # cannot hear completes just before the countdown ends, which
+        # prunes the channel.  Only the registered lookback keeps the
+        # early frame.
+        engine = Engine()
+        line = Topology(
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [[1], [0, 2], [1]]
+        )
+        channel = Channel(engine, line, BIT_RATE)
+        slow = CsmaConfig(slot_time=0.01, difs=0.05, contention_window=64)
+        longest = slow.difs + (slow.contention_window - 1) * slow.slot_time
+        if registered:
+            CsmaTransmitter(
+                engine, channel, 0, random.Random(1),
+                begin_tx=lambda: None, end_tx=lambda: None, config=slow,
+            )
+        airtime = 64 * 8 / BIT_RATE
+        engine.schedule(0.001, lambda: channel.transmit(1, _packet(1)))
+        engine.schedule(
+            longest - airtime - 0.001, lambda: channel.transmit(2, _packet(2))
+        )
+        heard = []
+        engine.schedule(
+            longest, lambda: heard.append(channel.busy_during(0, 0.0, longest))
+        )
+        engine.run()
+        assert heard == [registered]
+        assert longest > CsmaConfig().lookback > 2 * airtime

@@ -1,13 +1,14 @@
-"""The process pool's lease envelope: chunking, isolation, exhaustion.
+"""The process pool's lease envelope: dispatch, isolation, exhaustion.
 
-``ProcessPoolBackend`` sends a small campaign as one
-``_evaluate_lease_chunk`` submission per worker, and a larger one — or
-any campaign under a task deadline — as one lease per submission.
-Either way every lease keeps its own attempt count: a lease that fails
-inside a chunk charges only itself, a worker death charges every lease
-in flight, and the collapse that spends the rebuild budget charges
-nobody and finishes the rest in-parent, where attribution is exact.
-Every test holds the pool to the fault-free serial run, bit for bit.
+``ProcessPoolBackend`` sends every lease as its own submission.  Without
+a task deadline it keeps two leases submitted per worker, one running
+and one queued behind it; under a deadline it keeps one per worker.
+Every lease keeps its own attempt count: a lease that raises or returns
+garbage charges only itself, a worker death charges every submitted
+lease (queued ones included), and the collapse that spends the rebuild
+budget charges nobody and finishes the rest in-parent, where
+attribution is exact.  Every test holds the pool to the fault-free
+serial run, bit for bit.
 """
 
 import threading
@@ -16,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.ideal.simulator import SchedulingMode
 from repro.runners import (
     CampaignExecutionError,
     CampaignSpec,
@@ -31,17 +33,7 @@ from repro.runners import (
     run_campaign,
 )
 from repro.runners import backends
-from repro.runners.backends import (
-    _chunk_error,
-    _chunk_size,
-    _evaluate_lease_chunk,
-    _evaluate_leased_task,
-)
-from repro.runners.failures import (
-    CorruptResultError,
-    TaskTimeoutError,
-    WorkerCrashError,
-)
+from repro.runners.backends import _evaluate_leased_task
 
 
 @pytest.fixture(autouse=True)
@@ -50,6 +42,24 @@ def _fresh_runner_state():
     reset_stats()
     yield
     clear_run_caches()
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    """How many submitted leases each wait of the pool loop covered.
+
+    The loop tops up its submissions before every wait, so the first
+    entry is the first round and the largest is the deepest it went.
+    """
+    sizes = []
+    real_wait = backends.wait
+
+    def spy(futures, **kwargs):
+        sizes.append(len(futures))
+        return real_wait(futures, **kwargs)
+
+    monkeypatch.setattr(backends, "wait", spy)
+    return sizes
 
 
 def tiny_spec(axes):
@@ -65,13 +75,19 @@ def tiny_spec(axes):
     )
 
 
-#: Lease shapes on two workers: 2 leases go out one per submission,
-#: 6 leases as two chunks of 3.
+#: Lease shapes on two workers: 2 leases all start at once; 8 leases
+#: keep a lease queued behind each running one (4 submitted at a time).
 SHAPES = {
     "singleton": {"grid_side": (6, 8)},
-    "chunked": {"grid_side": (6, 7, 8), "reliability": (0.85, 0.95)},
+    "queued": {"grid_side": (6, 7, 8, 9), "reliability": (0.85, 0.95)},
 }
-FIRST_ROUND = {"singleton": [1, 1], "chunked": [3, 3]}
+FIRST_ROUND = {"singleton": 2, "queued": 4}
+
+#: Per shape, the lease a singled-out crash hits, and the first plan
+#: seed that singles it out for four attempts.  The search from seed 0
+#: takes seconds on the 8-lease shape, so it starts here; if the run
+#: keys ever change, ``singling_plan`` still searches onwards.
+SINGLED_CRASH = {"singleton": (0, 0), "queued": (6, 15_729)}
 
 
 def shape_spec(shape):
@@ -105,11 +121,11 @@ _RATE_FIELDS = {
 }
 
 
-def singling_plan(fault, keys, index, attempts, **extra):
+def singling_plan(fault, keys, index, attempts, first_seed=0, **extra):
     """A plan firing ``fault`` on ``keys[index]`` at each of its first
     ``attempts`` attempts, and no fault on any other key meanwhile."""
     rate = 1.0 / len(keys)
-    for seed in range(200_000):
+    for seed in range(first_seed, first_seed + 200_000):
         plan = FaultPlan(
             seed=seed,
             max_attempt=attempts,
@@ -126,103 +142,133 @@ def singling_plan(fault, keys, index, attempts, **extra):
 
 
 class SpyPool(ProcessPoolBackend):
-    """The real pool, recording the ``(key, attempt)`` of every lease
-    each submission carried."""
+    """The real pool, recording the ``(key, attempt)`` of the lease each
+    submission carried, and the callables it submitted."""
 
     def __init__(self, jobs=2):
         super().__init__(jobs)
         self.submissions = []
+        self.callables = set()
 
     def _new_executor(self, workers):
         executor = super()._new_executor(workers)
         submit = executor.submit
 
         def spy(fn, payload):
-            leases = payload if fn is _evaluate_lease_chunk else [payload]
-            self.submissions.append(
-                [(key, attempt) for _task, key, attempt in leases]
-            )
-            return submit(fn, payload)
+            _task, key, attempt = payload
+            future = submit(fn, payload)
+            self.callables.add(fn)
+            self.submissions.append((key, attempt))
+            return future
 
         executor.submit = spy
         return executor
 
-    def sizes(self):
-        return [len(submission) for submission in self.submissions]
-
     def attempts(self):
         """Every attempt each key was submitted at, in order."""
         seen = {}
-        for submission in self.submissions:
-            for key, attempt in submission:
-                seen.setdefault(key, []).append(attempt)
+        for key, attempt in self.submissions:
+            seen.setdefault(key, []).append(attempt)
         return seen
 
 
-class TestChunkSize:
-    @pytest.mark.parametrize(
-        "n_leases, workers, timeout_s, expected",
-        [
-            (2, 2, None, 1),
-            (6, 2, None, 3),
-            (7, 2, None, 4),
-            (16, 2, None, 8),
-            (17, 2, None, 1),
-            (6, 2, 0.5, 1),
-            (24, 3, None, 8),
-            (25, 3, None, 1),
-        ],
+def sixteen_lease_detailed_spec():
+    """16 detailed points of two seeds each: 16 leases of two runs."""
+    return CampaignSpec.build(
+        kind="detailed",
+        axes={"p": (0.25, 0.5, 0.75, 1.0), "q": (0.0, 0.25, 0.5, 1.0)},
+        fixed={
+            "density": 9.0,
+            "mode": SchedulingMode.PSM_PBBF.value,
+            "duration": 60.0,
+            "scheduler": "psm",
+        },
+        seed_params=("p", "q", "density", "mode"),
+        n_seeds=2,
+        seed_with_run_index=True,
     )
-    def test_rule(self, n_leases, workers, timeout_s, expected):
-        assert _chunk_size(n_leases, workers, timeout_s) == expected
 
 
-class TestChunkError:
-    @pytest.mark.parametrize(
-        "cls", [CorruptResultError, TaskTimeoutError, WorkerCrashError]
-    )
-    def test_known_failures_come_back_as_their_own_class(self, cls):
-        error = _chunk_error(cls.__name__, "lost it")
-        assert type(error) is cls
-        assert str(error) == "lost it"
-
-    def test_unknown_name_keeps_its_name_on_a_runtime_error(self):
-        error = _chunk_error("ValueError", "bad process")
-        assert isinstance(error, RuntimeError)
-        assert not isinstance(error, ValueError)
-        assert type(error).__name__ == "ValueError"
-        assert str(error) == "bad process"
-
-
-class TestLeaseChunkInProcess:
-    def _payloads(self, spec):
-        return [
-            ((run.kind, run.params_dict(), (run.seed,)), run.key, 0)
-            for run in spec.runs()
-        ]
-
-    def test_an_error_is_captured_in_place_and_its_neighbours_run(self):
-        spec = tiny_spec({"process": ("bond", "bogus", "site")})
-        payloads = self._payloads(spec)
-        outcomes = _evaluate_lease_chunk(payloads)
-        assert [outcome[0] for outcome in outcomes] == ["ok", "error", "ok"]
-        assert outcomes[1][1] == "ValueError"
-        assert "bogus" in outcomes[1][2]
-        assert outcomes[0][1] == _evaluate_leased_task(payloads[0])
-        assert outcomes[2][1] == _evaluate_leased_task(payloads[2])
-
-    def test_a_corrupt_fault_is_returned_not_raised(self):
-        spec = tiny_spec({"grid_side": (6, 8)})
-        with execution(fault_plan=FaultPlan(corrupt_result_rate=1.0)):
-            outcomes = _evaluate_lease_chunk(self._payloads(spec))
-        assert [outcome[0] for outcome in outcomes] == ["ok", "ok"]
-        assert all(
-            outcome[1] == [{"__fault__": "corrupt-result"}]
-            for outcome in outcomes
+class TestDispatch:
+    @pytest.mark.parametrize("shape", ["singleton", "queued"])
+    def test_every_submission_carries_one_lease(self, shape):
+        spec = shape_spec(shape)
+        backend = SpyPool(2)
+        result = run_campaign(spec, use_cache=False, backend=backend)
+        assert backend.callables == {_evaluate_leased_task}
+        assert sorted(backend.submissions) == sorted(
+            (key, 0) for key in run_keys(spec)
         )
+        assert all_metrics(result) == fault_free_reference(spec)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_lease_is_queued_behind_each_running_one(self, jobs, waits):
+        spec = shape_spec("queued")
+        result = run_campaign(
+            spec, use_cache=False, backend=ProcessPoolBackend(jobs)
+        )
+        assert waits[0] == 2 * jobs
+        assert max(waits) == 2 * jobs
+        assert all_metrics(result) == fault_free_reference(spec)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_deadline_keeps_one_lease_per_worker(self, jobs, waits):
+        spec = shape_spec("queued")
+        result = run_campaign(
+            spec,
+            use_cache=False,
+            backend=ProcessPoolBackend(jobs),
+            failure_policy=FailurePolicy(timeout_s=60.0),
+        )
+        assert waits[0] == jobs
+        assert max(waits) == jobs
+        assert all_metrics(result) == fault_free_reference(spec)
+
+    def test_a_campaign_below_the_depth_goes_out_in_one_round(self, waits):
+        spec = tiny_spec({"grid_side": (6, 7, 8)})
+        backend = SpyPool(2)
+        run_campaign(spec, use_cache=False, backend=backend)
+        assert waits[0] == 3
+        assert len(backend.submissions) == 3
+
+    def test_sixteen_leases_match_serial_results_and_ticks(self):
+        runs = sixteen_lease_detailed_spec().runs()
+        assert len(runs) == 32
+        serial_ticks = []
+        serial = SerialBackend().execute(
+            runs, on_result=lambda i, flat: serial_ticks.append((i, flat))
+        )
+        clear_run_caches()
+        pooled_ticks = []
+        pooled = ProcessPoolBackend(2).execute(
+            runs, on_result=lambda i, flat: pooled_ticks.append((i, flat))
+        )
+        assert pooled == serial
+        assert [i for i, _ in serial_ticks] == list(range(32))
+        assert sorted(pooled_ticks, key=lambda tick: tick[0]) == serial_ticks
+        # A lease delivers its two seeds together, in seed order.
+        order = [i for i, _ in pooled_ticks]
+        for first in range(0, 32, 2):
+            assert order.index(first + 1) == order.index(first) + 1
+
+    def test_a_collapse_charges_every_submitted_lease(self):
+        # Every lease crashes on its first attempt, so each round of
+        # four dies whole: the two leases queued behind the running
+        # pair are charged without having started.
+        spec = shape_spec("queued")
+        keys = run_keys(spec)
+        reference = fault_free_reference(spec)
+        backend = SpyPool(2)
+        with execution(fault_plan=FaultPlan(crash_rate=1.0)):
+            result = run_campaign(spec, use_cache=False, backend=backend)
+        assert not result.failures
+        assert all_metrics(result) == reference
+        assert backend.submissions[:8] == [(key, 0) for key in keys]
+        assert backend.attempts() == {key: [0, 1] for key in keys}
+        assert get_stats().retried == len(keys)
 
 
-class TestChunkedPathUnderFaults:
+class TestQueuedPathUnderFaults:
     @pytest.mark.parametrize(
         "plan",
         [
@@ -232,20 +278,21 @@ class TestChunkedPathUnderFaults:
         ],
         ids=["crash", "corrupt", "mixed"],
     )
-    def test_recovers_bit_identical_to_fault_free_serial(self, plan):
-        spec = shape_spec("chunked")
+    def test_recovers_bit_identical_to_fault_free_serial(self, plan, waits):
+        spec = shape_spec("queued")
         reference = fault_free_reference(spec)
-        backend = SpyPool(2)
         with execution(fault_plan=plan):
-            result = run_campaign(spec, use_cache=False, backend=backend)
-        assert backend.sizes()[:2] == [3, 3]
+            result = run_campaign(
+                spec, use_cache=False, backend=ProcessPoolBackend(2)
+            )
+        assert waits[0] == FIRST_ROUND["queued"]
         assert not result.failures
         assert all_metrics(result) == reference
 
 
-class TestDeadlineTurnsChunkingOff:
-    def test_hung_lease_retried_alone_on_singleton_submissions(self):
-        spec = shape_spec("chunked")
+class TestDeadlinePath:
+    def test_hung_lease_retried_alone(self, waits):
+        spec = shape_spec("queued")
         keys = run_keys(spec)
         reference = fault_free_reference(spec)
         plan = singling_plan("hang", keys, index=2, attempts=1, hang_s=30.0)
@@ -257,7 +304,7 @@ class TestDeadlineTurnsChunkingOff:
                 backend=backend,
                 failure_policy=FailurePolicy(timeout_s=0.5),
             )
-        assert set(backend.sizes()) == {1}
+        assert max(waits) == 2
         assert not result.failures
         assert all_metrics(result) == reference
         attempts = backend.attempts()
@@ -267,7 +314,6 @@ class TestDeadlineTurnsChunkingOff:
             set(attempts[key]) == {0} for key in keys if key != keys[2]
         )
         assert get_stats().retried == 1
-
     def test_innocent_in_flight_lease_is_requeued_uncharged(
         self, monkeypatch
     ):
@@ -317,18 +363,20 @@ class TestDeadlineTurnsChunkingOff:
         assert get_stats().retried == 1
 
 
-@pytest.mark.parametrize("shape", ["singleton", "chunked"])
+@pytest.mark.parametrize("shape", ["singleton", "queued"])
 class TestPoolExhaustion:
-    def test_skip_records_each_corrupt_run(self, shape):
+    def test_skip_records_each_corrupt_run(self, shape, waits):
         spec = shape_spec(shape)
-        backend = SpyPool(2)
         plan = FaultPlan(corrupt_result_rate=1.0, max_attempt=99)
         policy = FailurePolicy(max_retries=1, on_exhausted="skip")
         with execution(fault_plan=plan):
             result = run_campaign(
-                spec, use_cache=False, backend=backend, failure_policy=policy
+                spec,
+                use_cache=False,
+                backend=ProcessPoolBackend(2),
+                failure_policy=policy,
             )
-        assert backend.sizes()[:2] == FIRST_ROUND[shape]
+        assert waits[0] == FIRST_ROUND[shape]
         assert sorted(f.key for f in result.failures) == sorted(run_keys(spec))
         assert {(f.error_type, f.attempts) for f in result.failures} == {
             ("CorruptResultError", 2)
@@ -394,16 +442,15 @@ class TestPoolExhaustion:
         assert all(cache.get(key) is not None for key in keys[1:])
 
 
-class TestChunkIsolation:
+class TestLeaseIsolation:
     def test_a_corrupt_lease_charges_only_itself(self):
-        spec = shape_spec("chunked")
+        spec = shape_spec("queued")
         keys = run_keys(spec)
         reference = fault_free_reference(spec)
         plan = singling_plan("corrupt_result", keys, index=1, attempts=1)
         backend = SpyPool(2)
         with execution(fault_plan=plan):
             result = run_campaign(spec, use_cache=False, backend=backend)
-        assert backend.sizes()[:2] == [3, 3]
         assert not result.failures
         assert all_metrics(result) == reference
         attempts = backend.attempts()
@@ -417,7 +464,7 @@ class TestChunkIsolation:
             {"process": ("bond", "bogus")},
             {"grid_side": (6, 8), "process": ("bond", "bogus", "site")},
         ],
-        ids=["singleton", "chunked"],
+        ids=["singleton", "queued"],
     )
     def test_a_raising_lease_fails_alone_as_it_does_serially(self, axes):
         spec = tiny_spec(axes)
@@ -456,17 +503,21 @@ class TestChunkIsolation:
 
 
 class TestRebuildCap:
-    @pytest.mark.parametrize("max_retries", [0, 1, 2])
-    @pytest.mark.parametrize("shape", ["singleton", "chunked"])
+    @pytest.mark.parametrize("max_retries", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", ["singleton", "queued"])
     def test_collateral_deaths_never_exhaust_a_healthy_lease(
         self, shape, max_retries
     ):
         spec = shape_spec(shape)
         keys = run_keys(spec)
         reference = fault_free_reference(spec)
-        # keys[0] kills its worker on every attempt it gets; every other
-        # lease would succeed wherever it ran.
-        plan = singling_plan("crash", keys, index=0, attempts=max_retries + 1)
+        # One lease kills its worker on every attempt it gets; every
+        # other lease would succeed wherever it ran.  On the queued
+        # shape each collapse also charges the leases queued behind.
+        index, first_seed = SINGLED_CRASH[shape]
+        plan = singling_plan(
+            "crash", keys, index, max_retries + 1, first_seed=first_seed
+        )
         policy = FailurePolicy(max_retries=max_retries, on_exhausted="skip")
         with execution(fault_plan=plan):
             result = run_campaign(
@@ -476,8 +527,31 @@ class TestRebuildCap:
                 failure_policy=policy,
             )
         [failure] = result.failures
-        assert failure.key == keys[0]
+        assert failure.key == keys[index]
         assert failure.error_type == "WorkerCrashError"
         assert failure.attempts == max_retries + 1
-        for run, expected in list(zip(spec.runs(), reference))[1:]:
-            assert result.metrics(**run.params_dict()) == expected
+        for i, (run, expected) in enumerate(zip(spec.runs(), reference)):
+            if i != index:
+                assert result.metrics(**run.params_dict()) == expected
+
+    @pytest.mark.parametrize("max_retries", [1, 2, 3])
+    def test_a_transient_crash_among_queued_leases_recovers(
+        self, max_retries
+    ):
+        spec = shape_spec("queued")
+        keys = run_keys(spec)
+        reference = fault_free_reference(spec)
+        index, first_seed = SINGLED_CRASH["queued"]
+        plan = singling_plan("crash", keys, index, 1, first_seed=first_seed)
+        backend = SpyPool(2)
+        policy = FailurePolicy(max_retries=max_retries, on_exhausted="skip")
+        with execution(fault_plan=plan):
+            result = run_campaign(
+                spec, use_cache=False, backend=backend, failure_policy=policy
+            )
+        assert not result.failures
+        assert all_metrics(result) == reference
+        attempts = backend.attempts()
+        assert attempts[keys[index]] == [0, 1]
+        # One collapse charges a lease at most once.
+        assert all(set(attempts[key]) <= {0, 1} for key in keys)
