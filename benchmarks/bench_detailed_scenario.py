@@ -20,12 +20,16 @@ Timing methodology for the A/B harness: the two kernels are interleaved
 rep by rep (so machine-load drift hits both equally), gc is disabled
 inside each timed region, and the headline is min-of-reps — the
 standard estimator for "how fast does this code run", robust to the
-multi-tenant noise that poisons means.  Parity is asserted on every
+multi-tenant noise that poisons means.  Every timed region sits between
+two calls of perfbench's host calibration loop and is reported in its
+reference seconds (``perfbench/hostspeed.py``), so regenerations taken
+in a host's fast and slow phases compare.  Parity is asserted on every
 rep, so a timing run doubles as an end-to-end bit-identity check.
 """
 
 import argparse
 import gc
+import importlib.util
 import json
 import shlex
 import sys
@@ -57,6 +61,22 @@ from repro.runners.points import (
     evaluate_run_batch,
     metrics_to_dict,
 )
+
+
+def _load_hostspeed():
+    """perfbench's calibration module, loaded from its file.
+
+    perfbench is a directory of scripts, not a package, and putting it on
+    ``sys.path`` would expose its other modules under generic names.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "hostspeed.py"
+    spec = importlib.util.spec_from_file_location("hostspeed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hostspeed = _load_hostspeed()
 
 
 def bench_scale() -> Scale:
@@ -235,25 +255,32 @@ def measure_runs(runs, reps: int) -> dict:
     return point
 
 
+def _timed(run):
+    """``(run(), its reference seconds)``: gc off, between two calibrations."""
+    gc.collect()
+    before = hostspeed.calibrate()
+    gc.disable()
+    start = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - start
+    gc.enable()
+    after = hostspeed.calibrate()
+    return result, hostspeed.reference_seconds(elapsed, before, after)
+
+
 def time_heap_vs_batched(sims, reps: int) -> dict:
     """Heap loop vs batched kernel on fresh ``sims()``, rep by rep."""
     heap_s, batched_s = [], []
     for _ in range(reps):
         heap_sims = sims()
-        gc.collect()
-        gc.disable()
-        start = time.perf_counter()
-        heap_results = [sim.run_reference() for sim in heap_sims]
-        heap_s.append(time.perf_counter() - start)
-        gc.enable()
+        heap_results, seconds = _timed(
+            lambda: [sim.run_reference() for sim in heap_sims]
+        )
+        heap_s.append(seconds)
 
         batch_sims = sims()
-        gc.collect()
-        gc.disable()
-        start = time.perf_counter()
-        batched_results = run_batch(batch_sims)
-        batched_s.append(time.perf_counter() - start)
-        gc.enable()
+        batched_results, seconds = _timed(lambda: run_batch(batch_sims))
+        batched_s.append(seconds)
 
         # A timing rep that is not bit-identical is a bug, not a datum.
         assert [r.node_joules for r in heap_results] == [
@@ -334,6 +361,11 @@ def main(argv=None) -> int:
             "pareto02's adaptive controller, each beside its twin (one "
             "kernel call per point's seed list); parity asserted on every "
             "rep"
+        ),
+        "unit": (
+            "reference seconds: each timed region rescaled by the "
+            "perfbench/hostspeed.py calibration loops run just before and "
+            "after it"
         ),
         "method": (
             f"interleaved A/B, min of {args.reps} reps, gc disabled "

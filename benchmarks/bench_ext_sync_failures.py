@@ -2,25 +2,47 @@
 
 The paper assumes perfect synchronisation and immortal nodes.  This bench
 quantifies what each assumption is worth: delivery as a function of clock
-skew, and the blast radius of killing relay nodes mid-run.
+skew, and the blast radius of killing relay nodes mid-run.  Both come
+from the realized scenario, the simulator's only source of either: skew
+as a :class:`~repro.scenarios.ClockSkew` perturbation, the deaths as a
+hand-written schedule put on the realized world.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.core.params import PBBFParams
 from repro.detailed.config import CodeDistributionParameters
 from repro.detailed.simulator import DetailedSimulator
+from repro.scenarios import ClockSkew, ScenarioSpec
 
 CONFIG = CodeDistributionParameters(n_nodes=25, density=10.0, duration=300.0)
+WORLD = {
+    "n_nodes": CONFIG.n_nodes,
+    "density": CONFIG.density,
+    "radio_range": CONFIG.radio_range,
+}
 SKEWS = (0.0, 1.0, 4.0)
 SEEDS = (3, 4)
+
+
+def _world(seed: int, skew: float = 0.0):
+    """CONFIG's deployment at ``seed``; skew 0 is the nominal world."""
+    return ScenarioSpec.build(
+        "random",
+        WORLD,
+        source="random",
+        clock_skew=ClockSkew(skew) if skew > 0.0 else None,
+    ).realize(seed)
 
 
 def _delivery_at_skew(skew: float, q: float) -> float:
     values = []
     for seed in SEEDS:
         result = DetailedSimulator(
-            PBBFParams(p=0.0, q=q), CONFIG, seed=seed, clock_skew_std=skew
+            PBBFParams(p=0.0, q=q), CONFIG, seed=seed,
+            scenario=_world(seed, skew),
         ).run()
         values.append(result.metrics.mean_updates_received_fraction())
     return sum(values) / len(values)
@@ -29,15 +51,16 @@ def _delivery_at_skew(skew: float, q: float) -> float:
 def _delivery_with_failures(n_failures: int) -> float:
     values = []
     for seed in SEEDS:
-        sim = DetailedSimulator(PBBFParams.psm(), CONFIG, seed=seed)
+        realized = _world(seed)
         victims = [
-            node for node in range(CONFIG.n_nodes) if node != sim.source
+            node for node in range(CONFIG.n_nodes) if node != realized.source
         ][:n_failures]
-        failing = DetailedSimulator(
-            PBBFParams.psm(), CONFIG, seed=seed,
-            node_failures={v: 100.0 for v in victims},
+        failing = dataclasses.replace(
+            realized, failure_times=tuple((v, 100.0) for v in victims)
         )
-        result = failing.run()
+        result = DetailedSimulator(
+            PBBFParams.psm(), CONFIG, seed=seed, scenario=failing
+        ).run()
         values.append(result.metrics.mean_updates_received_fraction())
     return sum(values) / len(values)
 

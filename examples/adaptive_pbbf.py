@@ -13,7 +13,6 @@ Run:  python examples/adaptive_pbbf.py
 """
 
 from repro import (
-    AdaptivePBBFAgent,
     AdaptivePolicy,
     CodeDistributionParameters,
     DetailedSimulator,
@@ -36,32 +35,14 @@ def run_static(params: PBBFParams) -> tuple:
 
 
 def run_adaptive() -> tuple:
-    delivery, joules, final_points = [], [], []
-
+    delivery, joules = [], []
     for seed in SEEDS:
-        agents = {}
-
-        def factory(node_id, rng):
-            agent = AdaptivePBBFAgent(START, rng, policy=POLICY)
-            agents[node_id] = agent
-            return agent
-
-        simulator = DetailedSimulator(
-            START, CONFIG, seed=seed, agent_factory=factory
-        )
-        metrics = simulator.run().metrics
+        metrics = DetailedSimulator(
+            START, CONFIG, seed=seed, adaptive=POLICY
+        ).run().metrics
         delivery.append(metrics.mean_updates_received_fraction())
         joules.append(metrics.joules_per_update_per_node())
-        final_points.extend(
-            (agent.params.p, agent.params.q) for agent in agents.values()
-        )
-    mean_p = sum(p for p, _ in final_points) / len(final_points)
-    mean_q = sum(q for _, q in final_points) / len(final_points)
-    return (
-        sum(delivery) / len(delivery),
-        sum(joules) / len(joules),
-        (mean_p, mean_q),
-    )
+    return sum(delivery) / len(delivery), sum(joules) / len(joules)
 
 
 def main() -> None:
@@ -74,11 +55,8 @@ def main() -> None:
     delivery, joules = run_static(PBBFParams(p=0.5, q=0.5))
     print(f"  {'static, hand-tuned q=0.5':<26} {delivery:>8.1%} {joules:>8.2f}J")
 
-    delivery, joules, (mean_p, mean_q) = run_adaptive()
-    print(
-        f"  {'adaptive (from start)':<26} {delivery:>8.1%} {joules:>8.2f}J"
-        f"   -> converged to p~{mean_p:.2f}, q~{mean_q:.2f}"
-    )
+    delivery, joules = run_adaptive()
+    print(f"  {'adaptive (from start)':<26} {delivery:>8.1%} {joules:>8.2f}J")
 
     print()
     print("The controller recovers nearly all the delivery that the bad")

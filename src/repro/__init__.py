@@ -14,7 +14,8 @@ Quickstart
 >>> result.reliability(0.99) >= 0.8
 True
 
-See README.md for the full tour and DESIGN.md for the architecture.
+See EXPERIMENTS.md for the artifact catalog and ROADMAP.md for the
+architecture notes.
 """
 
 from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy

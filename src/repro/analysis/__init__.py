@@ -13,7 +13,7 @@ Pure closed-form functions — no simulation — for:
   by walking the reliability frontier.
 
 Note on Eq. 12: the paper's printed equation has a sign error (see
-DESIGN.md, "Known paper erratum").  :func:`relative_energy_for_latency`
+EXPERIMENTS.md, "Known paper erratum (Eq. 12)").  :func:`relative_energy_for_latency`
 implements the corrected form, and the test suite pins it to Eqs. 8-9 by
 round-trip substitution.
 

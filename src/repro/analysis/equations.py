@@ -1,8 +1,8 @@
 """Closed forms for Equations 3-12.
 
 All times are in seconds, powers in watts, energies in joules.  Function
-names reference the paper's equation numbers so the experiment index in
-DESIGN.md can be followed line by line.
+names reference the paper's equation numbers so the paper can be
+followed line by line.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def relative_energy_for_latency(
 
     The paper prints a minus sign in front of the second term; that form
     would make energy *fall* as the latency target tightens, contradicting
-    Eq. 8 + Eq. 9 (and Figure 12 itself).  See DESIGN.md, "Known paper
-    erratum".
+    Eq. 8 + Eq. 9 (and Figure 12 itself).  See EXPERIMENTS.md, "Known
+    paper erratum (Eq. 12)".
     """
     q = q_for_per_hop_latency(latency, p, l1, l2)
     ratio = energy_ratio_vs_original(q, t_active, t_sleep)

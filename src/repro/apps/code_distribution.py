@@ -134,7 +134,6 @@ class CodeDistributionApp:
         packet = Packet(
             kind=PacketKind.DATA,
             origin=self.source,
-            sender=self.source,
             seqno=update_id,
             size_bytes=self.packet_size_bytes,
             updates=recent,

@@ -46,36 +46,32 @@ must not move by one ulp), which pins four design rules:
   it is drained up to each of its own machinery instants.
 * **Every channel query sees the frames the heap loop's would.**  A
   seed keeps its transmissions for ``max(2 * longest airtime seen,
-  CsmaConfig.lookback)`` (69 ms at the defaults; the heap loop's channel
-  keeps them at least 1 s), because no query reaches further back: a
-  fire's countdown began at most DIFS + (cw - 1) slots earlier, a
-  completion looks back one airtime, and carrier sense reads only frames
-  still on the air.  Frames are shared and never mutated: a forward
-  re-sends the frame it received, since the kernel reads only its kind,
-  origin, seqno, size and updates (sender and hops matter only to the
-  unicast MAC and the tracer, both outside its scope).
+  CsmaConfig.lookback)`` (69 ms at the defaults, the heap loop's channel
+  keeps them as long), because no query reaches further back: a fire's
+  countdown began at most DIFS + (cw - 1) slots earlier, a completion
+  looks back one airtime, and carrier sense reads only frames still on
+  the air.  Frames are shared and never mutated: a forward re-sends the
+  frame it received, in both loops, since a frame carries only its kind,
+  origin, seqno, size and updates.
 
-Scope: default agents and MACs without a tracer, in either mode —
-``PSM_PBBF`` on the PSM scheduler (loss, k > 1, pre-failed nodes,
-mid-run deaths, scenario clock offsets, half-normal skew and the
-adaptive controller all supported) or ``ALWAYS_ON``, the NO PSM baseline
-(loss, pre-failed nodes and mid-run deaths supported; it has no
-machinery groups, and every fresh frame goes straight to CSMA ungated,
-with no p-coin).  Under an :class:`~repro.adaptive.AdaptivePolicy` each
-node keeps its own (p, q) and the counts
-:class:`~repro.adaptive.AdaptivePBBFAgent` keeps, and adjusts at each of
-its window ends before the q-coin.  Everything else — smac/tmac, custom
-agent and MAC factories, tracers — falls back to the heap loop;
-:func:`fallback_reason` is the one statement of that scope and names
-the reason.  No option turns the kernel off;
-``DetailedSimulator.run_reference()`` runs the heap loop by name (the
-parity oracle, and degraded campaign attempts).
+Scope: every configuration of the PSM scheduler and of ``ALWAYS_ON``, the
+NO PSM baseline.  ``PSM_PBBF`` on PSM supports loss, k > 1, pre-failed
+nodes, mid-run deaths, scenario clock offsets and the adaptive
+controller; ``ALWAYS_ON`` supports loss, pre-failed nodes and mid-run
+deaths (it has no machinery groups, and every fresh frame goes straight
+to CSMA ungated, with no p-coin).  Under an
+:class:`~repro.adaptive.AdaptivePolicy` each node keeps its own (p, q)
+and the counts :class:`~repro.adaptive.AdaptivePBBFAgent` keeps, and
+adjusts at each of its window ends before the q-coin.  Only S-MAC and
+T-MAC fall back to the heap loop; :func:`fallback_reason` is the one
+statement of that scope and names the reason.  No option turns the kernel
+off; ``DetailedSimulator.run_reference()`` runs the heap loop by name
+(the parity oracle, and degraded campaign attempts).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -92,7 +88,7 @@ from repro.mac.csma import CsmaConfig
 from repro.mac.pbbf import bi_index_at, data_gate_at, in_atim_window_at
 from repro.net.channel import ChannelStats
 from repro.net.packet import Packet, PacketKind
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine
 from repro.util.validation import check_positive
 
 # Radio state codes (power_lut index); LISTEN is the boot state.
@@ -116,29 +112,18 @@ _TAG_KIND_VALUE = (
 )
 
 
-def fallback_reason(
-    mode: SchedulingMode,
-    scheduler: str = "psm",
-    agent_factory=None,
-    mac_factory=None,
-    tracer=None,
-) -> Optional[str]:
+def fallback_reason(mode: SchedulingMode, scheduler: str) -> Optional[str]:
     """Why a configuration runs on the heap loop, or ``None`` if it batches.
 
     The one statement of this kernel's scope, shared by
     :func:`supports_batch`, ``DetailedSimulator.run`` and the runner's
-    seed batching; the reason also labels the reference loop's telemetry
-    span (``"forced"`` there marks an in-scope run on the heap loop).
-    ``ALWAYS_ON`` ignores the scheduler, as the heap loop does.
+    seed batching; the reason, ``"scheduler"`` for S-MAC and T-MAC, also
+    labels the reference loop's telemetry span (``"forced"`` there marks
+    an in-scope run on the heap loop).  ``ALWAYS_ON`` ignores the
+    scheduler, as the heap loop does.
     """
     if mode is SchedulingMode.PSM_PBBF and scheduler != "psm":
         return "scheduler"
-    if agent_factory is not None:
-        return "agent_factory"
-    if mac_factory is not None:
-        return "mac_factory"
-    if tracer is not None:
-        return "tracer"
     return None
 
 
@@ -194,8 +179,9 @@ class _SeedState:
         self.backoff_rngs = [
             streams.stream(f"node.{node_id}.backoff") for node_id in range(n)
         ]
-        # AlwaysOnMac has no sleep schedule: it draws neither p/q coins
-        # nor skew offsets, so an always-on seed joins no machinery group.
+        # AlwaysOnMac has no sleep schedule: it draws no p/q coins and
+        # has no schedule offset, so an always-on seed joins no machinery
+        # group.
         always_on = sim.mode is SchedulingMode.ALWAYS_ON
         self.pbbf_rngs = [] if always_on else [
             streams.stream(f"node.{node_id}.pbbf") for node_id in range(n)
@@ -229,23 +215,14 @@ class _SeedState:
         self.state_l: List[int] = []
         self.since_l: List[float] = []
         self.mirror_fresh = False
-        # Per-node clock offsets, replicating the simulator's draw order:
-        # scenario phase first, half-normal skew on top, wrapped into one
-        # beacon interval by the MAC.
+        # Per-node clock offsets from the scenario, wrapped into one beacon
+        # interval as the MAC wraps them.
         self.offsets: List[float] = []
         if always_on:
             return
         bi = sim.config.beacon_interval
         for node_id in range(n):
-            offset = 0.0
-            if sim._scenario_offsets:
-                offset = sim._scenario_offsets[node_id]
-            if sim._clock_skew_std > 0.0:
-                offset += abs(
-                    streams.stream(f"node.{node_id}.skew").gauss(
-                        0.0, sim._clock_skew_std
-                    )
-                )
+            offset = sim._clock_offsets[node_id] if sim._clock_offsets else 0.0
             self.offsets.append(float(offset) % bi)
 
     def push(self, time: float, priority: int, *payload) -> int:
@@ -470,7 +447,6 @@ class _Batch:
         beacon = Packet(
             kind=PacketKind.BEACON,
             origin=node,
-            sender=node,
             seqno=bi,
             size_bytes=self.beacon_size,
         )
@@ -573,7 +549,6 @@ class _Batch:
             atim = Packet(
                 kind=_ATIM,
                 origin=node,
-                sender=node,
                 seqno=self.bi_index.item(node, st.s),
                 size_bytes=self.atim_size,
             )
@@ -626,8 +601,7 @@ class _Batch:
         for update_id in packet.updates:
             if update_id not in records:
                 records[update_id] = now
-        # The forward re-sends the received frame (see the module
-        # docstring: nothing in scope reads its sender or hops).
+        # The forward re-sends the received frame, as the heap loop does.
         if immediate:
             self._enqueue(st, node, packet, not always_on, _TAG_IMMEDIATE, now)
         else:
@@ -647,7 +621,6 @@ class _Batch:
         packet = Packet(
             kind=_DATA,
             origin=st.source,
-            sender=st.source,
             seqno=update_id,
             size_bytes=self.data_size,
             updates=recent,
@@ -912,14 +885,8 @@ class _Batch:
                 st.push(t, 0, _GEN)
                 t += self.cfg.update_interval
         for st in self.states:
-            for node_id, fail_time in sorted(st.sim._node_failures.items()):
-                if not 0 <= node_id < self.n:
-                    raise IndexError(f"failing node {node_id} outside topology")
-                if math.isnan(fail_time) or fail_time < 0.0:
-                    raise SimulationError(
-                        f"cannot schedule at t={fail_time} before current "
-                        "time t=0.0"
-                    )
+            # Checked when the simulator was built.
+            for node_id, fail_time in sorted(st.sim._failure_times.items()):
                 st.push(fail_time, -1, _DIE, node_id)
         while machinery:
             now, cls, gid = heapq.heappop(machinery)

@@ -12,6 +12,7 @@ its bit-identical oracle, called by name and never by an option.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -101,51 +102,29 @@ class DetailedSimulator:
         802.11 PSM, default), ``"smac"`` or ``"tmac"`` (the extension
         schedulers demonstrating PBBF's portability).  Ignored in
         ``ALWAYS_ON`` mode.
-    agent_factory:
-        Optional ``factory(node_id, rng) -> PBBFAgent`` overriding the
-        default static agent, for custom agents.  It always runs on the
-        heap loop.
-    adaptive:
-        Optional :class:`~repro.adaptive.AdaptivePolicy`: every node runs
-        the self-tuning controller, an
-        :class:`~repro.adaptive.AdaptivePBBFAgent` starting at ``params``
-        and drawing from the node's own stream.  Unlike an
-        ``agent_factory`` building the same agents, it stays on the
-        seed-batched kernel.  Mutually exclusive with ``agent_factory``.
-    clock_skew_std:
-        Failure injection: per-node schedule offsets drawn from a
-        half-normal with this standard deviation (seconds).  The paper
-        assumes perfect synchronisation; non-zero skew desynchronises
-        ATIM windows (PSM scheduler only).
-    node_failures:
-        Failure injection: ``{node_id: fail_time_s}`` — each listed node
-        falls permanently silent at its time (radio off, queues dropped).
-    tracer:
-        Optional :class:`~repro.net.trace.PacketTracer` capturing every
-        MAC-level event of the run (the ns-2-style trace file).
-    mac_factory:
-        Escape hatch for custom MACs (e.g. the gossip baseline):
-        ``factory(node_id, engine, channel, radio, deliver, rng) -> mac``.
-        When given it overrides ``mode``/``scheduler`` entirely; the MAC
-        must satisfy :class:`~repro.mac.base.BroadcastMac`.
     scenario:
         A :class:`~repro.scenarios.RealizedScenario` (from
         ``ScenarioSpec.realize``) supplying the whole world at once:
         topology, source, pre-broadcast failed nodes, the mid-run death
         schedule and per-node clock offsets.  Mutually exclusive with
-        ``topology``; the scenario's perturbations *combine* with any
-        explicit ``node_failures`` / ``clock_skew_std`` injection
-        (explicit death times win for a node listed by both).  Scenario
-        clock offsets model the PSM schedule phase; a skew-carrying
-        scenario on any other scheduler/mode raises rather than silently
-        caching nominal results under the perturbed token.
+        ``topology``.  It is the only source of deaths and skew: inject
+        them through the spec's perturbations, or through
+        ``dataclasses.replace`` on the realized world.  The death
+        schedule is checked here, once: every node in range, every time
+        finite and non-negative.  Scenario clock offsets model the PSM
+        schedule phase; a skew-carrying scenario on any other
+        scheduler/mode raises rather than silently caching nominal
+        results under the perturbed token.
+    adaptive:
+        Optional :class:`~repro.adaptive.AdaptivePolicy`: every node runs
+        the self-tuning controller, an
+        :class:`~repro.adaptive.AdaptivePBBFAgent` starting at ``params``
+        and drawing from the node's own stream.
 
     :meth:`run` takes the seed-batched kernel (:mod:`repro.detailed.batched`)
-    in either mode, static or ``adaptive``; S-MAC/T-MAC, an
-    ``agent_factory``, a ``mac_factory`` or a ``tracer`` fall back to the
-    heap loop, and :meth:`fallback_reason` says which.
-    :meth:`run_reference` runs the heap loop directly.  Results are
-    bit-identical either way.
+    in either mode, static or ``adaptive``; S-MAC and T-MAC run on the
+    heap loop, and :meth:`fallback_reason` says so.  :meth:`run_reference`
+    runs the heap loop directly.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -157,11 +136,6 @@ class DetailedSimulator:
         topology: Optional[Topology] = None,
         loss_probability: float = 0.0,
         scheduler: str = "psm",
-        agent_factory=None,
-        clock_skew_std: float = 0.0,
-        node_failures: Optional[Dict[int, float]] = None,
-        tracer=None,
-        mac_factory=None,
         scenario: Optional[RealizedScenario] = None,
         adaptive: Optional[AdaptivePolicy] = None,
     ) -> None:
@@ -169,17 +143,13 @@ class DetailedSimulator:
             raise ValueError(
                 f"scheduler must be 'psm', 'smac' or 'tmac', got {scheduler!r}"
             )
-        if clock_skew_std < 0.0:
-            raise ValueError(f"clock_skew_std must be >= 0, got {clock_skew_std}")
         if scenario is not None and topology is not None:
             raise ValueError(
                 "pass either a realized scenario or an explicit topology, "
                 "not both"
             )
         if scenario is not None and scenario.clock_offsets and (
-            mode is not SchedulingMode.PSM_PBBF
-            or scheduler != "psm"
-            or mac_factory is not None
+            mode is not SchedulingMode.PSM_PBBF or scheduler != "psm"
         ):
             # Only the PSM MAC models a schedule phase; running a
             # skew-carrying token on any other MAC would cache results
@@ -189,29 +159,18 @@ class DetailedSimulator:
                 f"scheduler (got scheduler={scheduler!r}, "
                 f"mode={mode.value!r})"
             )
-        if adaptive is not None and agent_factory is not None:
-            raise ValueError(
-                "pass either an adaptive policy or an agent_factory, not both"
-            )
         self.scenario = scenario
         self.scheduler = scheduler
         self.adaptive = adaptive
-        self._agent_factory = agent_factory
-        self._clock_skew_std = clock_skew_std
-        # Scenario death schedule first, explicit injection layered over it.
-        self._node_failures: Dict[int, float] = (
+        self._failure_times: Dict[int, float] = (
             dict(scenario.failure_times) if scenario is not None else {}
         )
-        if node_failures:
-            self._node_failures.update(node_failures)
-        self._scenario_offsets = (
+        self._clock_offsets = (
             scenario.clock_offsets if scenario is not None else ()
         )
         self._pre_failed = (
             frozenset(scenario.failed_nodes) if scenario is not None else frozenset()
         )
-        self._tracer = tracer
-        self._mac_factory = mac_factory
         self.params = params
         if config is None:
             if scenario is not None:
@@ -236,6 +195,7 @@ class DetailedSimulator:
                 self._streams.stream("placement"),
             )
         self.topology = topology
+        _check_failure_times(self._failure_times, topology.n_nodes)
         if scenario is not None:
             # The scenario's source policy already chose (and its streams
             # already drew) the source; the legacy "source" stream stays
@@ -256,13 +216,7 @@ class DetailedSimulator:
         """
         from repro.detailed.batched import fallback_reason
 
-        return fallback_reason(
-            self.mode,
-            self.scheduler,
-            agent_factory=self._agent_factory,
-            mac_factory=self._mac_factory,
-            tracer=self._tracer,
-        )
+        return fallback_reason(self.mode, self.scheduler)
 
     def run(self, duration: Optional[float] = None) -> DetailedResult:
         """Execute the scenario and return its measurements.
@@ -295,7 +249,6 @@ class DetailedSimulator:
             loss_model=LossModel(
                 self._loss_probability, self._streams.stream("loss")
             ),
-            tracer=self._tracer,
         )
         app = CodeDistributionApp(
             engine,
@@ -319,21 +272,15 @@ class DetailedSimulator:
             deliver = app.delivery_callback(node_id)
             backoff_rng = self._streams.stream(f"node.{node_id}.backoff")
             mac: AnyMac
-            if self._mac_factory is not None:
-                mac = self._mac_factory(
-                    node_id, engine, channel, radio, deliver, backoff_rng
-                )
-            elif self.mode is SchedulingMode.ALWAYS_ON:
+            if self.mode is SchedulingMode.ALWAYS_ON:
                 mac = AlwaysOnMac(
                     engine, channel, node_id, radio, deliver, backoff_rng,
                     csma_config=csma_config,
                 )
             else:
                 agent_rng = self._streams.stream(f"node.{node_id}.pbbf")
-                if self._agent_factory is not None:
-                    agent = self._agent_factory(node_id, agent_rng)
-                elif self.adaptive is not None:
-                    agent = AdaptivePBBFAgent(
+                if self.adaptive is not None:
+                    agent: PBBFAgent = AdaptivePBBFAgent(
                         self.params, agent_rng, self.adaptive
                     )
                 else:
@@ -356,17 +303,6 @@ class DetailedSimulator:
                         csma_config=csma_config,
                     )
                 else:
-                    # Scenario-drawn phase offset first, then the legacy
-                    # per-node skew injection on top (both default to 0).
-                    offset = 0.0
-                    if self._scenario_offsets:
-                        offset = self._scenario_offsets[node_id]
-                    if self._clock_skew_std > 0.0:
-                        offset += abs(
-                            self._streams.stream(f"node.{node_id}.skew").gauss(
-                                0.0, self._clock_skew_std
-                            )
-                        )
                     mac = PBBFMac(
                         engine,
                         channel,
@@ -378,18 +314,17 @@ class DetailedSimulator:
                         config=mac_config,
                         csma_config=csma_config,
                         beacon_duty=_round_robin_beacon_duty(node_id, n),
-                        clock_offset=offset,
+                        clock_offset=(
+                            self._clock_offsets[node_id]
+                            if self._clock_offsets
+                            else 0.0
+                        ),
                     )
             node = SensorNode(node_id, radio, mac)
             channel.attach(node_id, node)
             nodes.append(node)
         for node in nodes:
             if node.node_id in self._pre_failed:
-                if not hasattr(node.mac, "stop"):
-                    raise ValueError(
-                        f"scheduler {type(node.mac).__name__} does not "
-                        "support node-failure injection"
-                    )
                 # Dead before the first broadcast: the MAC never starts,
                 # the radio sleeps from t=0, and the node counts as
                 # unreached in every delivery metric.
@@ -398,15 +333,7 @@ class DetailedSimulator:
                 node.mac.start()
         app.bind_source_mac(nodes[self.source].mac)
         app.start(duration)
-        for node_id, fail_time in sorted(self._node_failures.items()):
-            if not 0 <= node_id < n:
-                raise IndexError(f"failing node {node_id} outside topology")
-            mac = nodes[node_id].mac
-            if not hasattr(mac, "stop"):
-                raise ValueError(
-                    f"scheduler {type(mac).__name__} does not support "
-                    "node-failure injection"
-                )
+        for node_id, fail_time in sorted(self._failure_times.items()):
             # Deaths are first-class heap events at control priority: a
             # node dying at t is silenced before any same-instant frame.
             engine.schedule_at(
@@ -438,6 +365,24 @@ class DetailedSimulator:
             mac_stats=[node.mac.stats for node in nodes],
             node_joules=node_joules,
         )
+
+
+def _check_failure_times(failure_times: Dict[int, float], n_nodes: int) -> None:
+    """Reject a death schedule neither loop could run.
+
+    Every node must be in the topology and every time finite and
+    non-negative; both loops then schedule the deaths unchecked.
+    """
+    for node_id, fail_time in failure_times.items():
+        if not 0 <= node_id < n_nodes:
+            raise IndexError(
+                f"failing node {node_id} outside topology of {n_nodes} nodes"
+            )
+        if not (math.isfinite(fail_time) and fail_time >= 0.0):
+            raise ValueError(
+                f"death time of node {node_id} must be finite and >= 0, "
+                f"got {fail_time}"
+            )
 
 
 def _round_robin_beacon_duty(node_id: int, n_nodes: int):

@@ -1,7 +1,8 @@
 """The experiment harness: every table and figure, regenerated.
 
 One :class:`~repro.experiments.spec.ExperimentSpec` per paper artifact
-(Tables 1-2, Figures 4-18, plus the DESIGN.md ablations).  Each spec knows
+(Tables 1-2, Figures 4-18, plus the extension figures EXPERIMENTS.md
+lists).  Each spec knows
 how to run itself at two scales:
 
 * ``full`` -- the paper's parameters (75x75 analysis grid, ten detailed

@@ -316,7 +316,8 @@ class IdealSimulator:
     mode:
         ``PSM_PBBF`` (default) or ``ALWAYS_ON``.
     q_coin_scope:
-        Granularity of the stay-awake coin (a DESIGN.md ablation):
+        Granularity of the stay-awake coin (an ablation, measured by
+        ``benchmarks/bench_ablation_qcoin.py``):
         ``"frame"`` (default, the paper's Figure 3 semantics — one coin per
         node per sleep period) or ``"broadcast"`` (one coin per node per
         broadcast — a sticky awake decision that collapses the per-frame
@@ -676,7 +677,8 @@ class IdealSimulator:
         Energy accounting follows the paper's analysis: the duty-cycle term
         is the Eq. 7 expectation (which Figure 8 verifies the simulation
         matches exactly), plus the transmit-power premium for every actual
-        transmission.  See DESIGN.md's ablation notes for what is folded in.
+        transmission.  ``tests/ideal/test_closed_forms.py`` checks it
+        against Eq. 7 and Eq. 8.
         """
         return self._campaign(n_broadcasts, reference=False)
 

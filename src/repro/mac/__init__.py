@@ -1,6 +1,8 @@
-"""MAC layer: CSMA/CA, IEEE 802.11 PSM, PBBF, and baselines.
+"""MAC layer: CSMA/CA, IEEE 802.11 PSM, PBBF, and the NO PSM baseline.
 
 The detailed simulator's protocol stack, mirroring the paper's ns-2 setup:
+one CSMA/CA transmitter under the four MACs the simulator builds (PSM with
+PBBF, NO PSM, S-MAC and T-MAC).
 
 * :mod:`repro.mac.csma` -- a CSMA/CA broadcast transmitter (carrier sense,
   DIFS, random backoff; broadcasts carry no ACKs or retries, exactly as in
@@ -19,18 +21,15 @@ The detailed simulator's protocol stack, mirroring the paper's ns-2 setup:
 from repro.mac.always_on import AlwaysOnMac
 from repro.mac.base import BroadcastMac, MacConfig, MacStats
 from repro.mac.csma import CsmaConfig, CsmaTransmitter
-from repro.mac.gossip import GossipMac
 from repro.mac.pbbf import PBBFMac
 from repro.mac.smac import SMacConfig, SMacPBBF
 from repro.mac.tmac import TMacConfig, TMacPBBF
-from repro.mac.unicast import UnicastPSMMac, UnicastStats
 
 __all__ = [
     "AlwaysOnMac",
     "BroadcastMac",
     "CsmaConfig",
     "CsmaTransmitter",
-    "GossipMac",
     "MacConfig",
     "MacStats",
     "PBBFMac",
@@ -38,6 +37,4 @@ __all__ = [
     "SMacPBBF",
     "TMacConfig",
     "TMacPBBF",
-    "UnicastPSMMac",
-    "UnicastStats",
 ]

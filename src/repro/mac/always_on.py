@@ -86,7 +86,7 @@ class AlwaysOnMac:
         self._seen.add(packet.broadcast_id)
         self.stats.data_received += 1
         self._deliver(packet, self._engine.now)
-        self._csma.enqueue(packet.forwarded_by(self.node_id), on_sent=self._count_data)
+        self._csma.enqueue(packet, on_sent=self._count_data)
 
     def handle_collision(self, packet: Packet) -> None:
         """A frame addressed this way was corrupted by overlap."""

@@ -248,7 +248,6 @@ class PBBFMac:
             beacon = Packet(
                 kind=PacketKind.BEACON,
                 origin=self.node_id,
-                sender=self.node_id,
                 seqno=self._bi_index,
                 size_bytes=self.config.beacon_size_bytes,
             )
@@ -266,7 +265,6 @@ class PBBFMac:
             atim = Packet(
                 kind=PacketKind.ATIM,
                 origin=self.node_id,
-                sender=self.node_id,
                 seqno=self._bi_index,
                 size_bytes=self.config.atim_size_bytes,
             )
@@ -318,13 +316,12 @@ class PBBFMac:
             return
         self.stats.data_received += 1
         self._deliver(packet, self._engine.now)
-        forward = packet.forwarded_by(self.node_id)
         if decision is ForwardingDecision.IMMEDIATE:
             self._csma.enqueue(
-                forward, gate=self._data_gate, on_sent=self._count_immediate_data
+                packet, gate=self._data_gate, on_sent=self._count_immediate_data
             )
         else:
-            self._normal_queue.append(forward)
+            self._normal_queue.append(packet)
             if self.in_atim_window():
                 self._announce_pending()
 

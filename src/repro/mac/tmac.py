@@ -194,13 +194,12 @@ class TMacPBBF:
             return
         self.stats.data_received += 1
         self._deliver(packet, self._engine.now)
-        forward = packet.forwarded_by(self.node_id)
         if decision is ForwardingDecision.IMMEDIATE:
-            self._csma.enqueue(forward, on_sent=self._count_immediate)
+            self._csma.enqueue(packet, on_sent=self._count_immediate)
         elif self._active:
-            self._csma.enqueue(forward, on_sent=self._count_normal)
+            self._csma.enqueue(packet, on_sent=self._count_normal)
         else:
-            self._pending.append(forward)
+            self._pending.append(packet)
 
     def handle_collision(self, packet: Packet) -> None:
         """Corrupted frame heard: still an activation event."""

@@ -8,8 +8,8 @@ This package supplies everything below the MAC layer:
   ``delta = pi * R^2 * N / A`` is the Section 5 control variable.
 * :mod:`repro.net.packet` -- the frame types exchanged by the protocols
   (data broadcasts, PSM beacons, ATIM announcements).
-* :mod:`repro.net.propagation` -- the unit-disk radio range model plus an
-  optional independent-loss fault injector.
+* :mod:`repro.net.propagation` -- the optional independent per-reception
+  loss injector (audibility itself is topology adjacency).
 * :mod:`repro.net.channel` -- the shared wireless medium for the detailed
   simulator: half-duplex transceivers, carrier sensing, and corruption of
   overlapping transmissions (the collisions whose effect Section 5 studies).
@@ -17,8 +17,7 @@ This package supplies everything below the MAC layer:
 
 from repro.net.channel import Channel, ChannelListener, Transmission
 from repro.net.packet import Packet, PacketKind
-from repro.net.propagation import LossModel, UnitDiskPropagation
-from repro.net.trace import PacketTracer, TraceRecord
+from repro.net.propagation import LossModel
 from repro.net.topology import (
     GridTopology,
     RandomTopology,
@@ -34,12 +33,9 @@ __all__ = [
     "LossModel",
     "Packet",
     "PacketKind",
-    "PacketTracer",
     "RandomTopology",
     "Topology",
-    "TraceRecord",
     "Transmission",
-    "UnitDiskPropagation",
     "area_for_density",
     "density_for_area",
 ]

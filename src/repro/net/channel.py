@@ -11,28 +11,17 @@ of the idealized analysis:
   continuously in a listening state for the whole transmission
   (half-duplex: its own transmissions make it deaf, as does sleep).
 
-The channel is topology-driven: audibility is one-hop adjacency in the
-:class:`~repro.net.topology.Topology` (an optional separate interference
-adjacency supports carrier-sense ranges beyond reception range).
+The channel is topology-driven: audibility, for reception, carrier sense
+and collisions alike, is one-hop adjacency in the
+:class:`~repro.net.topology.Topology`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Optional, Protocol
 
 from repro.net.packet import Packet
-
-if TYPE_CHECKING:  # import cycle guard: trace imports Packet from net
-    from repro.net.trace import PacketTracer
 from repro.net.propagation import LossModel
 from repro.net.topology import Topology
 from repro.sim.engine import Engine
@@ -87,19 +76,13 @@ class Channel:
     engine:
         The simulation engine supplying the clock and scheduling.
     topology:
-        Reception adjacency: a transmission by ``u`` is decodable exactly at
-        ``topology.neighbors(u)``.
+        Adjacency: a transmission by ``u`` is audible (decodable, sensed
+        and able to collide) exactly at ``topology.neighbors(u)``.
     bit_rate_bps:
         Channel bit rate (the paper uses 19.2 kbps, the Mica2 rate).
     loss_model:
         Optional independent per-reception loss (failure injection);
         lossless by default.
-    interference_neighbors:
-        Optional adjacency used for carrier sensing and collision audibility
-        when it exceeds reception range.  Defaults to reception adjacency.
-    tracer:
-        Optional :class:`~repro.net.trace.PacketTracer` receiving every
-        TX / RX / COLL / MISS / DROP event (the ns-2-style trace file).
     """
 
     def __init__(
@@ -108,35 +91,21 @@ class Channel:
         topology: Topology,
         bit_rate_bps: float,
         loss_model: Optional[LossModel] = None,
-        interference_neighbors: Optional[Sequence[Sequence[int]]] = None,
-        tracer: Optional["PacketTracer"] = None,
     ) -> None:
         check_positive("bit_rate_bps", bit_rate_bps)
         self._engine = engine
         self._topology = topology
         self.bit_rate_bps = float(bit_rate_bps)
         self._loss_model = loss_model if loss_model is not None else LossModel(0.0)
-        if interference_neighbors is None:
-            self._interference: List[Tuple[int, ...]] = [
-                topology.neighbors(node) for node in topology.nodes()
-            ]
-        else:
-            if len(interference_neighbors) != topology.n_nodes:
-                raise ValueError(
-                    "interference adjacency must cover every node "
-                    f"({len(interference_neighbors)} != {topology.n_nodes})"
-                )
-            self._interference = [tuple(nbrs) for nbrs in interference_neighbors]
         self._listeners: Dict[int, ChannelListener] = {}
         self._recent: List[Transmission] = []
         self._max_duration_seen = 0.0
         self._lookback = 0.0
         self.stats = ChannelStats()
-        self._tracer = tracer
 
     @property
     def topology(self) -> Topology:
-        """The reception topology this channel runs over."""
+        """The topology whose adjacency decides who hears whom."""
         return self._topology
 
     def attach(self, node_id: int, listener: ChannelListener) -> None:
@@ -175,15 +144,13 @@ class Channel:
         self.stats.transmissions += 1
         kind = packet.kind.value
         self.stats.by_kind[kind] = self.stats.by_kind.get(kind, 0) + 1
-        if self._tracer is not None:
-            self._tracer.record(now, "TX", sender, packet)
         self._engine.schedule(duration, lambda: self._complete(transmission))
         return transmission
 
     def is_busy(self, node_id: int) -> bool:
         """Carrier sense: is any transmission audible at ``node_id`` now?"""
         now = self._engine.now
-        audible = self._audible_set(node_id)
+        audible = self._topology.neighbors(node_id)
         return any(
             tx.start <= now < tx.end
             and (tx.sender in audible or tx.sender == node_id)
@@ -207,7 +174,7 @@ class Channel:
         """
         if end < start:
             raise ValueError(f"interval end {end} before start {start}")
-        audible = self._audible_set(node_id)
+        audible = self._topology.neighbors(node_id)
         return any(
             (tx.sender in audible or tx.sender == node_id)
             and tx.overlaps(start, end)
@@ -221,7 +188,7 @@ class Channel:
         always wait ``max(0, busy_until - now)`` before retrying.
         """
         now = self._engine.now
-        audible = self._audible_set(node_id)
+        audible = self._topology.neighbors(node_id)
         latest = now
         for tx in self._recent:
             if tx.start <= now < tx.end and (tx.sender in audible or tx.sender == node_id):
@@ -237,32 +204,23 @@ class Channel:
             listener = self._listeners.get(receiver)
             if listener is None:
                 continue
-            now = self._engine.now
             if not listener.is_listening_interval(transmission.start, transmission.end):
                 self.stats.missed_asleep += 1
-                if self._tracer is not None:
-                    self._tracer.record(now, "MISS", receiver, packet)
                 continue
             if self._corrupted_at(transmission, receiver):
                 self.stats.collisions += 1
-                if self._tracer is not None:
-                    self._tracer.record(now, "COLL", receiver, packet)
                 listener.on_collision(packet)
                 continue
             if not self._loss_model.delivers():
                 self.stats.lost_random += 1
-                if self._tracer is not None:
-                    self._tracer.record(now, "DROP", receiver, packet)
                 continue
             self.stats.deliveries += 1
-            if self._tracer is not None:
-                self._tracer.record(now, "RX", receiver, packet)
             listener.on_receive(packet)
         self._prune()
 
     def _corrupted_at(self, transmission: Transmission, receiver: int) -> bool:
         """Did any other audible transmission overlap this one at ``receiver``?"""
-        audible = self._audible_set(receiver)
+        audible = self._topology.neighbors(receiver)
         for other in self._recent:
             if other is transmission:
                 continue
@@ -271,9 +229,6 @@ class Channel:
             if other.overlaps(transmission.start, transmission.end):
                 return True
         return False
-
-    def _audible_set(self, node_id: int) -> Tuple[int, ...]:
-        return self._interference[node_id]
 
     def _prune(self) -> None:
         """Drop transmissions no query can reach any more.

@@ -18,13 +18,10 @@ Transmission duration is ``size_bytes * 8 / bit_rate`` — at the paper's
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.util.validation import check_positive
-
-_uid_counter = itertools.count()
 
 
 class PacketKind(enum.Enum):
@@ -33,13 +30,14 @@ class PacketKind(enum.Enum):
     DATA = "data"
     BEACON = "beacon"
     ATIM = "atim"
-    ATIM_ACK = "atim_ack"  # unicast PSM: announcement acknowledgement
-    ACK = "ack"            # unicast PSM: data acknowledgement
 
 
 @dataclass(frozen=True)
 class Packet:
     """An immutable frame.
+
+    Frames are shared, never copied: a forwarding node re-sends the frame
+    it received, and the channel records who is transmitting it.
 
     Attributes
     ----------
@@ -48,8 +46,6 @@ class Packet:
     origin:
         Node id that originally generated the broadcast (the source for
         data packets; the transmitter itself for beacons and ATIMs).
-    sender:
-        Node id of the current transmitter (changes hop by hop).
     seqno:
         Source-assigned sequence number identifying the broadcast.  Nodes
         suppress duplicates on ``(origin, seqno)``.
@@ -58,25 +54,13 @@ class Packet:
     updates:
         For code-distribution data packets: tuple of update ids carried
         (the ``k`` most recent at the source when the packet was built).
-    hops:
-        Number of MAC hops this copy has travelled from the origin.
-    destination:
-        Unicast destination node id; ``None`` for broadcast frames.  The
-        channel delivers to every in-range listener either way (radio is
-        physically broadcast); MACs filter on this field.
-    uid:
-        Globally unique per-transmission identifier (diagnostics only).
     """
 
     kind: PacketKind
     origin: int
-    sender: int
     seqno: int
     size_bytes: int
     updates: Tuple[int, ...] = ()
-    hops: int = 0
-    destination: Optional[int] = None
-    uid: int = field(default_factory=lambda: next(_uid_counter))
 
     def __post_init__(self) -> None:
         check_positive("size_bytes", self.size_bytes)
@@ -90,21 +74,3 @@ class Packet:
         """On-air time in seconds at ``bit_rate_bps``."""
         check_positive("bit_rate_bps", bit_rate_bps)
         return self.size_bytes * 8.0 / bit_rate_bps
-
-    @property
-    def is_broadcast(self) -> bool:
-        """True when the frame has no unicast destination."""
-        return self.destination is None
-
-    def forwarded_by(self, sender: int) -> "Packet":
-        """A copy of this packet re-sent by ``sender``, one hop further."""
-        return Packet(
-            kind=self.kind,
-            origin=self.origin,
-            sender=sender,
-            seqno=self.seqno,
-            size_bytes=self.size_bytes,
-            updates=self.updates,
-            hops=self.hops + 1,
-            destination=self.destination,
-        )

@@ -1,9 +1,9 @@
-"""Radio propagation and link-loss models.
+"""Link-loss model.
 
-The paper's ns-2 study uses a fixed transmission range (the R in Eq. 13);
-we reproduce that with a unit-disk model: a transmission is audible at
-exactly the receivers within ``radio_range`` of the sender.  Interference
-and collisions are handled by :mod:`repro.net.channel` on top of this.
+The paper's ns-2 study uses a fixed transmission range (the R in Eq. 13):
+a transmission is audible at exactly the topology neighbours of its
+sender, and interference and collisions are handled by
+:mod:`repro.net.channel` on top of that adjacency.
 
 :class:`LossModel` adds optional independent per-reception loss, used by the
 test suite's failure-injection scenarios (it defaults to lossless, matching
@@ -13,47 +13,9 @@ the paper).
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.util.validation import check_positive, check_probability
-
-Position = Tuple[float, float]
-
-
-class UnitDiskPropagation:
-    """Deterministic disk-range propagation.
-
-    A receiver hears a transmission iff it lies within ``radio_range`` of
-    the transmitter.  ``carrier_sense_range`` (>= radio_range) governs how
-    far away a transmission still holds the medium busy for CSMA; the
-    default equals the radio range, the common simplification the paper's
-    grid/density analysis relies on.
-    """
-
-    def __init__(
-        self,
-        radio_range: float,
-        carrier_sense_range: Optional[float] = None,
-    ) -> None:
-        check_positive("radio_range", radio_range)
-        if carrier_sense_range is None:
-            carrier_sense_range = radio_range
-        check_positive("carrier_sense_range", carrier_sense_range)
-        if carrier_sense_range < radio_range:
-            raise ValueError(
-                "carrier_sense_range must be >= radio_range "
-                f"({carrier_sense_range} < {radio_range})"
-            )
-        self.radio_range = radio_range
-        self.carrier_sense_range = carrier_sense_range
-
-    def in_reception_range(self, a: Position, b: Position) -> bool:
-        """True when a transmission at ``a`` is decodable at ``b``."""
-        return _distance_sq(a, b) <= self.radio_range**2
-
-    def in_carrier_sense_range(self, a: Position, b: Position) -> bool:
-        """True when a transmission at ``a`` is *audible* (busy medium) at ``b``."""
-        return _distance_sq(a, b) <= self.carrier_sense_range**2
+from repro.util.validation import check_probability
 
 
 class LossModel:
@@ -77,7 +39,3 @@ class LossModel:
         if self.loss_probability == 0.0:
             return True
         return self._rng.random() >= self.loss_probability
-
-
-def _distance_sq(a: Position, b: Position) -> float:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2

@@ -119,9 +119,9 @@ class ClockSkew:
     The paper assumes every node agrees on the beacon epoch; real
     deployments drift.  Each node draws one phase offset (seconds late
     relative to the network epoch) from a half-normal with standard
-    deviation ``std`` — the same model the detailed simulator's
-    ``clock_skew_std`` failure injection uses, made a scenario property
-    so it sweeps, seeds and caches like any other axis.
+    deviation ``std``.  This is the detailed simulator's only source of
+    clock skew, a scenario property so it sweeps, seeds and caches like
+    any other axis.
     """
 
     #: Standard deviation of the half-normal offset draw (seconds).

@@ -1,32 +1,19 @@
 """Discrete-event simulation kernel.
 
 The paper's Section 5 evaluation runs on ns-2; this package is the
-reproduction's equivalent substrate: a deterministic discrete-event engine
-with
-
-* :class:`~repro.sim.engine.Engine` -- a binary-heap event queue with a
-  monotone clock, cancellable event handles, and deterministic FIFO
-  tie-breaking for simultaneous events;
-* :class:`~repro.sim.process.Process` -- optional generator-based
-  coroutine processes layered over the engine (``yield delay`` /
-  ``yield signal``), convenient for per-node behaviours such as the
-  beacon-interval loop;
-* :class:`~repro.sim.process.Signal` -- a broadcastable wake-up condition
-  processes can wait on.
+reproduction's equivalent substrate: :class:`~repro.sim.engine.Engine`, a
+binary-heap event queue with a monotone clock, cancellable event handles,
+and deterministic FIFO tie-breaking for simultaneous events.
 
 The engine is intentionally minimal: no real-time pacing, no threads, no
 global state.  Everything above it (MAC, PHY, application) is built from
-``schedule`` callbacks and processes.
+``schedule`` callbacks.
 """
 
 from repro.sim.engine import Engine, EventHandle, SimulationError
-from repro.sim.process import Interrupt, Process, Signal
 
 __all__ = [
     "Engine",
     "EventHandle",
-    "Interrupt",
-    "Process",
-    "Signal",
     "SimulationError",
 ]

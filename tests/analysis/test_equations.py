@@ -175,7 +175,8 @@ class TestInvertedLatency:
 class TestEq12Tradeoff:
     def test_pins_to_eq8_eq9_roundtrip(self):
         # Eq. 12 must equal Eq. 8 evaluated at the q that Eq. 9 maps to
-        # the latency target (the corrected sign; see DESIGN.md).
+        # the latency target (the corrected sign; see EXPERIMENTS.md,
+        # "Known paper erratum (Eq. 12)").
         p = 0.5
         for q in (0.2, 0.5, 0.9):
             latency = expected_per_hop_latency(p, q, L1, L2)

@@ -10,12 +10,12 @@ every Section 5 campaign without changing a single plotted number.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
-from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
+from repro.adaptive import AdaptivePolicy
 from repro.core.params import PBBFParams
-from repro.core.pbbf import PBBFAgent
 from repro.detailed.batched import (
     _TAG_IMMEDIATE,
     _Batch,
@@ -30,9 +30,9 @@ from repro.experiments.pareto_figures import PARETO02_POLICY
 from repro.experiments.scenario_figures import frontier_robustness_scenarios
 from repro.ideal.simulator import SchedulingMode
 from repro.mac.csma import CsmaConfig
+from repro.net.channel import Channel
 from repro.net.packet import Packet, PacketKind
-from repro.net.trace import PacketTracer
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ClockSkew, ScenarioSpec
 
 CONFIG = CodeDistributionParameters(n_nodes=16, density=9.0, duration=150.0)
 
@@ -40,6 +40,29 @@ OPERATING_POINTS = [(0.0, 0.0), (0.5, 0.5), (1.0, 0.25), (0.25, 1.0)]
 
 ALWAYS_ON = SchedulingMode.ALWAYS_ON
 NO_PSM = PBBFParams.always_on()
+
+
+def world(seed, deaths=None, skew=None, config=CONFIG):
+    """``config``'s deployment at ``seed`` as a realized scenario, the
+    simulator's only source of mid-run deaths and clock skew: with
+    ``{node: time}`` deaths and half-normal clock skew of standard
+    deviation ``skew`` seconds."""
+    spec = ScenarioSpec.build(
+        "random",
+        {
+            "n_nodes": config.n_nodes,
+            "density": config.density,
+            "radio_range": config.radio_range,
+        },
+        source="random",
+        clock_skew=ClockSkew(skew) if skew else None,
+    )
+    realized = spec.realize(seed)
+    if deaths:
+        realized = dataclasses.replace(
+            realized, failure_times=tuple(sorted(deaths.items()))
+        )
+    return realized
 
 
 def results_pair(seed, params=None, config=CONFIG, **kwargs):
@@ -134,13 +157,17 @@ class TestBatchedParity:
         deaths = {2: 35.5, 7: 90.0, 11: 111.3}
         for seed in range(5):
             assert_identical(
-                *results_pair(seed, PBBFParams(0.5, 0.5), node_failures=deaths)
+                *results_pair(
+                    seed, PBBFParams(0.5, 0.5), scenario=world(seed, deaths)
+                )
             )
 
     def test_clock_skew(self):
         for seed in range(5):
             assert_identical(
-                *results_pair(seed, PBBFParams(0.5, 0.5), clock_skew_std=0.8)
+                *results_pair(
+                    seed, PBBFParams(0.5, 0.5), scenario=world(seed, skew=0.8)
+                )
             )
 
     def test_combined_perturbations(self):
@@ -149,9 +176,8 @@ class TestBatchedParity:
                 *results_pair(
                     seed,
                     PBBFParams(0.25, 0.75),
-                    clock_skew_std=0.5,
                     loss_probability=0.2,
-                    node_failures={3: 60.0},
+                    scenario=world(seed, {3: 60.0}, skew=0.5),
                 )
             )
 
@@ -215,8 +241,7 @@ class TestSkewedSeedBatches:
                 PBBFParams(0.5, 0.5),
                 CONFIG,
                 seed=seed,
-                clock_skew_std=0.8,
-                node_failures={5: 70.0},
+                scenario=world(seed, {5: 70.0}, skew=0.8),
             ),
             range(6),
         )
@@ -271,11 +296,14 @@ ADAPTIVE_POLICIES = {
     ),
 }
 
-#: Worlds for the adaptive parity matrix, as simulator keyword arguments.
+#: Worlds for the adaptive parity matrix: simulator keyword arguments
+#: at one seed.
 ADAPTIVE_WORLDS = {
-    "nominal": {},
-    "loss": {"loss_probability": 0.3},
-    "skew and death": {"clock_skew_std": 0.8, "node_failures": {5: 70.0}},
+    "nominal": lambda seed: {},
+    "loss": lambda seed: {"loss_probability": 0.3},
+    "skew and death": lambda seed: {
+        "scenario": world(seed, {5: 70.0}, skew=0.8)
+    },
 }
 
 
@@ -299,7 +327,7 @@ class TestAdaptiveParity:
                 CONFIG,
                 seed=seed,
                 adaptive=ADAPTIVE_POLICIES[policy],
-                **ADAPTIVE_WORLDS[world],
+                **ADAPTIVE_WORLDS[world](seed),
             ),
             range(4),
         )
@@ -324,31 +352,6 @@ class TestAdaptiveParity:
         assert [r.node_joules for r in batched] != [
             r.node_joules for r in static
         ]
-
-    def test_adaptive_equals_an_agent_factory_of_adaptive_agents(self):
-        start = PBBFParams(0.25, 0.5)
-        policy = ADAPTIVE_POLICIES["restless"]
-        factory = DetailedSimulator(
-            start,
-            CONFIG,
-            seed=3,
-            agent_factory=lambda node, rng: AdaptivePBBFAgent(
-                start, rng, policy=policy
-            ),
-        )
-        assert factory.fallback_reason() == "agent_factory"
-        adaptive = DetailedSimulator(start, CONFIG, seed=3, adaptive=policy)
-        assert adaptive.fallback_reason() is None
-        assert_identical(factory.run(), adaptive.run())
-
-    def test_adaptive_and_agent_factory_are_exclusive(self):
-        with pytest.raises(ValueError, match="agent_factory"):
-            DetailedSimulator(
-                PBBFParams(0.5, 0.5),
-                CONFIG,
-                adaptive=AdaptivePolicy(),
-                agent_factory=PBBFAgent,
-            )
 
 
 class TestAlwaysOnParity:
@@ -375,28 +378,38 @@ class TestAlwaysOnParity:
         for seed in range(5):
             assert_identical(
                 *results_pair(
-                    seed, NO_PSM, mode=ALWAYS_ON, node_failures=deaths
+                    seed, NO_PSM, mode=ALWAYS_ON, scenario=world(seed, deaths)
                 )
             )
 
-    def test_death_mid_transmission(self):
+    def test_death_mid_transmission(self, monkeypatch):
         # Kill a relay as its first frame starts, while it is on the air,
         # and as it ends.  A frame already on the air still completes and
         # counts as sent; the radio sleeps from the death on.
-        tracer = PacketTracer()
+        on_air = []
+        transmit = Channel.transmit
+
+        def recording_transmit(channel, sender, packet):
+            transmission = transmit(channel, sender, packet)
+            on_air.append(transmission)
+            return transmission
+
+        monkeypatch.setattr(Channel, "transmit", recording_transmit)
         traced = DetailedSimulator(
-            NO_PSM, CONFIG, seed=4, mode=ALWAYS_ON, tracer=tracer
+            NO_PSM, CONFIG, seed=4, mode=ALWAYS_ON, scenario=world(4)
         )
         traced.run_reference()
-        tx = next(r for r in tracer.by_event("TX") if r.node != traced.source)
+        monkeypatch.undo()
+        tx = next(t for t in on_air if t.sender != traced.source)
         airtime = CONFIG.total_packet_bytes * 8.0 / CONFIG.bit_rate_bps
         sent = []
-        for fail_time in (tx.time, tx.time + airtime / 2, tx.time + airtime):
+        for fail_time in (tx.start, tx.start + airtime / 2, tx.start + airtime):
             ref, got = results_pair(
-                4, NO_PSM, mode=ALWAYS_ON, node_failures={tx.node: fail_time}
+                4, NO_PSM, mode=ALWAYS_ON,
+                scenario=world(4, {tx.sender: fail_time}),
             )
             assert_identical(ref, got)
-            sent.append(got.mac_stats[tx.node].data_sent)
+            sent.append(got.mac_stats[tx.sender].data_sent)
         # A death at the start instant precedes the frame (control
         # priority); mid-air it does not stop it.
         assert sent[0] == 0 and sent[1] == 1
@@ -463,10 +476,40 @@ class TestBatchedScope:
         # The heap loop ignores the scheduler in ALWAYS_ON mode.
         assert reason(mode=ALWAYS_ON, scheduler="smac") is None
         assert reason(scheduler="tmac") == "scheduler"
-        assert reason(agent_factory=PBBFAgent) == "agent_factory"
-        assert reason(mac_factory=object()) == "mac_factory"
-        assert reason(tracer=PacketTracer()) == "tracer"
-        assert fallback_reason(ALWAYS_ON) is None
+
+    @pytest.mark.parametrize("scheduler", ["psm", "smac", "tmac"])
+    @pytest.mark.parametrize("mode", list(SchedulingMode))
+    def test_fallback_reason_by_mode_and_scheduler(self, mode, scheduler):
+        """S-MAC and T-MAC are the whole fallback; NO PSM has none."""
+        expected = (
+            "scheduler"
+            if mode is SchedulingMode.PSM_PBBF and scheduler != "psm"
+            else None
+        )
+        assert fallback_reason(mode, scheduler) == expected
+        sim = DetailedSimulator(
+            PBBFParams(0.5, 0.5), CONFIG, seed=1, mode=mode, scheduler=scheduler
+        )
+        assert sim.fallback_reason() == expected
+
+    def test_fallback_reason_takes_mode_and_scheduler_only(self):
+        assert list(inspect.signature(fallback_reason).parameters) == [
+            "mode",
+            "scheduler",
+        ]
+
+    @pytest.mark.parametrize(
+        "removed",
+        ["agent_factory", "mac_factory", "tracer", "clock_skew_std",
+         "node_failures"],
+    )
+    def test_removed_arguments_are_rejected(self, removed):
+        """Deaths and skew come from the scenario; the MACs, agents and
+        frames are the simulator's own."""
+        with pytest.raises(TypeError):
+            DetailedSimulator(
+                PBBFParams(0.5, 0.5), CONFIG, seed=0, **{removed: None}
+            )
 
     def test_fast_path_is_not_a_constructor_argument(self):
         """No option selects the kernel: ``run`` decides by scope alone."""
@@ -494,7 +537,7 @@ class TestBatchedEnergyBookkeeping:
         deaths = {1: 40.3, 4: 70.5, 9: 100.2}
         for seed in range(5):
             ref, got = results_pair(
-                seed, PBBFParams(0.5, 0.5), node_failures=deaths
+                seed, PBBFParams(0.5, 0.5), scenario=world(seed, deaths)
             )
             assert ref.node_joules == got.node_joules
             assert sum(ref.node_joules) == sum(got.node_joules)
@@ -502,7 +545,7 @@ class TestBatchedEnergyBookkeeping:
     def test_death_at_atim_window_boundary(self):
         for fail_time in (30.0, 30.999, 31.0):
             ref, got = results_pair(
-                2, PBBFParams(0.5, 0.5), node_failures={5: fail_time}
+                2, PBBFParams(0.5, 0.5), scenario=world(2, {5: fail_time})
             )
             assert ref.node_joules == got.node_joules
 
@@ -511,7 +554,7 @@ class TestBatchedEnergyBookkeeping:
         # offset group; totals must still match float-for-float.
         for seed in range(5):
             ref, got = results_pair(
-                seed, PBBFParams(0.25, 0.25), clock_skew_std=1.5
+                seed, PBBFParams(0.25, 0.25), scenario=world(seed, skew=1.5)
             )
             assert ref.node_joules == got.node_joules
             assert sum(ref.node_joules) == sum(got.node_joules)
@@ -552,7 +595,6 @@ class TestLookBack:
             packet = Packet(
                 kind=PacketKind.DATA,
                 origin=sender,
-                sender=sender,
                 seqno=0,
                 size_bytes=size,
             )

@@ -19,7 +19,7 @@ class FakeMac:
 
 
 def _packet():
-    return Packet(kind=PacketKind.DATA, origin=0, sender=0, seqno=0, size_bytes=64)
+    return Packet(kind=PacketKind.DATA, origin=0, seqno=0, size_bytes=64)
 
 
 class TestSensorNode:

@@ -1,5 +1,8 @@
 """Scenario-native detailed simulation: the realized world drives the run."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core.params import PBBFParams
@@ -152,14 +155,35 @@ class TestMidRunDeaths:
             for victim in deaths:
                 assert update.update_id in app.receptions[victim]
 
-    def test_explicit_node_failures_override_the_schedule(self):
-        realized = self.SPEC.realize(5)
-        victim = realized.failure_times[0][0]
-        sim = run_sim(realized, node_failures={victim: 1.0})
-        assert sim._node_failures[victim] == 1.0
-        # Other scheduled deaths keep their scenario times.
-        for other, when in realized.failure_times[1:]:
-            assert sim._node_failures[other] == when
+class TestDeathScheduleCheck:
+    """The death schedule is checked once, when the simulator is built,
+    so neither the heap loop nor the kernel ever starts on a bad one."""
+
+    @pytest.mark.parametrize(
+        "node,time,error",
+        [
+            (16, 10.0, IndexError),
+            (3, -1.0, ValueError),
+            (3, math.nan, ValueError),
+            (3, math.inf, ValueError),
+        ],
+        ids=["node out of range", "negative time", "nan time", "infinite time"],
+    )
+    def test_bad_schedule_raises_before_either_loop_runs(
+        self, monkeypatch, node, time, error
+    ):
+        from repro.detailed import batched
+
+        def never(*args, **kwargs):
+            raise AssertionError("a loop ran on an unchecked schedule")
+
+        monkeypatch.setattr(batched, "run_batch", never)
+        monkeypatch.setattr(DetailedSimulator, "run_reference", never)
+        realized = dataclasses.replace(
+            world_spec().realize(5), failure_times=((node, time),)
+        )
+        with pytest.raises(error):
+            run_sim(realized).run()
 
 
 class TestClockSkew:
@@ -184,13 +208,6 @@ class TestClockSkew:
             skewed.metrics.mean_updates_received_fraction()
             < nominal.metrics.mean_updates_received_fraction()
         )
-
-    def test_legacy_skew_injection_composes_with_scenario_offsets(self):
-        realized = world_spec(
-            Perturbations(clock_skew=ClockSkew(1.0))
-        ).realize(5)
-        result = run_sim(realized, clock_skew_std=1.0).run()
-        assert result.n_updates >= 1
 
     @pytest.mark.parametrize("scheduler", ["smac", "tmac"])
     def test_skew_scenario_rejected_off_psm(self, scheduler):

@@ -62,19 +62,13 @@ class TestSchedulerCharacter:
 
 class TestAdaptiveIntegration:
     def test_adaptive_agent_recovers_delivery(self):
-        from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
+        from repro.adaptive import AdaptivePolicy
 
         start = PBBFParams(p=0.5, q=0.05)  # sub-threshold start
         static = DetailedSimulator(start, CONFIG, seed=12).run()
-
-        def factory(node_id, rng):
-            return AdaptivePBBFAgent(
-                start, rng, policy=AdaptivePolicy(q_step=0.1)
-            )
-
         adaptive = DetailedSimulator(
-            start, CONFIG, seed=12, agent_factory=factory
-        ).run()
+            start, CONFIG, seed=12, adaptive=AdaptivePolicy(q_step=0.1)
+        ).run_reference()
         assert (
             adaptive.metrics.mean_updates_received_fraction()
             >= static.metrics.mean_updates_received_fraction()

@@ -63,7 +63,7 @@ def _build(topology, seed=1):
 
 def _data(origin, seqno=0):
     return Packet(
-        kind=PacketKind.DATA, origin=origin, sender=origin, seqno=seqno,
+        kind=PacketKind.DATA, origin=origin, seqno=seqno,
         size_bytes=64,
     )
 
@@ -110,7 +110,7 @@ class TestFlooding:
     def test_non_data_frames_ignored(self):
         engine, _, macs, deliveries = _build(_line(2))
         beacon = Packet(
-            kind=PacketKind.BEACON, origin=0, sender=0, seqno=0, size_bytes=28
+            kind=PacketKind.BEACON, origin=0, seqno=0, size_bytes=28
         )
         macs[1].handle_receive(beacon)
         assert deliveries == []

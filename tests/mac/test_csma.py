@@ -38,7 +38,7 @@ def _clique(n: int) -> Topology:
 
 def _packet(sender, seqno=0):
     return Packet(
-        kind=PacketKind.DATA, origin=sender, sender=sender, seqno=seqno,
+        kind=PacketKind.DATA, origin=sender, seqno=seqno,
         size_bytes=64,
     )
 

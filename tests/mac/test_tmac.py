@@ -66,7 +66,7 @@ def _build(topology, p, q, seed=1):
 
 def _data(origin, seqno=0):
     return Packet(
-        kind=PacketKind.DATA, origin=origin, sender=origin, seqno=seqno,
+        kind=PacketKind.DATA, origin=origin, seqno=seqno,
         size_bytes=64,
     )
 

@@ -49,7 +49,6 @@ def _packet(sender: int, seqno: int = 0, size: int = 64) -> Packet:
     return Packet(
         kind=PacketKind.DATA,
         origin=sender,
-        sender=sender,
         seqno=seqno,
         size_bytes=size,
     )
@@ -249,25 +248,8 @@ class TestAttachment:
         with pytest.raises(IndexError):
             channel.attach(99, FakeListener())
 
-    def test_interference_adjacency_must_cover_nodes(self):
-        engine = Engine()
-        with pytest.raises(ValueError):
-            Channel(engine, _line_topology(3), BIT_RATE, interference_neighbors=[[1]])
-
-    def test_wider_interference_adjacency_corrupts_beyond_reception(self):
-        # Give node 2 interference audibility of node 0 (2 hops away):
-        # 0's transmission cannot be decoded at 2 but can jam it.
-        engine = Engine()
-        topology = _line_topology(3)
-        interference = [(1, 2), (0, 2), (0, 1)]
-        channel = Channel(
-            engine, topology, BIT_RATE, interference_neighbors=interference
-        )
-        listeners = [FakeListener() for _ in range(3)]
-        for i, listener in enumerate(listeners):
-            channel.attach(i, listener)
-        channel.transmit(0, _packet(0))
-        channel.transmit(1, _packet(1, seqno=1))
-        engine.run()
-        # Node 2 hears 1's packet but it is corrupted by 0's (jamming).
-        assert listeners[2].received == []
+    @pytest.mark.parametrize("removed", ["interference_neighbors", "tracer"])
+    def test_removed_arguments_are_rejected(self, removed):
+        """Audibility is the topology's adjacency and nothing traces frames."""
+        with pytest.raises(TypeError):
+            Channel(Engine(), _line_topology(3), BIT_RATE, **{removed: None})

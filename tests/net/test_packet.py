@@ -1,5 +1,7 @@
 """Tests for repro.net.packet."""
 
+import dataclasses
+
 import pytest
 
 from repro.net.packet import Packet, PacketKind
@@ -9,7 +11,6 @@ def _data_packet(**overrides):
     defaults = dict(
         kind=PacketKind.DATA,
         origin=0,
-        sender=0,
         seqno=7,
         size_bytes=64,
         updates=(7,),
@@ -41,39 +42,18 @@ class TestPacket:
         with pytest.raises(ValueError):
             _data_packet(size_bytes=0)
 
-    def test_uids_unique(self):
-        a, b = _data_packet(), _data_packet()
-        assert a.uid != b.uid
-
     def test_frozen(self):
         packet = _data_packet()
         with pytest.raises(AttributeError):
             packet.seqno = 1  # type: ignore[misc]
 
+    def test_fields_are_what_the_simulators_read(self):
+        """A frame is its kind, origin, seqno, size and updates, no more.
 
-class TestForwardedBy:
-    def test_forward_changes_sender_not_origin(self):
-        packet = _data_packet(origin=1, sender=1)
-        forward = packet.forwarded_by(5)
-        assert forward.sender == 5
-        assert forward.origin == 1
-
-    def test_forward_increments_hops(self):
-        packet = _data_packet()
-        assert packet.hops == 0
-        assert packet.forwarded_by(5).hops == 1
-        assert packet.forwarded_by(5).forwarded_by(6).hops == 2
-
-    def test_forward_preserves_broadcast_id(self):
-        packet = _data_packet(origin=2, seqno=11)
-        assert packet.forwarded_by(9).broadcast_id == (2, 11)
-
-    def test_forward_preserves_updates_and_size(self):
-        packet = _data_packet(updates=(4, 5), size_bytes=64)
-        forward = packet.forwarded_by(3)
-        assert forward.updates == (4, 5)
-        assert forward.size_bytes == 64
-
-    def test_forward_gets_fresh_uid(self):
-        packet = _data_packet()
-        assert packet.forwarded_by(1).uid != packet.uid
+        A forward re-sends the frame it received, so nothing per hop
+        (sender, hop count, identity) lives on it.
+        """
+        assert [f.name for f in dataclasses.fields(Packet)] == [
+            "kind", "origin", "seqno", "size_bytes", "updates",
+        ]
+        assert [kind.value for kind in PacketKind] == ["data", "beacon", "atim"]

@@ -4,39 +4,7 @@ import random
 
 import pytest
 
-from repro.net.propagation import LossModel, UnitDiskPropagation
-
-
-class TestUnitDiskPropagation:
-    def test_in_range_inclusive(self):
-        prop = UnitDiskPropagation(10.0)
-        assert prop.in_reception_range((0, 0), (10, 0))
-
-    def test_out_of_range(self):
-        prop = UnitDiskPropagation(10.0)
-        assert not prop.in_reception_range((0, 0), (10.001, 0))
-
-    def test_diagonal_distance(self):
-        prop = UnitDiskPropagation(5.0)
-        assert prop.in_reception_range((0, 0), (3, 4))
-        assert not prop.in_reception_range((0, 0), (3.1, 4))
-
-    def test_carrier_sense_defaults_to_radio_range(self):
-        prop = UnitDiskPropagation(10.0)
-        assert prop.carrier_sense_range == 10.0
-
-    def test_extended_carrier_sense(self):
-        prop = UnitDiskPropagation(10.0, carrier_sense_range=20.0)
-        assert prop.in_carrier_sense_range((0, 0), (15, 0))
-        assert not prop.in_reception_range((0, 0), (15, 0))
-
-    def test_carrier_sense_below_radio_range_rejected(self):
-        with pytest.raises(ValueError):
-            UnitDiskPropagation(10.0, carrier_sense_range=5.0)
-
-    def test_rejects_non_positive_range(self):
-        with pytest.raises(ValueError):
-            UnitDiskPropagation(0.0)
+from repro.net.propagation import LossModel
 
 
 class TestLossModel:

@@ -59,7 +59,7 @@ class TestChannelProperties:
         for seqno, t in enumerate(starts):
             sender = seqno % n
             packet = Packet(
-                kind=PacketKind.DATA, origin=sender, sender=sender,
+                kind=PacketKind.DATA, origin=sender,
                 seqno=seqno, size_bytes=64,
             )
             engine.schedule_at(t, lambda s=sender, p=packet: channel.transmit(s, p))
@@ -90,7 +90,7 @@ class TestChannelProperties:
             channel.attach(i, recorder)
         for seqno, t in enumerate(spaced):
             packet = Packet(
-                kind=PacketKind.DATA, origin=0, sender=0,
+                kind=PacketKind.DATA, origin=0,
                 seqno=seqno, size_bytes=64,
             )
             engine.schedule_at(t, lambda p=packet: channel.transmit(0, p))
@@ -112,7 +112,7 @@ class TestChannelProperties:
         for seqno, t in enumerate(starts):
             sender = seqno % n
             packet = Packet(
-                kind=PacketKind.DATA, origin=sender, sender=sender,
+                kind=PacketKind.DATA, origin=sender,
                 seqno=seqno, size_bytes=64,
             )
             engine.schedule_at(t, lambda s=sender, p=packet: channel.transmit(s, p))

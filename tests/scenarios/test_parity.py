@@ -13,7 +13,7 @@ They lock two contracts:
 
 import pytest
 
-from repro.adaptive import AdaptivePBBFAgent, AdaptivePolicy
+from repro.adaptive import AdaptivePolicy
 from repro.core.params import PBBFParams
 from repro.ideal.config import AnalysisParameters
 from repro.ideal.simulator import IdealSimulator, SchedulingMode
@@ -266,12 +266,10 @@ class TestAdaptiveOnScenarios:
             seed=7,
             mode=SchedulingMode.PSM_PBBF,
             scenario=realized,
-            agent_factory=lambda node_id, rng: AdaptivePBBFAgent(
-                start, rng, policy=policy
-            ),
+            adaptive=policy,
         )
         adaptive = evaluate_run("detailed", params, 7)
-        assert adaptive == _summarize_detailed(direct.run().metrics)
+        assert adaptive == _summarize_detailed(direct.run_reference().metrics)
         static = dict(params)
         del static["adaptive"]
         assert adaptive != evaluate_run("detailed", static, 7)
