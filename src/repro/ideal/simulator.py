@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +52,12 @@ import numpy as np
 from repro.core.params import PBBFParams
 from repro.ideal.config import AnalysisParameters
 from repro.net.topology import Topology, bucket_by_distance
-from repro.util.rng import hash_to_unit_interval, hash_to_unit_interval_array
+from repro.util.rng import (
+    hash_finish_array,
+    hash_prefix_array,
+    hash_to_unit_interval,
+    hash_to_unit_interval_array,
+)
 from repro.util.validation import check_non_negative_int, check_probability
 
 
@@ -172,9 +178,33 @@ def _stack_outcomes(outcomes: Sequence[BroadcastOutcome]) -> Tuple[np.ndarray, .
     )
 
 
-def _mean(values: List[float]) -> Optional[float]:
-    """Builtin-``sum`` mean in list order (``None`` when empty)."""
-    return sum(values) / len(values) if values else None
+def _sum_left_to_right(values: np.ndarray) -> float:
+    """The builtin ``sum`` of ``values.tolist()`` before CPython 3.12.
+
+    That ``sum`` is a plain running sum from ``0 + values[0]``, and
+    ``np.add.accumulate`` adds strictly left to right as well.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and nan, as in C
+        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
+def _sum_boxed(values: np.ndarray) -> float:
+    """The builtin ``sum`` of ``values.tolist()`` itself.
+
+    From CPython 3.12 on that ``sum`` compensates its rounding, which no
+    plain prefix sum reproduces.
+    """
+    return sum(values.tolist())
+
+
+#: ``sum(values.tolist())`` for a float64 array, bit for bit on the running
+#: interpreter; before CPython 3.12 without boxing every value.
+_builtin_sum = _sum_left_to_right if sys.version_info < (3, 12) else _sum_boxed
+
+
+def _mean(values: np.ndarray) -> Optional[float]:
+    """``sum(values.tolist()) / len(values)``, or ``None`` when empty."""
+    return _builtin_sum(values) / len(values) if values.size else None
 
 
 @dataclass(eq=False)
@@ -183,8 +213,8 @@ class CampaignResult:
 
     Keeps the kernel's arrays, one row per broadcast, and computes every
     metric from them; the per-broadcast :class:`BroadcastOutcome` records
-    are built only when :attr:`outcomes` is read.  Float means add their
-    values with the builtin ``sum`` in row-major order (broadcast outer,
+    are built only when :attr:`outcomes` is read.  Float means equal the
+    builtin ``sum`` over their values in row-major order (broadcast outer,
     node inner), the order of a loop over the outcomes, so they are
     bit-identical to that loop on every Python version.
     """
@@ -244,7 +274,7 @@ class CampaignResult:
     def mean_coverage(self) -> float:
         """Average per-broadcast coverage (the Fig 16/18 'updates received')."""
         coverage = self._n_received() / self.hops.shape[1]
-        return sum(coverage.tolist()) / self.n_broadcasts
+        return _builtin_sum(coverage) / self.n_broadcasts
 
     def joules_per_update(self) -> float:
         """Network-wide energy divided by updates generated."""
@@ -266,7 +296,7 @@ class CampaignResult:
         """
         relayed = self.hops > 0  # reached, source (hop 0) excluded
         latency = self.receive_times - self.t_generated[:, None]
-        return _mean((latency[relayed] / self.hops[relayed]).tolist())
+        return _mean(latency[relayed] / self.hops[relayed])
 
     def nodes_at_distance(self, d: int) -> List[int]:
         """Node ids whose shortest-path distance from the source is ``d``."""
@@ -295,7 +325,7 @@ class CampaignResult:
         nodes = self.nodes_at_distance(d)
         reached = self.hops[:, nodes] >= 0
         latency = self.receive_times[:, nodes] - self.t_generated[:, None]
-        return _mean(latency[reached].tolist())
+        return _mean(latency[reached])
 
 
 class IdealSimulator:
@@ -539,12 +569,12 @@ class IdealSimulator:
         State lives in flat arrays keyed ``row * n_nodes + node`` (one row
         per broadcast).  Each step takes, for every broadcast still
         propagating, all its pending transmissions at *its own* earliest
-        send time and resolves them together: one padded-CSR neighbour
-        gather, q-coins hashed only for neighbours of immediate senders
-        outside an ATIM window, and first claims via a reversed scatter
-        on the flat keys.  Rows never interact (disjoint keys; coins keyed
-        by each row's own broadcast index), and each row matches the
-        scalar heap because:
+        send time and resolves them together: one gather of the senders'
+        rows of the self-padded neighbour matrix, q-coins hashed only for
+        neighbours of immediate senders outside an ATIM window, and first
+        claims via a reversed scatter on the flat keys.  Rows never
+        interact (disjoint keys; coins keyed by each row's own broadcast
+        index), and each row matches the scalar heap because:
 
         * the pending pool keeps append order, and a row's appends follow
           its heap sequence numbers, so an order-preserving selection of
@@ -563,8 +593,8 @@ class IdealSimulator:
         t_frame, t_active, l1 = cfg.t_frame, cfg.t_active, cfg.l1
         airtime = cfg.packet_airtime
         n = self.topology.n_nodes
-        padded_nbrs, padded_valid = self.topology.csr.padded
-        width = padded_nbrs.shape[1]
+        padded = self.topology.csr.padded
+        width = padded.shape[1]
         always_on = self.mode is SchedulingMode.ALWAYS_ON
         index_arr = np.asarray(indices, dtype=np.int64)
         n_rows = len(index_arr)
@@ -572,12 +602,15 @@ class IdealSimulator:
 
         # p-coins once per (broadcast, node).  The source's own send is a
         # normal broadcast whatever its coin says, and it is never counted.
+        # Both coins hash each node's stage of the chain once per call, so
+        # a coin costs one splitmix64 round.
         if always_on:
             forwards = np.ones((n_rows, n), dtype=bool)
         else:
             forwards = hash_to_unit_interval_array(
                 self._seed ^ self._p_salt, np.arange(n), index_arr[:, None]
             ) < self.params.p
+            q_stage = hash_prefix_array(self._seed ^ self._q_salt, np.arange(n))
         forwards[:, self.source] = False
         forwards = forwards.ravel()
         # Failed radios are pre-marked discovered, so no gather sees them;
@@ -589,7 +622,7 @@ class IdealSimulator:
         receive = np.zeros(n_rows * n)
         hops = np.full(n_rows * n, -1, dtype=np.int64)
         parents = np.full(n_rows * n, -1, dtype=np.int64)
-        claim = np.empty(n_rows * n, dtype=np.int64)  # first-claim scratch
+        claim = np.empty(n_rows * n, dtype=np.int64)  # first claiming pair
         source_keys = np.arange(n_rows) * n + self.source
         discovered[source_keys] = True
         receive[source_keys] = t_gen
@@ -604,40 +637,45 @@ class IdealSimulator:
             earliest.fill(np.inf)
             np.minimum.at(earliest, pend_row, pend_t)
             now = pend_t == earliest[pend_row]
-            rows, t_send, senders = pend_row[now], pend_t[now], pend_node[now]
             later = ~now
-            pend_row, pend_t, pend_node = pend_row[later], pend_t[later], pend_node[later]
+            # np.compress and np.take select as boolean and fancy indexing
+            # do, with less overhead per call.
+            rows, pend_row = np.compress(now, pend_row), np.compress(later, pend_row)
+            t_send, pend_t = np.compress(now, pend_t), np.compress(later, pend_t)
+            senders, pend_node = np.compress(now, pend_node), np.compress(later, pend_node)
 
-            # (sender, neighbour slot) pairs, flattened row-major.
-            sender_keys = rows * n + senders
-            nbrs = padded_nbrs[senders].ravel()
-            keys = np.repeat(rows * n, width) + nbrs
-            keep = padded_valid[senders].ravel() & ~discovered[keys]
+            # (sender, neighbour slot) pairs, one row per sender; flat
+            # indices enumerate them in the scalar visit order.  A padding
+            # slot names the sender itself, already discovered.
+            row_base = rows * n
+            sender_keys = row_base + senders
+            nbrs = np.take(padded, senders, axis=0)
+            keys = row_base[:, None] + nbrs
+            keep = ~discovered[keys]
             immediate = forwards[sender_keys]
             if not always_on and immediate.any():
                 # Immediate forwards outside the window reach only the
                 # neighbours whose q-coin kept them awake.
                 frame = np.floor(t_send / t_frame)
                 gated = immediate & (t_send - frame * t_frame >= t_active)
-                pairs = np.flatnonzero(keep & np.repeat(gated, width))
+                pairs = np.flatnonzero(keep & gated[:, None])
                 if pairs.size:
                     if self.q_coin_scope == "frame":
                         q_key = frame.astype(np.int64)[pairs // width]
                     else:
                         q_key = -1 - index_arr[rows[pairs // width]]
-                    asleep = hash_to_unit_interval_array(
-                        self._seed ^ self._q_salt, nbrs[pairs], q_key
+                    asleep = hash_finish_array(
+                        q_stage[np.take(nbrs, pairs)], q_key
                     ) >= self.params.q
-                    keep[pairs[asleep]] = False
+                    np.put(keep, pairs[asleep], False)
             claims = np.flatnonzero(keep)
             if not claims.size:
                 continue
-            cand = keys[claims]
-            claimant = claims // width  # the claiming transmission
-            claim[cand[::-1]] = claimant[::-1]
-            first = claim[cand] == claimant
-            won = cand[first]
-            owner = claimant[first]
+            cand = np.take(keys, claims)
+            claim[cand[::-1]] = claims[::-1]
+            won_pairs = claims[claim[cand] == claims]
+            won = np.take(keys, won_pairs)
+            owner = won_pairs // width  # the claiming transmission
 
             t_arrive = t_send[owner] + airtime
             discovered[won] = True
@@ -655,7 +693,7 @@ class IdealSimulator:
                 t_next = np.where(forwards[won], t_immediate, t_normal)
             pend_row = np.concatenate((pend_row, rows[owner]))
             pend_t = np.concatenate((pend_t, t_next))
-            pend_node = np.concatenate((pend_node, nbrs[claims[first]]))
+            pend_node = np.concatenate((pend_node, np.take(nbrs, won_pairs)))
 
         # Every reached node transmits exactly once; only non-sources count
         # as forwards, immediate when their p-coin says so.

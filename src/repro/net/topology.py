@@ -63,41 +63,40 @@ class CSRAdjacency:
         return len(self.edge_u)
 
     @cached_property
-    def padded(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(neighbors, valid)`` matrices of shape ``(n, max_degree)``.
+    def padded(self) -> np.ndarray:
+        """Dense neighbour matrix of shape ``(n, max_degree)``, self-padded.
 
-        Row ``v`` holds ``v``'s neighbours in ascending order, padded with
-        zeros where ``valid`` is ``False``.  One fancy-index into these
+        Row ``v`` holds ``v``'s neighbours in ascending order, then ``v``
+        itself in every slot past its degree.  One fancy-index into it
         gathers a whole frontier's neighbourhoods — cheaper than the CSR
         repeat/cumsum dance when degrees are small and uniform (grids,
-        unit-disk graphs), which is the frontier kernel's per-batch case.
+        unit-disk graphs), which is the ideal kernel's per-step case.  A
+        sender has always been reached, so the kernel's "not yet reached"
+        test drops its padding slots with no separate validity mask.
 
-        Staleness guard: the matrices are built exactly once per
-        adjacency, validated against the CSR arrays they were derived
-        from, and returned *read-only* — a kernel scribbling into the
-        shared cache (the way frontier buffers get reused) would
-        otherwise corrupt every later broadcast on the same topology
-        without any error.  Realizing the same scenario again (any
-        process, any seed) rebuilds an equal matrix from its own CSR, so
-        cached and fresh views can never diverge.
+        Staleness guard: the matrix is built exactly once per adjacency,
+        validated against the CSR arrays it was derived from (no node
+        lists itself, so exactly the CSR entries differ from their row
+        id), and returned *read-only* — a kernel scribbling into the
+        shared cache would otherwise corrupt every later broadcast on the
+        same topology without any error.  Realizing the same scenario
+        again (any process, any seed) rebuilds an equal matrix from its
+        own CSR, so cached and fresh views can never diverge.
         """
         n = self.n_nodes
         width = int(self.degrees.max()) if n else 0
-        neighbors = np.zeros((n, width), dtype=self.indices.dtype)
-        valid = np.zeros((n, width), dtype=bool)
-        if width:
-            cols = np.arange(width)
-            valid = cols < self.degrees[:, None]
-            neighbors[valid] = self.indices
-        if int(valid.sum()) != len(self.indices):
+        own = np.arange(n, dtype=self.indices.dtype)[:, None]
+        neighbors = np.repeat(own, width, axis=1)
+        neighbors[np.arange(width) < self.degrees[:, None]] = self.indices
+        listed = int(np.count_nonzero(neighbors != own))
+        if listed != len(self.indices):
             raise AssertionError(
                 "padded neighbour matrix is stale: "
-                f"{int(valid.sum())} valid slots for {len(self.indices)} "
+                f"{listed} neighbour slots for {len(self.indices)} "
                 "CSR entries — the adjacency arrays changed after caching"
             )
         neighbors.setflags(write=False)
-        valid.setflags(write=False)
-        return neighbors, valid
+        return neighbors
 
     def neighbors_of_many(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Gather the neighbour lists of ``nodes`` as one flat array.
@@ -659,11 +658,20 @@ class RandomTopology(Topology):
         )
 
 
-#: Below this size the dense vectorized distance matrix beats the
-#: Python-level spatial hash; above it the hash's O(n) wins.  512 nodes
-#: peaks around ~10 MB of transient n^2 temporaries — the dense path
-#: must stay cheap in memory as well as time.
+#: Up to this size one dense pairwise-distance matrix is cheapest; above
+#: it the spatial hash keeps every distance block to a cell's 3x3
+#: neighbourhood.  Measured on a 2-vCPU Xeon (radio range 10; median ms
+#: and peak traced MiB, dense / hashed): 512 random nodes at density 12
+#: 2.8 / 3.8 ms, 8.0 / 0.5 MiB; the full-scale worlds, 900 random nodes
+#: at density 12 16.2 / 10.5 ms, 24.7 / 1.0 MiB, and 4 x 225 clustered
+#: 25.1 / 17.3 ms, 24.7 / 13.6 MiB; 3,000 random nodes 161 / 35 ms,
+#: 275 / 3.8 MiB — the dense temporaries grow as n^2.
 _DENSE_DISK_LIMIT = 512
+
+#: Spatial-hash cells are this much wider than the radio range, so float
+#: rounding in the bucketing can never put two in-range nodes more than one
+#: cell apart.
+_CELL_MARGIN = 1.0 + 1e-9
 
 
 def _disk_adjacency(
@@ -672,48 +680,79 @@ def _disk_adjacency(
     """Adjacency lists for the unit-disk graph over ``positions``.
 
     Small deployments (the paper's N=50 random scenarios) use one
-    vectorized pairwise-distance comparison that feeds the CSR build
-    directly; large ones fall back to a uniform spatial hash so
-    construction stays O(n) for sparse graphs.
+    vectorized pairwise-distance comparison; large ones a spatial hash,
+    so the distance blocks stay small for sparse graphs.  Both give the
+    same lists: each row ascending, every pair decided by the same float
+    expression.
     """
-    n = len(positions)
-    if n <= _DENSE_DISK_LIMIT:
-        if n == 0:
-            return []
-        xy = np.asarray(positions, dtype=np.float64)
-        diff = xy[:, None, :] - xy[None, :, :]
-        within = (diff * diff).sum(axis=2) <= radio_range * radio_range
-        np.fill_diagonal(within, False)
-        rows, cols = np.nonzero(within)
-        adjacency: List[List[int]] = [[] for _ in range(n)]
-        for u, v in zip(rows.tolist(), cols.tolist()):
-            adjacency[u].append(v)
-        return adjacency
+    if len(positions) <= _DENSE_DISK_LIMIT:
+        return _disk_adjacency_dense(positions, radio_range)
     return _disk_adjacency_hashed(positions, radio_range)
+
+
+def _within_range(
+    xy: np.ndarray, nodes: np.ndarray, others: np.ndarray, radio_range: float
+) -> np.ndarray:
+    """``(len(nodes), len(others))`` mask of pairs no farther apart than
+    ``radio_range`` (a node is within range of itself)."""
+    dx = xy[nodes, 0][:, None] - xy[others, 0]
+    dy = xy[nodes, 1][:, None] - xy[others, 1]
+    return dx * dx + dy * dy <= radio_range * radio_range
+
+
+def _adjacency_lists(n: int, rows: np.ndarray, cols: np.ndarray) -> List[List[int]]:
+    """Per-node neighbour lists from ``(row, col)`` pairs in row-major order."""
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    flat = cols.tolist()
+    return [flat[bounds[v] : bounds[v + 1]] for v in range(n)]
+
+
+def _disk_adjacency_dense(
+    positions: Sequence[Position], radio_range: float
+) -> List[List[int]]:
+    """Unit-disk adjacency from one ``n x n`` distance comparison."""
+    n = len(positions)
+    if n == 0:
+        return []
+    xy = np.asarray(positions, dtype=np.float64)
+    nodes = np.arange(n)
+    within = _within_range(xy, nodes, nodes, radio_range)
+    np.fill_diagonal(within, False)
+    rows, cols = np.nonzero(within)
+    return _adjacency_lists(n, rows, cols)
 
 
 def _disk_adjacency_hashed(
     positions: Sequence[Position], radio_range: float
 ) -> List[List[int]]:
-    """Spatial-hash unit-disk adjacency for large deployments."""
-    cell = radio_range
+    """Spatial-hash unit-disk adjacency for large deployments.
+
+    Nodes are bucketed into square cells a hair wider than the range, so
+    every in-range pair sits in one cell or two adjacent ones.  Each cell
+    compares its members with the members of its 3x3 block of cells, one
+    distance block per cell, and keeps each pair once.
+    """
+    n = len(positions)
+    xy = np.asarray(positions, dtype=np.float64)
+    cells = np.floor(xy / (radio_range * _CELL_MARGIN)).astype(np.int64)
     buckets: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (x, y) in enumerate(positions):
-        buckets.setdefault((int(x // cell), int(y // cell)), []).append(idx)
-    range_sq = radio_range * radio_range
-    adjacency: List[List[int]] = [[] for _ in positions]
-    for (cx, cy), members in buckets.items():
-        neighbor_cells = [
-            (cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-        ]
-        for idx in members:
-            x, y = positions[idx]
-            for cell_key in neighbor_cells:
-                for other in buckets.get(cell_key, ()):
-                    if other <= idx:
-                        continue
-                    ox, oy = positions[other]
-                    if (x - ox) ** 2 + (y - oy) ** 2 <= range_sq:
-                        adjacency[idx].append(other)
-                        adjacency[other].append(idx)
-    return adjacency
+    for node, (cx, cy) in enumerate(cells.tolist()):
+        buckets.setdefault((cx, cy), []).append(node)
+    members = {cell: np.array(nodes) for cell, nodes in buckets.items()}
+    pairs_u: List[np.ndarray] = []
+    pairs_v: List[np.ndarray] = []
+    for (cx, cy), nodes in members.items():
+        block = np.concatenate([
+            members[key]
+            for key in ((cx + dx, cy + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+            if key in members
+        ])
+        within = _within_range(xy, nodes, block, radio_range)
+        within &= nodes[:, None] < block  # each pair once
+        u, v = np.nonzero(within)
+        pairs_u.append(nodes[u])
+        pairs_v.append(block[v])
+    u = np.concatenate(pairs_u)
+    v = np.concatenate(pairs_v)
+    keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+    return _adjacency_lists(n, keys // n, keys % n)

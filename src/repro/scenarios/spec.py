@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -79,9 +80,11 @@ class FailureTimes:
             raise ValueError(
                 f"failure_times.fraction must be in (0, 1), got {self.fraction}"
             )
-        if self.start < 0.0 or self.end < self.start:
+        # A NaN or infinite bound would put non-standard JSON in the token.
+        finite = math.isfinite(self.start) and math.isfinite(self.end)
+        if not finite or self.start < 0.0 or self.end < self.start:
             raise ValueError(
-                f"failure_times window must satisfy 0 <= start <= end, "
+                f"failure_times window must be finite with 0 <= start <= end, "
                 f"got [{self.start}, {self.end}]"
             )
         if self.distribution != "uniform":
@@ -130,8 +133,8 @@ class ClockSkew:
     distribution: str = "half_normal"
 
     def __post_init__(self) -> None:
-        if self.std <= 0.0:
-            raise ValueError(f"clock_skew.std must be > 0, got {self.std}")
+        if not (math.isfinite(self.std) and self.std > 0.0):
+            raise ValueError(f"clock_skew.std must be finite and > 0, got {self.std}")
         if self.distribution != "half_normal":
             raise ValueError(
                 f"clock_skew.distribution must be 'half_normal', "

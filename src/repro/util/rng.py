@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Sequence
 
 import numpy as np
 
@@ -106,24 +106,46 @@ def hash_to_unit_interval_array(seed: int, *keys: object) -> np.ndarray:
     coins — e.g. "which of these 400 nodes are awake in frame f?" — in one
     shot instead of one Python call per node.
     """
-    scalar_state: Optional[int] = _splitmix64(seed & _MASK64)
-    state: Optional[np.ndarray] = None
-    for key in keys:
-        if isinstance(key, int) and state is None:
-            # Fold leading scalar keys without touching arrays: exact same
-            # chain as the scalar function, zero per-element cost.
-            scalar_state = _splitmix64(scalar_state ^ (key & _MASK64))
-        elif state is None:
-            state = _splitmix64_array(np.uint64(scalar_state) ^ _as_uint64(key))
-            scalar_state = None
-        elif isinstance(key, int):
-            state = _splitmix64_array(state ^ np.uint64(key & _MASK64))
-        else:
-            state = _splitmix64_array(state ^ _as_uint64(key))
-    if state is None:
-        state = np.asarray(np.uint64(scalar_state))
+    return hash_finish_array(hash_prefix_array(seed, *keys))
+
+
+def hash_prefix_array(seed: int, *keys: object) -> np.ndarray:
+    """The splitmix64 chain state after ``seed`` and ``keys`` (uint64).
+
+    The first half of :func:`hash_to_unit_interval_array`, whose keys
+    follow it in :func:`hash_finish_array`:
+
+    >>> stage = hash_prefix_array(1, [2])
+    >>> bool(hash_finish_array(stage, 3)[0] == hash_to_unit_interval(1, 2, 3))
+    True
+
+    A stage shared by many coins — every ``(seed, node, frame)`` coin of
+    one node starts from the same ``(seed, node)`` state — is folded once,
+    and each coin then costs one splitmix64 round.
+    """
+    state = _splitmix64(seed & _MASK64)
+    keys_left = list(keys)
+    while keys_left and isinstance(keys_left[0], int):
+        # Fold leading scalar keys without touching arrays: exact same
+        # chain as the scalar function, zero per-element cost.
+        state = _splitmix64(state ^ (keys_left.pop(0) & _MASK64))
+    return _fold_keys(np.asarray(np.uint64(state)), keys_left)
+
+
+def hash_finish_array(prefix: np.ndarray, *keys: object) -> np.ndarray:
+    """Fold ``keys`` into chain states from :func:`hash_prefix_array`
+    and map each final state to a float in [0, 1)."""
+    state = _fold_keys(prefix, keys)
     # Exact power-of-two scaling: bit-identical to ``state / float(1 << 64)``.
     return state.astype(np.float64) * 2.0**-64
+
+
+def _fold_keys(state: np.ndarray, keys: Sequence[object]) -> np.ndarray:
+    """One splitmix64 round per key, elementwise over broadcast arrays."""
+    for key in keys:
+        mixed = np.uint64(key & _MASK64) if isinstance(key, int) else _as_uint64(key)
+        state = _splitmix64_array(state ^ mixed)
+    return state
 
 
 class RandomStreams:

@@ -1,7 +1,7 @@
 """Regression: the cached padded neighbour matrix can never go stale.
 
 The fast-path broadcast kernel gathers whole frontiers through
-``topology.csr.padded``; the matrices are cached on the (immutable) CSR
+``topology.csr.padded``; the matrix is cached on the (immutable) CSR
 view, so two hazards exist: a kernel mutating the shared cache in place,
 and a re-realized scenario (same seed, any process) somehow seeing a
 different matrix.  Both are pinned here.  A seed-free world is shared by
@@ -24,27 +24,24 @@ RANDOM_SPEC = ScenarioSpec.build(
 
 
 def _padded_checksum(token_and_seed):
-    """Worker: realize a scenario and fingerprint its padded matrices."""
+    """Worker: realize a scenario and fingerprint its padded matrix."""
     token, seed = token_and_seed
     realized = ScenarioSpec.from_token(token).realize(seed)
-    neighbors, valid = realized.topology.csr.padded
+    neighbors = realized.topology.csr.padded
     return (
         neighbors.shape,
         int(neighbors.sum()),
-        int(valid.sum()),
+        int(np.count_nonzero(neighbors != np.arange(len(neighbors))[:, None])),
         bool(neighbors.flags.writeable),
     )
 
 
 class TestReadOnlyGuard:
     def test_padded_matrices_are_read_only(self):
-        neighbors, valid = GridTopology(5).csr.padded
+        neighbors = GridTopology(5).csr.padded
         assert not neighbors.flags.writeable
-        assert not valid.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             neighbors[0, 0] = 99
-        with pytest.raises(ValueError, match="read-only"):
-            valid[0, 0] = False
 
     @pytest.mark.parametrize(
         "name", ["indptr", "indices", "degrees", "edge_u", "edge_v"]
@@ -57,12 +54,15 @@ class TestReadOnlyGuard:
 
     def test_padded_is_built_once_and_consistent(self):
         topo = GridTopology(6)
-        first = topo.csr.padded
-        assert topo.csr.padded is first  # cached, not rebuilt
-        neighbors, valid = first
-        assert int(valid.sum()) == len(topo.csr.indices)
+        neighbors = topo.csr.padded
+        assert topo.csr.padded is neighbors  # cached, not rebuilt
+        own = np.arange(topo.n_nodes)[:, None]
+        assert int(np.count_nonzero(neighbors != own)) == len(topo.csr.indices)
         for node in topo.nodes():
-            assert tuple(neighbors[node][valid[node]].tolist()) == topo.neighbors(node)
+            degree = topo.degree(node)
+            assert tuple(neighbors[node, :degree].tolist()) == topo.neighbors(node)
+            # Padding slots name the row's own node.
+            assert (neighbors[node, degree:] == node).all()
 
 
 class TestRepeatedRealization:
@@ -71,9 +71,7 @@ class TestRepeatedRealization:
         first = RANDOM_SPEC.realize(seed).topology
         second = RANDOM_SPEC.realize(seed).topology
         assert first is not second
-        n1, v1 = first.csr.padded
-        n2, v2 = second.csr.padded
-        assert np.array_equal(n1, n2) and np.array_equal(v1, v2)
+        assert np.array_equal(first.csr.padded, second.csr.padded)
 
     def test_memoized_realization_shares_the_cached_matrix(self):
         clear_point_caches()
@@ -98,6 +96,5 @@ class TestRepeatedRealization:
         a = RANDOM_SPEC.realize(1).topology.csr
         b = RANDOM_SPEC.realize(2).topology.csr
         assert not (
-            a.padded[0].shape == b.padded[0].shape
-            and np.array_equal(a.padded[0], b.padded[0])
+            a.padded.shape == b.padded.shape and np.array_equal(a.padded, b.padded)
         )

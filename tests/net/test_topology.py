@@ -13,6 +13,9 @@ from repro.net.topology import (
     RandomTopology,
     Topology,
     TorusGridTopology,
+    _disk_adjacency,
+    _disk_adjacency_dense,
+    _disk_adjacency_hashed,
     area_for_density,
     density_for_area,
 )
@@ -281,6 +284,48 @@ class TestClusteredRandomTopology:
         assert same / total > 0.5
 
 
+class TestDiskAdjacencyPaths:
+    """Above 512 nodes the spatial hash must equal the dense comparison."""
+
+    @staticmethod
+    def assert_same_csr(topo, radio_range):
+        positions = [topo.position(v) for v in topo.nodes()]
+        dense = _disk_adjacency_dense(positions, radio_range)
+        assert _disk_adjacency_hashed(positions, radio_range) == dense
+        reference = Topology(positions, dense).csr
+        for name in ("indptr", "indices", "degrees", "edge_u", "edge_v"):
+            assert np.array_equal(getattr(topo.csr, name), getattr(reference, name))
+
+    @pytest.mark.parametrize("n_nodes, density, seed", [
+        (513, 12.0, 1), (1024, 8.0, 2), (1500, 20.0, 3),
+    ])
+    def test_random_deployments(self, n_nodes, density, seed):
+        topo = RandomTopology(n_nodes, 10.0, density, random.Random(seed))
+        self.assert_same_csr(topo, 10.0)
+
+    @pytest.mark.parametrize("n_clusters, cluster_size, seed", [
+        (3, 171, 4), (4, 225, 5), (5, 300, 6),
+    ])
+    def test_clustered_deployments(self, n_clusters, cluster_size, seed):
+        topo = ClusteredRandomTopology(
+            n_clusters, cluster_size, 10.0, 5.0, 40.0, random.Random(seed)
+        )
+        self.assert_same_csr(topo, 10.0)
+
+    def test_pairs_exactly_one_range_apart(self):
+        # Lattice neighbours sit exactly on the range and on cell edges.
+        side = 25
+        positions = [(10.0 * i, 10.0 * j) for i in range(side) for j in range(side)]
+        dense = _disk_adjacency_dense(positions, 10.0)
+        assert _disk_adjacency_hashed(positions, 10.0) == dense
+        assert sum(map(len, dense)) == 4 * side * (side - 1)
+
+    def test_small_deployments_take_the_dense_path(self):
+        positions = [(float(i), 0.0) for i in range(512)]
+        assert _disk_adjacency(positions, 1.0) == _disk_adjacency_dense(positions, 1.0)
+        assert _disk_adjacency([], 1.0) == []
+
+
 class TestTopologyBase:
     def test_symmetry_validated(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -348,11 +393,13 @@ class TestCSRAdjacency:
 
     def test_padded_matrices(self):
         grid = GridTopology(4)
-        neighbors, valid = grid.csr.padded
-        assert neighbors.shape == valid.shape == (grid.n_nodes, 4)
+        neighbors = grid.csr.padded
+        assert neighbors.shape == (grid.n_nodes, 4)
         for node in grid.nodes():
-            row = neighbors[node][valid[node]]
-            assert tuple(row.tolist()) == grid.neighbors(node)
+            degree = grid.degree(node)
+            assert tuple(neighbors[node, :degree].tolist()) == grid.neighbors(node)
+            # A corner or edge node pads its row with itself.
+            assert neighbors[node, degree:].tolist() == [node] * (4 - degree)
 
     def test_duplicate_neighbors_collapse(self):
         topo = Topology([(0, 0), (1, 0)], [[1, 1], [0, 0, 0]])

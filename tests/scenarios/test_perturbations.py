@@ -1,5 +1,7 @@
 """The Perturbations sub-spec: tokens, validation, realization draws."""
 
+import math
+
 import pytest
 
 from repro.scenarios import (
@@ -87,6 +89,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="window"):
             FailureTimes(0.2, -1.0, 5.0)
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [(10.0, math.inf), (math.nan, 10.0), (0.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_failure_times_window_must_be_finite(self, start, end):
+        # A non-finite bound used to pass the ordering check and put
+        # Infinity or NaN, which is not standard JSON, into the token.
+        with pytest.raises(ValueError, match="finite"):
+            FailureTimes(0.2, start, end)
+
     def test_failure_times_unknown_distribution(self):
         with pytest.raises(ValueError, match="distribution"):
             FailureTimes(0.2, 0.0, 10.0, distribution="pareto")
@@ -96,6 +108,11 @@ class TestValidation:
             ClockSkew(0.0)
         with pytest.raises(ValueError, match="std"):
             ClockSkew(-1.0)
+
+    @pytest.mark.parametrize("std", [math.inf, math.nan])
+    def test_clock_skew_std_must_be_finite(self, std):
+        with pytest.raises(ValueError, match="finite"):
+            ClockSkew(std)
 
     def test_clock_skew_unknown_distribution(self):
         with pytest.raises(ValueError, match="distribution"):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.util.rng import (
     RandomStreams,
+    hash_finish_array,
+    hash_prefix_array,
     hash_to_unit_interval,
     hash_to_unit_interval_array,
 )
@@ -153,3 +155,51 @@ class TestHashToUnitIntervalArray:
         out = hash_to_unit_interval_array(3, np.arange(12).reshape(3, 4), 9)
         assert out.shape == (3, 4)
         assert out.dtype == np.float64
+
+
+class TestFoldedStage:
+    """A per-node stage folded once, then one round per coin (the ideal
+    kernel's p- and q-coins), must equal the scalar hash."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=_KEY,
+        pairs=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=499), _KEY),
+            min_size=1, max_size=32,
+        ),
+    )
+    def test_gathered_stage_then_key_equals_scalar(self, seed, pairs):
+        # As in the q-coins: the stage of every node, gathered by node id,
+        # then a frame key (>= 0) or a broadcast-scope key (-1 - index).
+        nodes = np.array([node for node, _ in pairs])
+        keys = np.array([key for _, key in pairs], dtype=np.int64)
+        stage = hash_prefix_array(seed, np.arange(500))
+        folded = hash_finish_array(stage[nodes], keys)
+        reference = [hash_to_unit_interval(seed, node, key) for node, key in pairs]
+        assert folded.tolist() == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=_KEY, node_count=st.integers(1, 40), index=st.integers(0, 10_000))
+    def test_stage_broadcasts_over_rows(self, seed, node_count, index):
+        nodes = np.arange(node_count)
+        rows = np.array([index, -1 - index])[:, None]
+        folded = hash_finish_array(hash_prefix_array(seed, nodes), rows)
+        assert folded.shape == (2, node_count)
+        for r, key in enumerate((index, -1 - index)):
+            assert folded[r].tolist() == [
+                hash_to_unit_interval(seed, v, key) for v in range(node_count)
+            ]
+
+    def test_leading_scalar_keys_fold_like_the_scalar_chain(self):
+        stage = hash_prefix_array(3, 5, np.arange(4))
+        assert hash_finish_array(stage, -7).tolist() == [
+            hash_to_unit_interval(3, 5, v, -7) for v in range(4)
+        ]
+
+    def test_prefix_is_uint64_state(self):
+        stage = hash_prefix_array(1, np.arange(6))
+        assert stage.dtype == np.uint64 and stage.shape == (6,)
+        assert hash_finish_array(stage).tolist() == [
+            hash_to_unit_interval(1, v) for v in range(6)
+        ]
