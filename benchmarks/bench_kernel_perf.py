@@ -3,11 +3,22 @@
 Unlike the figure benches (one timed regeneration each), these measure the
 steady-state throughput of the kernels every experiment leans on, and
 guard against performance regressions in the hot paths.
+
+pytest-benchmark's own statistics are raw ``perf_counter`` seconds, which
+swing with the host's speed.  Each benchmark therefore also runs between
+two calls of perfbench's host calibration loop (``perfbench/hostspeed.py``)
+and records its median and minimum in reference milliseconds in
+``extra_info`` (``ref_ms_median``, ``ref_ms_min``; the ideal campaigns
+also per broadcast), so regenerations taken in a host's fast and slow
+phases compare.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.params import PBBFParams
 from repro.ideal.config import AnalysisParameters
@@ -17,6 +28,46 @@ from repro.percolation.bond import bond_sweep
 from repro.sim.engine import Engine
 from repro.util.rng import hash_to_unit_interval, hash_to_unit_interval_array
 from repro.util.union_find import UnionFind
+
+
+def _load_hostspeed():
+    """perfbench's calibration module, loaded from its file.
+
+    perfbench is a directory of scripts, not a package, and putting it on
+    ``sys.path`` would expose its other modules under generic names.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "hostspeed.py"
+    spec = importlib.util.spec_from_file_location("hostspeed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hostspeed = _load_hostspeed()
+
+#: Broadcasts per ideal campaign: one Section 4 figure point at paper scale.
+CAMPAIGN_BROADCASTS = 50
+
+
+@pytest.fixture(autouse=True)
+def _reference_ms(benchmark):
+    """Calibrate before and after the test; record its times in reference ms.
+
+    The per-broadcast values divide by ``extra_info["broadcasts"]``, the
+    unit of the end-to-end benchmark's ``ideal.ms_per_broadcast``.
+    """
+    before = hostspeed.calibrate()
+    yield
+    after = hostspeed.calibrate()
+    stats = getattr(benchmark.stats, "stats", None)
+    if stats is None:  # --benchmark-disable
+        return
+    broadcasts = benchmark.extra_info.get("broadcasts")
+    for name in ("min", "median"):
+        ms = 1000.0 * hostspeed.reference_seconds(getattr(stats, name), before, after)
+        benchmark.extra_info[f"ref_ms_{name}"] = ms
+        if broadcasts:
+            benchmark.extra_info[f"ref_ms_per_broadcast_{name}"] = ms / broadcasts
 
 
 def test_engine_event_throughput(benchmark):
@@ -59,24 +110,6 @@ def test_bond_sweep_throughput(benchmark):
     assert edges == grid.n_edges
 
 
-#: Broadcasts per ideal campaign: one Section 4 figure point at paper scale.
-CAMPAIGN_BROADCASTS = 50
-
-
-def _per_broadcast(benchmark) -> None:
-    """Record the campaign timings per broadcast, in milliseconds.
-
-    That is the unit of the end-to-end benchmark's
-    ``ideal.ms_per_broadcast``, so the two read side by side.
-    """
-    stats = getattr(benchmark.stats, "stats", None)
-    if stats is None:  # --benchmark-disable
-        return
-    for name in ("min", "median", "mean"):
-        value = getattr(stats, name) * 1000.0 / CAMPAIGN_BROADCASTS
-        benchmark.extra_info[f"ms_per_broadcast_{name}"] = value
-
-
 def _ideal_campaign(topology, reference: bool = False, **kwargs):
     sim = IdealSimulator(
         topology, PBBFParams(0.5, 0.6), AnalysisParameters(), seed=3, **kwargs
@@ -93,7 +126,7 @@ def test_ideal_campaign_throughput(benchmark):
     parity suite certifies as bit-identical.
     """
     coverage = benchmark(_ideal_campaign(GridTopology(75)))
-    _per_broadcast(benchmark)
+    benchmark.extra_info["broadcasts"] = CAMPAIGN_BROADCASTS
     assert coverage > 0.5
 
 
@@ -101,7 +134,7 @@ def test_ideal_campaign_scalar_reference(benchmark):
     """The same campaign through the scalar reference loop."""
     run = _ideal_campaign(GridTopology(75), reference=True)
     coverage = benchmark.pedantic(run, rounds=3, iterations=1)
-    _per_broadcast(benchmark)
+    benchmark.extra_info["broadcasts"] = CAMPAIGN_BROADCASTS
     assert coverage > 0.5
 
 
@@ -115,7 +148,7 @@ def test_random_topology_campaign_throughput(benchmark):
     """
     topo = RandomTopology.connected(600, 10.0, 12.0, random.Random(42))
     coverage = benchmark(_ideal_campaign(topo, source=0))
-    _per_broadcast(benchmark)
+    benchmark.extra_info["broadcasts"] = CAMPAIGN_BROADCASTS
     assert coverage > 0.5
 
 

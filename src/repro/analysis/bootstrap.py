@@ -72,7 +72,7 @@ def bootstrap_mean_samples(
     values = list(values)
     if not values:
         raise ValueError("bootstrap of an empty sequence")
-    return _resampled_means(values, fold_seed(base_seed, *labels), n_resamples)
+    return _resampled_means(values, fold_seed(base_seed, *labels), n_resamples).tolist()
 
 
 def bootstrap_ci95(
@@ -92,7 +92,7 @@ def bootstrap_ci95(
         if not values:
             raise ValueError("bootstrap_ci95() of an empty sequence")
         return 0.0
-    means = sorted(
+    means = _ascending(
         _resampled_means(values, fold_seed(base_seed, *labels), n_resamples)
     )
     lo = _percentile(means, 0.025)
@@ -102,6 +102,19 @@ def bootstrap_ci95(
     return max(0.0, (hi - lo) / 2.0)
 
 
+def _ascending(means: np.ndarray) -> Sequence[float]:
+    """``sorted(means.tolist())``, element for element.
+
+    Without NaN, a stable array sort gives it unboxed: equal means, -0.0
+    and 0.0 among them, keep their input order, as in ``sorted``.  numpy
+    sorts NaN last where ``sorted`` leaves it wherever its comparisons
+    happen to put it, so a NaN keeps the list sort.
+    """
+    if np.isnan(means).any():
+        return sorted(means.tolist())
+    return np.sort(means, kind="stable")
+
+
 def _resample_count(n_resamples: object) -> int:
     """``n_resamples`` as an int; anything but a positive integer raises."""
     if not isinstance(n_resamples, numbers.Integral) or n_resamples <= 0:
@@ -109,7 +122,7 @@ def _resample_count(n_resamples: object) -> int:
     return int(n_resamples)
 
 
-def _resampled_means(values: List[float], seed: int, n_resamples: int) -> List[float]:
+def _resampled_means(values: List[float], seed: int, n_resamples: int) -> np.ndarray:
     """The scalar loop's resampled means, from bulk-drawn indices."""
     n = len(values)
     indices = _randrange_stream(random.Random(seed), n, n_resamples * n)
@@ -123,7 +136,7 @@ def _resampled_means(values: List[float], seed: int, n_resamples: int) -> List[f
     with np.errstate(over="ignore", invalid="ignore"):
         for row in draws:
             totals += row
-    return (totals / n).tolist()
+    return totals / n
 
 
 def _randrange_stream(rng: random.Random, n: int, count: int) -> np.ndarray:
@@ -147,14 +160,18 @@ def _randrange_stream(rng: random.Random, n: int, count: int) -> np.ndarray:
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolated percentile of an ascending sequence."""
+    """Linear-interpolated percentile of an ascending sequence.
+
+    The sequence may be a float64 array; the arithmetic is on Python
+    floats either way.
+    """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     n = len(sorted_values)
     if n == 1:
-        return sorted_values[0]
+        return float(sorted_values[0])
     position = fraction * (n - 1)
     low = int(position)
     high = min(low + 1, n - 1)
     weight = position - low
-    return sorted_values[low] * (1.0 - weight) + sorted_values[high] * weight
+    return float(sorted_values[low]) * (1.0 - weight) + float(sorted_values[high]) * weight

@@ -167,15 +167,16 @@ class ResultCache:
             "cache.quarantine", tier="file", entry=path.stem[:12]
         )
 
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
+    def put(self, key: str, payload: Dict[str, Any]) -> bool:
         """Atomically store ``payload`` (stamped with the cache version).
 
         Best-effort: the cache is strictly a performance layer, so an
         unwritable directory degrades to cache-off (with one warning)
         rather than failing the campaign that computed the result.
+        Returns whether the entry was written.
         """
         if self._write_failed:
-            return
+            return False
         record = dict(payload)
         record["version"] = CACHE_VERSION
         path = self._path(key)
@@ -202,6 +203,8 @@ class ResultCache:
                 RuntimeWarning,
                 stacklevel=2,
             )
+            return False
+        return True
 
     def has(self, key: str) -> bool:
         """Cheap existence probe (no parse/validation; ``get`` still may miss)."""

@@ -26,7 +26,7 @@ to observe a campaign.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.obs import ensure_recorder
 from repro.runners.backends import ProcessPoolBackend, SerialBackend
@@ -34,17 +34,23 @@ from repro.runners.cache import ResultCache
 from repro.runners.context import ProgressCallback, get_execution, get_stats
 from repro.runners.failures import FailurePolicy, RunFailure
 from repro.runners.points import metrics_from_dict, metrics_to_dict
-from repro.runners.spec import CampaignRun, CampaignSpec, run_key
+from repro.runners.spec import CampaignRun, CampaignSpec
+from repro.util.canonical import canonical_json
 
 #: Results materialised in this process, keyed by run content hash.  This
 #: is what lets several figures share one campaign's points without
 #: re-simulating, whatever backend produced them.
 _MEMO: Dict[str, Any] = {}
 
+#: Per cache root, the run keys this process read from it or wrote to it:
+#: a memo hit on one of them needs no backfill probe.
+_ON_DISK: Dict[Path, Set[str]] = {}
+
 
 def clear_memo() -> None:
     """Drop every in-process campaign result (benchmarks, tests)."""
     _MEMO.clear()
+    _ON_DISK.clear()
 
 
 def _payload_for(run: CampaignRun, metrics: Any) -> Dict[str, Any]:
@@ -86,6 +92,7 @@ class CampaignResult:
         #: failed); empty for a fully-successful campaign.
         self.failures: tuple = tuple(failures)
         self._failed_keys = {failure.key for failure in self.failures}
+        self._keys_by_point: Optional[Dict[str, Dict[int, str]]] = None
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -93,7 +100,9 @@ class CampaignResult:
     def metrics(self, seed_index: int = 0, **overrides: Any):
         """The metrics bundle for one point (``overrides`` over fixed)."""
         params = self.spec.merge(overrides)
-        key = self._run_key(params, seed_index)
+        keys = self._point_keys(params)
+        # Without the index in its label, every seed index has one seed.
+        key = keys.get(seed_index if self.spec.seed_with_run_index else 0)
         try:
             return self._by_key[key]
         except KeyError:
@@ -114,9 +123,10 @@ class CampaignResult:
         metrics, mirroring the paper's averaging over surviving runs.
         """
         params = self.spec.merge(overrides)
+        keys = self._point_keys(params)
         bundles: List[Any] = []
         for index in range(self.spec.n_seeds):
-            key = self._run_key(params, index)
+            key = keys.get(index)
             if key in self._failed_keys:
                 continue
             try:
@@ -125,10 +135,30 @@ class CampaignResult:
                 raise _missing_run(params, index) from None
         return bundles
 
-    def _run_key(self, params: Mapping[str, Any], seed_index: int) -> str:
-        """The run key of one merged point at one seed index."""
-        seed = self.spec.point_seed(params, seed_index)
-        return run_key(self.spec.kind, params, seed)
+    def _point_keys(self, params: Mapping[str, Any]) -> Dict[int, str]:
+        """The run keys of one merged point, by seed index (``{}`` if unknown).
+
+        The index is keyed by each point's canonical JSON, which is what
+        the run key hashes, so a lookup hits exactly where re-deriving
+        the key would: ``q=1`` misses a spec that holds ``1.0``.
+        """
+        if self._keys_by_point is None:
+            index: Dict[str, Dict[int, str]] = {}
+            last = None
+            for run in self.runs:
+                # runs() shares one params tuple among a point's runs.
+                if run.params is not last:
+                    last = run.params
+                    keys = index.setdefault(canonical_json(dict(last)), {})
+                keys[run.seed_index] = run.key
+            self._keys_by_point = index
+        keys = self._keys_by_point.get(canonical_json(params))
+        if keys is None:
+            # Deriving the key raised for a point without one of the seed
+            # parameters; such a lookup still raises that error.
+            self.spec.point_seed(params)
+            return {}
+        return keys
 
     def points(self) -> List[Dict[str, Any]]:
         """Every distinct parameter point of the campaign, in spec order."""
@@ -248,6 +278,7 @@ def run_campaign(
         n_runs=len(runs),
     )
 
+    on_disk = _ON_DISK.setdefault(store.root, set()) if store is not None else set()
     by_key: Dict[str, Any] = {}
     pending: List[CampaignRun] = []
     probe: List[CampaignRun] = []
@@ -264,11 +295,12 @@ def run_campaign(
             stats.reused_memory += 1
             from_memo += 1
             by_key[run.key] = metrics
-            if store is not None and not store.has(run.key):
+            if store is not None and run.key not in on_disk and not store.has(run.key):
                 # Backfill: a result computed before this cache directory
                 # was configured must still survive the process.
                 with recorder.span("phase.cache-put"):
-                    store.put(run.key, _payload_for(run, metrics))
+                    if store.put(run.key, _payload_for(run, metrics)):
+                        on_disk.add(run.key)
             continue
         probe.append(run)
         probe_keys.add(run.key)
@@ -289,6 +321,7 @@ def run_campaign(
                 metrics = None
             if metrics is not None:
                 _MEMO[run.key] = metrics
+                on_disk.add(run.key)
                 stats.reused_disk += 1
                 from_disk += 1
                 by_key[run.key] = metrics
@@ -322,7 +355,8 @@ def run_campaign(
             # line must never lose the point the line just claimed.
             if store is not None:
                 with recorder.span("phase.cache-put"):
-                    store.put(run.key, _payload_for(run, metrics))
+                    if store.put(run.key, _payload_for(run, metrics)):
+                        on_disk.add(run.key)
             done += 1
             if progress is not None:
                 progress(reused + done, total, reused, done)

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runners.cache import CACHE_VERSION
 from repro.runners.points import EVALUATORS
 from repro.scenarios import ScenarioSpec
 from repro.util.canonical import canonical_json
-from repro.util.rng import fold_seed
+from repro.util.rng import fold_seed, fold_seed_onward
 
 #: The simulator families the point evaluators know how to run.
 KINDS = tuple(EVALUATORS)
@@ -54,8 +54,20 @@ def _normalize_param(value: ParamValue) -> ParamValue:
 
 def run_key(kind: str, params: Mapping[str, ParamValue], seed: int) -> str:
     """Content hash identifying one (kind, parameters, seed) run."""
-    payload = canonical_json(
-        {"kind": kind, "params": dict(params), "seed": seed, "version": CACHE_VERSION}
+    return _hash_run(
+        canonical_json(kind), canonical_json(dict(params)), canonical_json(seed)
+    )
+
+
+def _hash_run(kind_json: str, params_json: str, seed_json: str) -> str:
+    """The run key from the canonical JSON of its three parts.
+
+    The canonical JSON of the whole payload is these parts spliced in
+    sorted-key order, so a point serialized once hashes every seed.
+    """
+    payload = (
+        f'{{"kind":{kind_json},"params":{params_json},'
+        f'"seed":{seed_json},"version":{CACHE_VERSION}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -180,21 +192,16 @@ class CampaignSpec:
         Points appearing more than once (an extra that coincides with a
         grid point) are deduplicated, keeping first occurrence order.
         """
-        result: List[Params] = []
-        seen = set()
+        return list(self._points_by_json().values())
+
+    def _points_by_json(self) -> Dict[str, Params]:
+        """:meth:`points`, keyed by each point's canonical JSON."""
+        result: Dict[str, Params] = {}
         names = [name for name, _ in self.axes]
-        for combo in product(*(values for _, values in self.axes)):
-            point = self.merge(dict(zip(names, combo)))
-            marker = canonical_json(point)
-            if marker not in seen:
-                seen.add(marker)
-                result.append(point)
-        for extra in self.extra_points:
-            point = self.merge(dict(extra))
-            marker = canonical_json(point)
-            if marker not in seen:
-                seen.add(marker)
-                result.append(point)
+        grid = product(*(values for _, values in self.axes))
+        for override in chain((zip(names, combo) for combo in grid), self.extra_points):
+            point = self.merge(dict(override))
+            result.setdefault(canonical_json(point), point)
         return result
 
     def point_seed(self, params: Mapping[str, ParamValue], seed_index: int = 0) -> int:
@@ -205,25 +212,40 @@ class CampaignSpec:
         identical to what :meth:`repro.experiments.scale.Scale.seed_for`
         produces for the same labels.
         """
-        labels: List[object] = [self.kind]
-        labels.extend(params[name] for name in self.seed_params)
+        seed = self._label_seed(params)
         if self.seed_with_run_index:
-            labels.append(seed_index)
-        return fold_seed(self.base_seed, *labels)
+            seed = fold_seed_onward(seed, seed_index)
+        return seed
+
+    def _label_seed(self, params: Mapping[str, ParamValue]) -> int:
+        """The fold of the point's labels, before any seed index."""
+        return fold_seed(
+            self.base_seed, self.kind, *(params[name] for name in self.seed_params)
+        )
 
     def runs(self) -> List[CampaignRun]:
-        """Every executable run: each point at each seed index."""
+        """Every executable run: each point at each seed index.
+
+        Each point is serialized and its labels folded once; each seed
+        index then continues the fold and splices the serialized point
+        into its run key.
+        """
         result: List[CampaignRun] = []
-        for point in self.points():
+        kind_json = canonical_json(self.kind)
+        for point_json, point in self._points_by_json().items():
+            params = tuple(sorted(point.items()))
+            label_seed = self._label_seed(point)
             for seed_index in range(self.n_seeds):
-                seed = self.point_seed(point, seed_index)
+                seed = label_seed
+                if self.seed_with_run_index:
+                    seed = fold_seed_onward(label_seed, seed_index)
                 result.append(
                     CampaignRun(
                         kind=self.kind,
-                        params=tuple(sorted(point.items())),
+                        params=params,
                         seed_index=seed_index,
                         seed=seed,
-                        key=run_key(self.kind, point, seed),
+                        key=_hash_run(kind_json, point_json, str(seed)),
                     )
                 )
         return result

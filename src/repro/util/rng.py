@@ -36,9 +36,28 @@ def fold_seed(base_seed: int, *labels: object) -> int:
     *values*, never on execution order, which is what lets campaign
     results be bit-identical across serial and parallel backends.
     """
-    key = ":".join(str(label) for label in labels)
-    acc = base_seed
-    for ch in key:
+    return _fold_text(base_seed, ":".join(str(label) for label in labels))
+
+
+def fold_seed_onward(folded: int, *labels: object) -> int:
+    """Continue a :func:`fold_seed` with more labels.
+
+    The fold runs left to right over the characters of the labels joined
+    by ``":"``, so ``fold_seed_onward(fold_seed(s, *head), *tail)`` equals
+    ``fold_seed(s, *head, *tail)`` whenever ``head`` is non-empty:
+
+    >>> fold_seed_onward(fold_seed(7, "ideal", 0.5), 3) == fold_seed(7, "ideal", 0.5, 3)
+    True
+
+    A caller that derives many seeds from one label prefix (each seed
+    index of a campaign point) folds the prefix once.
+    """
+    return _fold_text(folded, "".join(":" + str(label) for label in labels))
+
+
+def _fold_text(acc: int, text: str) -> int:
+    """The fold itself: one multiply-add per character, masked to 63 bits."""
+    for ch in text:
         acc = (acc * 1000003 + ord(ch)) & 0x7FFFFFFFFFFFFFFF
     return acc
 
@@ -85,6 +104,10 @@ def _as_uint64(keys: object) -> np.ndarray:
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`_splitmix64` (uint64 arithmetic wraps mod 2^64)."""
+    if x.ndim == 0:
+        # Operations on 0-d operands give numpy scalars, whose arithmetic
+        # warns on the wrap this hash relies on: take the scalar chain.
+        return np.uint64(_splitmix64(int(x)))
     x = x + _U64_GAMMA
     x = (x ^ (x >> np.uint64(30))) * _U64_MIX1
     x = (x ^ (x >> np.uint64(27))) * _U64_MIX2

@@ -1,10 +1,16 @@
 """Deterministic bootstrap CIs: content-derived, process-independent."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import bootstrap as bootstrap_module
 from repro.analysis.bootstrap import (
+    _ascending,
     _percentile,
     _randrange_stream,
     bootstrap_ci95,
@@ -248,3 +254,60 @@ class TestPercentile:
     def test_out_of_range_fraction_raises(self):
         with pytest.raises(ValueError, match="fraction"):
             _percentile([1.0], 1.5)
+
+
+#: Few distinct values, so resampled means tie often; signed zeros,
+#: infinities and NaN are the cases where orderings can disagree.
+_TIE_PRONE = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-310, -1e-310,
+     math.inf, -math.inf, math.nan]
+)
+
+
+class TestArraySort:
+    """bootstrap_ci95 sorts its means as an array unless one is NaN; the
+    order must be ``sorted``'s, element for element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(means=st.lists(_TIE_PRONE.filter(lambda v: not math.isnan(v)), max_size=40))
+    def test_array_sort_equals_sorted(self, means):
+        ordered = _ascending(np.array(means, dtype=np.float64))
+        assert isinstance(ordered, np.ndarray)
+        assert bits(ordered.tolist()) == bits(sorted(means))
+
+    @settings(max_examples=100, deadline=None)
+    @given(means=st.lists(_TIE_PRONE, min_size=1, max_size=40).filter(
+        lambda values: any(math.isnan(v) for v in values)))
+    def test_nan_keeps_the_list_sort(self, means):
+        ordered = _ascending(np.array(means, dtype=np.float64))
+        assert isinstance(ordered, list)
+        assert bits(ordered) == bits(sorted(means))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(_TIE_PRONE, min_size=2, max_size=9),
+        n_resamples=st.sampled_from([1, 2, 7, 40, 200]),
+        label=st.integers(0, 10**6),
+    )
+    def test_interval_equals_the_sorted_path(self, values, n_resamples, label):
+        assert bits(
+            [bootstrap_ci95(values, 7, "ties", label, n_resamples=n_resamples)]
+        ) == bits([loop_ci95(values, 7, "ties", label, n_resamples=n_resamples)])
+
+    def test_only_nan_means_take_the_list_sort(self, monkeypatch):
+        calls = []
+
+        def counting_sorted(values):
+            calls.append(len(values))
+            return sorted(values)
+
+        monkeypatch.setattr(bootstrap_module, "sorted", counting_sorted, raising=False)
+        bootstrap_ci95([0.0, -0.0, 1.0, 1.0], 7, "array", n_resamples=50)
+        assert calls == []
+        bootstrap_ci95([math.nan, 1.0, 2.0], 7, "list", n_resamples=50)
+        assert calls == [50]
+
+    def test_mean_samples_stay_a_list_of_floats(self):
+        means = bootstrap_mean_samples([0.0, -0.0, 2.5], 7, "list", n_resamples=9)
+        assert type(means) is list
+        assert all(type(mean) is float for mean in means)

@@ -153,17 +153,70 @@ class TestCacheArgument:
         for side in (6, 8):
             assert first.metrics(grid_side=side) == second.metrics(grid_side=side)
 
-    def test_memo_results_backfill_a_newly_named_cache(self, tmp_path):
+    def test_memo_results_backfill_a_newly_named_cache(self, tmp_path, monkeypatch):
+        probes = []
+        original_has = ResultCache.has
+
+        def counting_has(store, key):
+            probes.append(store.root.name)
+            return original_has(store, key)
+
+        monkeypatch.setattr(ResultCache, "has", counting_has)
         spec = tiny_percolation_spec()
         run_campaign(spec, cache=str(tmp_path / "first"))
+        # A memo hit on the store this process wrote it to: no probe.
+        run_campaign(spec, cache=str(tmp_path / "first"))
+        assert probes == []
+        # A memo hit under a new root is probed, and backfilled.
         second = run_campaign(spec, cache=str(tmp_path / "second"))
         assert (second.computed, second.reused) == (0, 2)
+        assert probes == ["second", "second"]
         backfilled = ResultCache(tmp_path / "second")
         for run in spec.runs():
             assert backfilled.get(run.key) is not None
         clear_run_caches()
         third = run_campaign(spec, cache=str(tmp_path / "second"))
         assert (third.computed, third.reused) == (0, 2)
+        # A memo hit on the store it was read from: no probe.
+        probes.clear()
+        run_campaign(spec, cache=str(tmp_path / "second"))
+        assert probes == []
+        # A result computed with the cache off is still probed.
+        clear_run_caches()
+        run_campaign(spec, cache=str(tmp_path / "third"), use_cache=False)
+        fourth = run_campaign(spec, cache=str(tmp_path / "third"))
+        assert (fourth.computed, fourth.reused) == (0, 2)
+        assert probes == ["third", "third"]
+        assert len(list(ResultCache(tmp_path / "third").entry_paths())) == 2
+
+    def test_the_probe_record_clears_with_the_memo(self, tmp_path):
+        spec = tiny_percolation_spec()
+        run_campaign(spec, cache=str(tmp_path))
+        clear_run_caches()
+        ResultCache(tmp_path).purge()
+        run_campaign(spec, use_cache=False)
+        # The entries written before the clear are gone: the memo hits
+        # must be probed and backfilled.
+        run_campaign(spec, cache=str(tmp_path))
+        assert len(list(ResultCache(tmp_path).entry_paths())) == 2
+
+    def test_a_failed_backfill_is_probed_again(self, tmp_path, monkeypatch):
+        probes = []
+        original_has = ResultCache.has
+
+        def counting_has(store, key):
+            probes.append(key)
+            return original_has(store, key)
+
+        monkeypatch.setattr(ResultCache, "has", counting_has)
+        spec = tiny_percolation_spec()
+        run_campaign(spec, use_cache=False)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="not writable"):
+                run_campaign(spec, cache=str(blocker))
+        assert len(probes) == 2 * 2
 
 
 class TestResultAccess:
@@ -193,27 +246,39 @@ class TestResultAccess:
         assert str(over_seeds.value) == str(single.value)
         assert "no run" in str(single.value)
 
-    def test_metrics_over_seeds_derives_each_run_key_once(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.runners.campaign as campaign_module
+    def test_lookups_derive_no_run_key_or_seed(self, tmp_path, monkeypatch):
+        # Lookups read the keys runs() derived; neither the key hash nor
+        # the seed fold runs again.
+        import repro.runners.spec as spec_module
+        import repro.util.rng as rng_module
 
         spec = tiny_percolation_spec(n_seeds=3, seed_with_run_index=True)
         result = run_campaign(spec, cache=str(tmp_path))
-        original = campaign_module.run_key
-        keys = []
+        calls = []
 
-        def counting_run_key(*args):
-            keys.append(original(*args))
-            return keys[-1]
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(campaign_module, "run_key", counting_run_key)
+            return wrapper
+
+        for module, name in [
+            (spec_module, "run_key"),
+            (spec_module, "_hash_run"),
+            (spec_module, "fold_seed"),
+            (spec_module, "fold_seed_onward"),
+            (rng_module, "_fold_text"),
+        ]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         bundles = result.metrics_over_seeds(grid_side=6)
         assert len(bundles) == 3
-        assert len(keys) == len(set(keys)) == 3
         assert bundles == [
             result.metrics(seed_index=index, grid_side=6) for index in range(3)
         ]
+        assert calls == []
+        spec.runs()  # the counters are live
+        assert {"_hash_run", "fold_seed", "_fold_text"} <= set(calls)
 
     def test_mean_metric_none_when_every_seed_undefined(self, tmp_path):
         spec = tiny_percolation_spec()

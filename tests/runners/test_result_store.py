@@ -282,6 +282,15 @@ class TestPurge:
 
 
 class TestDegraded:
+    def test_put_reports_whether_it_wrote(self, tmp_path):
+        assert ResultCache(tmp_path).put(key(1), payload(1)) is True
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        cache = ResultCache(blocker)
+        with pytest.warns(RuntimeWarning, match="not writable"):
+            assert cache.put(key(1), payload(1)) is False
+        assert cache.put(key(2), payload(2)) is False
+
     def test_unwritable_root_degrades_with_one_warning(self, tmp_path):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")

@@ -1,10 +1,19 @@
 """Tests for campaign specs: enumeration, seeds, content hashing."""
 
+import hashlib
+
 import pytest
 
+from repro.experiments.detailed_figures import q_sweep_campaign
+from repro.experiments.ideal_figures import ideal_campaign
+from repro.experiments.pareto_figures import adaptive_campaign, static_frontier_campaign
 from repro.experiments.scale import Scale
+from repro.experiments.scenario_figures import frontier_robustness_campaign
+from repro.runners.cache import CACHE_VERSION
 from repro.runners.points import evaluate_run, metrics_from_dict
 from repro.runners.spec import CampaignSpec, run_key
+from repro.util.canonical import canonical_json
+from repro.util.rng import fold_seed
 
 
 def tiny_ideal_spec(**overrides):
@@ -132,6 +141,78 @@ class TestSeeds:
         assert len(seeds) == len(spec.runs())
 
 
+class TestRunsFoldEachPointOnce:
+    """runs() folds a point's labels once and continues per seed index;
+    the seeds and keys must be those of the whole-label derivation."""
+
+    @staticmethod
+    def derived(spec, point, seed_index):
+        labels = [spec.kind, *(point[name] for name in spec.seed_params)]
+        if spec.seed_with_run_index:
+            labels.append(seed_index)
+        seed = fold_seed(spec.base_seed, *labels)
+        payload = canonical_json(
+            {"kind": spec.kind, "params": point, "seed": seed, "version": CACHE_VERSION}
+        )
+        return seed, hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("build", [
+        ideal_campaign, static_frontier_campaign, adaptive_campaign,
+        q_sweep_campaign, frontier_robustness_campaign,
+    ])
+    def test_runs_equal_the_whole_label_derivation(self, build):
+        spec = build(Scale.fast())
+        runs = spec.runs()
+        assert [(run.seed, run.key) for run in runs] == [
+            self.derived(spec, point, index)
+            for point in spec.points()
+            for index in range(spec.n_seeds)
+        ]
+        assert [run.seed for run in runs] == [
+            spec.point_seed(run.params_dict(), run.seed_index) for run in runs
+        ]
+
+    # Digests of every run's (seed index, seed, key), taken before runs()
+    # folded each point once: seeds and run keys must never move.
+    GOLDEN = [
+        ("fast", ideal_campaign, 26,
+         "d743ac5694a2ac418518234990add3f5056477e09b8570fe529b18506a75ff6d"),
+        ("fast", static_frontier_campaign, 60,
+         "a4319982ff040e4c57e21eaead180763114470f63a6c9b9c3e4cf572381e0d7f"),
+        ("fast", adaptive_campaign, 8,
+         "c380cbc6b0d23e588bb38bfe3e1e217885dc9961fec334a4fbdee36f79abb4a4"),
+        ("fast", q_sweep_campaign, 24,
+         "b744610d49f328669cbce2636cafd6e598015932d81b14c1005503bfdedf61af"),
+        ("fast", frontier_robustness_campaign, 40,
+         "32ff65ee9be26fb6fe8e9f89ccb0eed9fa263361d1ada82c3c9bff163dbd9fbe"),
+        ("full", ideal_campaign, 57,
+         "cb841b5246d471c89e51edcbaf3309e4b3992ea165b2f435682dfa332ba6a9ff"),
+        ("full", static_frontier_campaign, 750,
+         "ce934ddaabf6849a54093f3a556d8d606616f039e8226f26583332b46dadbaaf"),
+        ("full", adaptive_campaign, 120,
+         "e9ec402bf58a7c4e28613eadfceca472148aff75744427ce708cb8d61bbb93ba"),
+        ("full", q_sweep_campaign, 460,
+         "36ba4ef153fbd2c26a11b52cc6004cf4557e36ce6358287d41739264d3d7c88c"),
+        ("full", frontier_robustness_campaign, 880,
+         "b9c61cb3dbc6ca396e3e3107eb13afd17fef5a51c67fc848cc21491588bd9da1"),
+    ]
+
+    @pytest.mark.parametrize("scale_name, build, n_runs, digest", GOLDEN,
+                             ids=lambda value: getattr(value, "__name__", value))
+    def test_pinned_runs(self, scale_name, build, n_runs, digest):
+        scale = Scale.fast() if scale_name == "fast" else Scale.full()
+        runs = build(scale).runs()
+        assert len(runs) == n_runs
+        assert hashlib.sha256(
+            "\n".join(f"{r.seed_index} {r.seed} {r.key}" for r in runs).encode()
+        ).hexdigest() == digest
+
+    def test_seed_for_is_unchanged(self):
+        scale = Scale.fast()
+        assert scale.seed_for("ideal", 25, 0.25, 1.0, "psm_pbbf") == 2399258515927531879
+        assert scale.seed_for("fig13", "\u00e9", 3) == 1343660111999681956
+
+
 class TestContentHash:
     def test_deterministic(self):
         assert tiny_ideal_spec().content_hash() == tiny_ideal_spec().content_hash()
@@ -160,6 +241,22 @@ class TestRunKey:
         )
         assert run_key("ideal", params, 42) != run_key("ideal", params, 43)
         assert run_key("ideal", params, 42) != run_key("detailed", params, 42)
+
+    @pytest.mark.parametrize("kind, params, seed", [
+        ("ideal", {"p": 0.5, "q": 1.0, "mode": "psm_pbbf"}, 0),
+        ("detailed", {"scenario": '{"family":"grid","n":"\u00e9"}', "q": -0.0}, 2**63 - 1),
+        ("percolation", {"nested": {"b": [1, 2.5, None], "a": True}}, -7),
+        ("ideal", {}, 12),
+    ])
+    def test_key_hashes_the_canonical_payload(self, kind, params, seed):
+        # The payload is spliced from its serialized parts; it must be the
+        # canonical JSON of the whole payload dict.
+        payload = canonical_json(
+            {"kind": kind, "params": params, "seed": seed, "version": CACHE_VERSION}
+        )
+        assert run_key(kind, params, seed) == hashlib.sha256(
+            payload.encode("utf-8")
+        ).hexdigest()
 
     def test_key_stability_golden(self):
         # Pins the serialization format: changing it silently would orphan

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.util.rng import (
     RandomStreams,
+    fold_seed,
+    fold_seed_onward,
     hash_finish_array,
     hash_prefix_array,
     hash_to_unit_interval,
@@ -203,3 +205,89 @@ class TestFoldedStage:
         assert hash_finish_array(stage).tolist() == [
             hash_to_unit_interval(1, v) for v in range(6)
         ]
+
+
+def whole_string_fold(base_seed, *labels):
+    """The fold as one loop over the joined labels: the oracle."""
+    acc = base_seed
+    for ch in ":".join(str(label) for label in labels):
+        acc = (acc * 1000003 + ord(ch)) & 0x7FFFFFFFFFFFFFFF
+    return acc
+
+
+_BASE_SEED = st.one_of(
+    st.sampled_from([0, -1, -(2**63), 2**63 - 1, 2**63, 2**64 + 5, 2**80]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+_LABEL = st.one_of(
+    st.text(),  # unicode and the empty label included
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+)
+
+
+class TestFoldSeed:
+    @settings(max_examples=300, deadline=None)
+    @given(base=_BASE_SEED, labels=st.lists(_LABEL, max_size=5))
+    def test_equals_the_whole_string_fold(self, base, labels):
+        assert fold_seed(base, *labels) == whole_string_fold(base, *labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=_BASE_SEED,
+        head=st.lists(_LABEL, min_size=1, max_size=4),
+        tail=st.lists(_LABEL, max_size=4),
+    )
+    def test_continuing_a_fold_equals_folding_every_label(self, base, head, tail):
+        assert fold_seed_onward(fold_seed(base, *head), *tail) == whole_string_fold(
+            base, *head, *tail
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(base=_BASE_SEED, head=st.lists(_LABEL, min_size=1, max_size=3))
+    def test_per_seed_index_continuation(self, base, head):
+        # As a campaign point folds its labels once and then each index.
+        folded = fold_seed(base, *head)
+        assert [fold_seed_onward(folded, index) for index in range(12)] == [
+            fold_seed(base, *head, index) for index in range(12)
+        ]
+
+    def test_empty_labels(self):
+        assert fold_seed_onward(fold_seed(9, ""), "") == fold_seed(9, "", "")
+        assert fold_seed(2**64 + 5) == 2**64 + 5  # nothing folded, nothing masked
+        assert fold_seed_onward(-3) == -3
+
+    def test_pinned_values(self):
+        # Folded before the fold was split in two.
+        assert fold_seed(-5, "a", "") == 9223367036921776112
+        assert fold_seed(2**64 + 3, "\u00fc\u00f1", 7) == 8089430481754649317
+
+
+class TestNumpyIntegerKeys:
+    """A numpy integer scalar or 0-d key wraps silently, as an int key does."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", [
+        np.int64(5), np.int64(-9), np.int64(-(2**63)), np.int32(7), np.int32(-3),
+        np.uint64(2**64 - 1), np.uint64(12), np.asarray(11), np.asarray(-4),
+        np.asarray(2**63, dtype=np.uint64),
+    ], ids=repr)
+    def test_scalar_keys_equal_the_scalar_hash(self, key):
+        expected = hash_to_unit_interval(20050610, int(key))
+        assert hash_to_unit_interval_array(20050610, key) == expected
+        assert hash_to_unit_interval_array(20050610, 3, key) == hash_to_unit_interval(
+            20050610, 3, int(key)
+        )
+        assert hash_to_unit_interval_array(20050610, key, -1) == hash_to_unit_interval(
+            20050610, int(key), -1
+        )
+        assert hash_finish_array(hash_prefix_array(20050610), key) == expected
+        stage = hash_prefix_array(20050610, np.arange(3))
+        assert hash_finish_array(stage, key).tolist() == [
+            hash_to_unit_interval(20050610, node, int(key)) for node in range(3)
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    def test_int_key_after_a_0d_prefix(self):
+        assert hash_finish_array(hash_prefix_array(1), 5) == hash_to_unit_interval(1, 5)
