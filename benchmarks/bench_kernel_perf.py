@@ -21,9 +21,15 @@ import numpy as np
 import pytest
 
 from repro.core.params import PBBFParams
+from repro.experiments import Scale
+from repro.experiments.pareto_figures import (
+    pareto_family_panel,
+    static_frontier_campaign,
+)
 from repro.ideal.config import AnalysisParameters
-from repro.ideal.simulator import IdealSimulator
+from repro.ideal.simulator import IdealSimulator, run_campaigns
 from repro.net.topology import GridTopology, RandomTopology
+from repro.runners.points import IDEAL_CALL_CELLS
 from repro.percolation.bond import bond_sweep
 from repro.sim.engine import Engine
 from repro.util.rng import hash_to_unit_interval, hash_to_unit_interval_array
@@ -150,6 +156,62 @@ def test_random_topology_campaign_throughput(benchmark):
     coverage = benchmark(_ideal_campaign(topo, source=0))
     benchmark.extra_info["broadcasts"] = CAMPAIGN_BROADCASTS
     assert coverage > 0.5
+
+
+#: Campaigns in each point-batched case: pareto01's grid-family group.
+GROUP_POINTS = 30
+
+
+def _pareto_grid_group(scale):
+    """The first ``GROUP_POINTS`` simulators of pareto01's grid world."""
+    grid = dict(pareto_family_panel(scale))["grid"]
+    realized = grid.realize(0)  # seed-free: one world for every run
+    runs = [
+        run for run in static_frontier_campaign(scale).runs()
+        if run.params_dict()["scenario"] == grid.token
+    ][:GROUP_POINTS]
+    return [
+        IdealSimulator(
+            realized.topology,
+            PBBFParams(run.params_dict()["p"], run.params_dict()["q"]),
+            AnalysisParameters(),
+            seed=run.seed,
+            source=realized.source,
+        )
+        for run in runs
+    ]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-point", "batched"])
+@pytest.mark.parametrize("scale_name", ["fast", "full"])
+def test_point_batched_campaigns(benchmark, scale_name, batched):
+    """pareto01's grid-family campaigns, one kernel call per point or
+    batched under the runner's cell budget.
+
+    Fast scale is 30 points on a 13x13 grid with 8 broadcasts (all in
+    one call); full scale 30 points on a 30x30 grid with 30 broadcasts
+    (two per call).
+    """
+    scale = getattr(Scale, scale_name)()
+    sims = _pareto_grid_group(scale)
+    n_broadcasts = scale.pareto_n_broadcasts
+    per_call = 1
+    if batched:
+        per_call = max(1, IDEAL_CALL_CELLS // (n_broadcasts * sims[0].topology.n_nodes))
+    calls = [sims[i:i + per_call] for i in range(0, len(sims), per_call)]
+
+    def run():
+        return [
+            campaign.mean_coverage()
+            for call in calls
+            for campaign in run_campaigns(call, n_broadcasts)
+        ]
+
+    coverage = benchmark(run)
+    benchmark.extra_info["broadcasts"] = n_broadcasts * len(sims)
+    benchmark.extra_info["points"] = len(sims)
+    benchmark.extra_info["calls"] = len(calls)
+    assert len(coverage) == GROUP_POINTS
 
 
 def test_batched_coin_hash_throughput(benchmark):

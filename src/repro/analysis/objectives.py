@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.bootstrap import bootstrap_ci95
 from repro.util.canonical import canonical_json
+from repro.util.rng import fold_seed, fold_seed_onward
 
 #: Extracts one scalar (or ``None`` where undefined) from a metrics bundle.
 MetricFn = Callable[[Any], Optional[float]]
@@ -174,7 +175,9 @@ def operating_points(
                 break
         if not satisfied:
             continue
-        token = canonical_json(params)
+        # The point's label prefix, folded once: each objective's stream
+        # continues it with the objective's name.
+        prefix = fold_seed(spec.base_seed, "bootstrap", canonical_json(params))
         values_t: List[float] = []
         ci_t: List[float] = []
         samples_t: List[Tuple[float, ...]] = []
@@ -190,10 +193,7 @@ def operating_points(
             ci_t.append(
                 bootstrap_ci95(
                     samples,
-                    spec.base_seed,
-                    "bootstrap",
-                    token,
-                    objective.name,
+                    fold_seed_onward(prefix, objective.name),
                     n_resamples=n_resamples,
                 )
             )

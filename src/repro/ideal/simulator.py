@@ -33,7 +33,9 @@ faster than a full event-driven MAC, which matters at the paper's 5625-node
 scale.  The detailed simulator (:mod:`repro.detailed`) is the event-driven
 counterpart.
 
-``run_campaign``/``run_broadcast`` always run the lockstep array kernel;
+``run_campaign``/``run_broadcast`` always run the lockstep array kernel,
+and :func:`run_campaigns` runs the campaigns of several simulators on one
+topology through a single call of it;
 ``run_campaign_reference``/``run_broadcast_reference`` run the scalar heap
 loop, its bit-identical oracle, called by name and never by an option.
 """
@@ -56,7 +58,6 @@ from repro.util.rng import (
     hash_finish_array,
     hash_prefix_array,
     hash_to_unit_interval,
-    hash_to_unit_interval_array,
 )
 from repro.util.validation import check_non_negative_int, check_probability
 
@@ -475,7 +476,7 @@ class IdealSimulator:
         :meth:`run_broadcast_reference` is its bit-identical oracle.
         """
         check_non_negative_int("index", index)
-        t_gen, receive, hops, parents, counters = self._run_batch([index])
+        t_gen, receive, hops, parents, counters = self._run_batch([self], [index])
         return _outcome(
             self.source, index, t_gen.item(), receive[0], hops[0], parents[0],
             counters[0].tolist(),
@@ -563,18 +564,24 @@ class IdealSimulator:
             parents=tuple(parents),
         )
 
-    def _run_batch(self, indices: Sequence[int]) -> Tuple[np.ndarray, ...]:
-        """Vectorized kernel: the broadcasts in ``indices``, in lockstep.
+    @staticmethod
+    def _run_batch(
+        simulators: Sequence["IdealSimulator"], indices: Sequence[int]
+    ) -> Tuple[np.ndarray, ...]:
+        """Vectorized kernel: every simulator's ``indices`` broadcasts, in lockstep.
 
-        State lives in flat arrays keyed ``row * n_nodes + node`` (one row
-        per broadcast).  Each step takes, for every broadcast still
-        propagating, all its pending transmissions at *its own* earliest
-        send time and resolves them together: one gather of the senders'
-        rows of the self-padded neighbour matrix, q-coins hashed only for
-        neighbours of immediate senders outside an ATIM window, and first
-        claims via a reversed scatter on the flat keys.  Rows never
-        interact (disjoint keys; coins keyed by each row's own broadcast
-        index), and each row matches the scalar heap because:
+        State lives in flat arrays keyed ``row * n_nodes + node``, with one
+        row per (simulator, broadcast), simulator-major.  The simulators
+        share a topology and timing constants; each row keeps its own
+        simulator's seed, p, q, mode, source and failed set.  Each step takes,
+        for every row still propagating, all its pending transmissions at
+        *its own* earliest send time and resolves them together: one gather
+        of the senders' rows of the self-padded neighbour matrix, q-coins
+        hashed only for neighbours of immediate senders outside an ATIM
+        window, and first claims via a reversed scatter on the flat keys.
+        Rows never interact (disjoint keys; coins keyed by each row's own
+        seed and broadcast index), and each row matches the scalar heap
+        because:
 
         * the pending pool keeps append order, and a row's appends follow
           its heap sequence numbers, so an order-preserving selection of
@@ -584,46 +591,76 @@ class IdealSimulator:
           (duplicate-index assignment is last-write-wins, hence reversed);
         * every timestamp is the float expression of
           ``_defer_out_of_window`` / ``_next_window_send_time`` on the same
-          inputs, so grouping by exact equality matches heap ordering.
+          inputs (``ALWAYS_ON`` rows are never gated and send at ``raw``),
+          so grouping by exact equality matches heap ordering.
 
         Returns ``(t_generated, receive_times, hops, parents, counters)``
-        shaped as the :class:`CampaignResult` fields.
+        shaped as the :class:`CampaignResult` fields, one row per
+        (simulator, broadcast).
         """
-        cfg = self.config
+        first = simulators[0]
+        cfg = first.config
         t_frame, t_active, l1 = cfg.t_frame, cfg.t_active, cfg.l1
         airtime = cfg.packet_airtime
-        n = self.topology.n_nodes
-        padded = self.topology.csr.padded
+        n = first.topology.n_nodes
+        padded = first.topology.csr.padded
         width = padded.shape[1]
-        always_on = self.mode is SchedulingMode.ALWAYS_ON
+        nodes = np.arange(n)
         index_arr = np.asarray(indices, dtype=np.int64)
-        n_rows = len(index_arr)
-        t_gen, first_tx = np.array([self._generation_times(i) for i in indices]).T
+        n_sims, n_indices = len(simulators), len(index_arr)
+        n_rows = n_sims * n_indices
+        always = np.array([s.mode is SchedulingMode.ALWAYS_ON for s in simulators])
+        all_always, any_always = bool(always.all()), bool(always.any())
+        row_always = np.repeat(always, n_indices)
+        row_source = np.repeat([sim.source for sim in simulators], n_indices)
+        times = {}  # (generation, first send) times per mode
+        for sim in simulators:
+            if sim.mode not in times:
+                times[sim.mode] = [sim._generation_times(i) for i in indices]
+        t_gen, first_tx = np.array(
+            [times[sim.mode] for sim in simulators]
+        ).reshape(n_rows, 2).T
 
         # p-coins once per (broadcast, node).  The source's own send is a
         # normal broadcast whatever its coin says, and it is never counted.
-        # Both coins hash each node's stage of the chain once per call, so
-        # a coin costs one splitmix64 round.
-        if always_on:
-            forwards = np.ones((n_rows, n), dtype=bool)
-        else:
-            forwards = hash_to_unit_interval_array(
-                self._seed ^ self._p_salt, np.arange(n), index_arr[:, None]
-            ) < self.params.p
-            q_stage = hash_prefix_array(self._seed ^ self._q_salt, np.arange(n))
-        forwards[:, self.source] = False
+        # Both coins hash each node's stage of its simulator's chain once per
+        # call, so a coin costs one splitmix64 round.
+        forwards = np.ones((n_sims, n_indices, n), dtype=bool)
+        psm = np.flatnonzero(~always)
+        if psm.size:
+            p_stage = np.stack([
+                hash_prefix_array(simulators[k]._seed ^ simulators[k]._p_salt, nodes)
+                for k in psm
+            ])
+            p = np.array([simulators[k].params.p for k in psm])
+            forwards[psm] = (
+                hash_finish_array(p_stage[:, None, :], index_arr[:, None])
+                < p[:, None, None]
+            )
+        if not all_always:
+            q_stage = np.concatenate([
+                hash_prefix_array(sim._seed ^ sim._q_salt, nodes) for sim in simulators
+            ])
+            q = np.array([sim.params.q for sim in simulators])
+            row_q = np.repeat(q, n_indices)
+            row_stage = np.repeat(np.arange(n_sims) * n, n_indices)
+            row_index = np.tile(index_arr, n_sims)
+            frame_scope = first.q_coin_scope == "frame"
+        forwards = forwards.reshape(n_rows, n)
+        forwards[np.arange(n_rows), row_source] = False
         forwards = forwards.ravel()
         # Failed radios are pre-marked discovered, so no gather sees them;
         # their hop stays -1 (unreached).
-        if self._failed_mask is None:
-            discovered = np.zeros(n_rows * n, dtype=bool)
-        else:
-            discovered = np.tile(self._failed_mask, n_rows)
+        discovered = np.zeros((n_sims, n_indices, n), dtype=bool)
+        for k, sim in enumerate(simulators):
+            if sim._failed_mask is not None:
+                discovered[k] = sim._failed_mask
+        discovered = discovered.ravel()
         receive = np.zeros(n_rows * n)
         hops = np.full(n_rows * n, -1, dtype=np.int64)
         parents = np.full(n_rows * n, -1, dtype=np.int64)
         claim = np.empty(n_rows * n, dtype=np.int64)  # first claiming pair
-        source_keys = np.arange(n_rows) * n + self.source
+        source_keys = np.arange(n_rows) * n + row_source
         discovered[source_keys] = True
         receive[source_keys] = t_gen
         hops[source_keys] = 0
@@ -631,7 +668,7 @@ class IdealSimulator:
         # Pending transmissions (row, send time, sender) in append order.
         pend_row = np.arange(n_rows)
         pend_t = first_tx
-        pend_node = np.full(n_rows, self.source)
+        pend_node = row_source
         earliest = np.empty(n_rows)
         while pend_row.size:
             earliest.fill(np.inf)
@@ -653,20 +690,28 @@ class IdealSimulator:
             keys = row_base[:, None] + nbrs
             keep = ~discovered[keys]
             immediate = forwards[sender_keys]
-            if not always_on and immediate.any():
+            if not all_always and immediate.any():
                 # Immediate forwards outside the window reach only the
                 # neighbours whose q-coin kept them awake.
                 frame = np.floor(t_send / t_frame)
                 gated = immediate & (t_send - frame * t_frame >= t_active)
+                if any_always:
+                    gated &= ~row_always[rows]
                 pairs = np.flatnonzero(keep & gated[:, None])
                 if pairs.size:
-                    if self.q_coin_scope == "frame":
-                        q_key = frame.astype(np.int64)[pairs // width]
+                    owners = pairs // width
+                    if frame_scope:
+                        q_key = frame.astype(np.int64)[owners]
                     else:
-                        q_key = -1 - index_arr[rows[pairs // width]]
-                    asleep = hash_finish_array(
-                        q_stage[np.take(nbrs, pairs)], q_key
-                    ) >= self.params.q
+                        q_key = -1 - row_index[rows[owners]]
+                    stage_keys = np.take(nbrs, pairs)
+                    if n_sims == 1:  # no per-pair gather of stage or threshold
+                        threshold = q[0]
+                    else:
+                        pair_rows = rows[owners]
+                        stage_keys = stage_keys + row_stage[pair_rows]
+                        threshold = row_q[pair_rows]
+                    asleep = hash_finish_array(q_stage[stage_keys], q_key) >= threshold
                     np.put(keep, pairs[asleep], False)
             claims = np.flatnonzero(keep)
             if not claims.size:
@@ -683,7 +728,7 @@ class IdealSimulator:
             hops[won] = hops[sender_keys[owner]] + 1
             parents[won] = senders[owner]
             raw = t_arrive + l1
-            if always_on:
+            if all_always:
                 t_next = raw
             else:
                 raw_start = np.floor(raw / t_frame) * t_frame
@@ -691,6 +736,8 @@ class IdealSimulator:
                 t_immediate = np.where(in_window, raw_start + t_active, raw)
                 t_normal = (np.floor(t_arrive / t_frame) + 1.0) * t_frame + t_active + l1
                 t_next = np.where(forwards[won], t_immediate, t_normal)
+                if any_always:
+                    t_next = np.where(row_always[rows[owner]], raw, t_next)
             pend_row = np.concatenate((pend_row, rows[owner]))
             pend_t = np.concatenate((pend_t, t_next))
             pend_node = np.concatenate((pend_node, np.take(nbrs, won_pairs)))
@@ -711,14 +758,15 @@ class IdealSimulator:
     def run_campaign(self, n_broadcasts: int) -> CampaignResult:
         """Generate ``n_broadcasts`` updates and aggregate their outcomes.
 
-        All broadcasts run as one lockstep kernel call (:meth:`_run_batch`).
-        Energy accounting follows the paper's analysis: the duty-cycle term
-        is the Eq. 7 expectation (which Figure 8 verifies the simulation
+        All broadcasts run as one lockstep kernel call: this is
+        :func:`run_campaigns` on a batch of one simulator.  Energy
+        accounting follows the paper's analysis: the duty-cycle term is
+        the Eq. 7 expectation (which Figure 8 verifies the simulation
         matches exactly), plus the transmit-power premium for every actual
         transmission.  ``tests/ideal/test_closed_forms.py`` checks it
         against Eq. 7 and Eq. 8.
         """
-        return self._campaign(n_broadcasts, reference=False)
+        return run_campaigns([self], n_broadcasts)[0]
 
     def run_campaign_reference(self, n_broadcasts: int) -> CampaignResult:
         """:meth:`run_campaign` on the scalar heap loop, the kernel's oracle.
@@ -728,27 +776,29 @@ class IdealSimulator:
         to :meth:`run_campaign` (the parity suite enforces it); the runner
         calls it only for ``on_exhausted="degrade"`` attempts.
         """
-        return self._campaign(n_broadcasts, reference=True)
-
-    def _campaign(self, n_broadcasts: int, reference: bool) -> CampaignResult:
-        if n_broadcasts <= 0:
-            raise ValueError(f"n_broadcasts must be > 0, got {n_broadcasts}")
+        _check_broadcasts(n_broadcasts)
         from repro.obs import get_recorder
 
-        outcomes: Optional[List[BroadcastOutcome]] = None
         with get_recorder().span(
             "kernel.ideal",
             broadcasts=n_broadcasts,
             nodes=self.topology.n_nodes,
-            fast_path=not reference,
+            fast_path=False,
+            points=1,
         ):
-            if reference:
-                outcomes = [
-                    self.run_broadcast_reference(i) for i in range(n_broadcasts)
-                ]
-                arrays = _stack_outcomes(outcomes)
-            else:
-                arrays = self._run_batch(range(n_broadcasts))
+            outcomes = [
+                self.run_broadcast_reference(i) for i in range(n_broadcasts)
+            ]
+            arrays = _stack_outcomes(outcomes)
+        return self._campaign_result(n_broadcasts, arrays, outcomes)
+
+    def _campaign_result(
+        self,
+        n_broadcasts: int,
+        arrays: Sequence[np.ndarray],
+        outcomes: Optional[List[BroadcastOutcome]] = None,
+    ) -> CampaignResult:
+        """This simulator's campaign from its rows of the kernel arrays."""
         t_gen, receive, hops, parents, counters = arrays
         duration = n_broadcasts * self.config.update_interval
         return CampaignResult(
@@ -784,3 +834,54 @@ class IdealSimulator:
         base = self.topology.n_nodes * duty_power * duration
         tx_premium = n_transmissions * cfg.packet_airtime * (power.tx_w - power.listen_w)
         return base + tx_premium
+
+
+def _check_broadcasts(n_broadcasts: int) -> None:
+    if n_broadcasts <= 0:
+        raise ValueError(f"n_broadcasts must be > 0, got {n_broadcasts}")
+
+
+def run_campaigns(
+    simulators: Sequence[IdealSimulator], n_broadcasts: int
+) -> List[CampaignResult]:
+    """:meth:`IdealSimulator.run_campaign` of every simulator, in one call.
+
+    The simulators' broadcasts run as the rows of one lockstep kernel
+    call (:meth:`IdealSimulator._run_batch`).  Each row keeps its own simulator's seed,
+    p, q, mode, source and failed set, and rows never interact, so each
+    result is bit-identical to the simulator's own :meth:`run_campaign`.
+    The simulators must share one :class:`Topology` object, one
+    :class:`AnalysisParameters` and one ``q_coin_scope``.  Each result
+    holds only its own rows.
+    """
+    sims = list(simulators)
+    _check_broadcasts(n_broadcasts)
+    if not sims:
+        return []
+    first = sims[0]
+    for sim in sims[1:]:
+        if sim.topology is not first.topology:
+            raise ValueError("run_campaigns() needs one shared Topology object")
+        if sim.config != first.config:
+            raise ValueError("run_campaigns() needs one shared AnalysisParameters")
+        if sim.q_coin_scope != first.q_coin_scope:
+            raise ValueError("run_campaigns() needs one shared q_coin_scope")
+    from repro.obs import get_recorder
+
+    with get_recorder().span(
+        "kernel.ideal",
+        broadcasts=n_broadcasts,
+        nodes=first.topology.n_nodes,
+        fast_path=True,
+        points=len(sims),
+    ):
+        arrays = IdealSimulator._run_batch(sims, range(n_broadcasts))
+    if len(sims) == 1:
+        return [first._campaign_result(n_broadcasts, arrays)]
+    results = []
+    for k, sim in enumerate(sims):
+        rows = slice(k * n_broadcasts, (k + 1) * n_broadcasts)
+        own = [array[rows].copy() for array in arrays]
+        results.append(sim._campaign_result(n_broadcasts, own))
+    return results
+

@@ -6,13 +6,18 @@ order.  Because point evaluation is a pure function of ``(kind, params,
 seed)`` (see :mod:`repro.runners.points`), the two are bit-identical for
 a fixed spec — ``ProcessPoolBackend`` is purely a wall-clock optimisation.
 
-Seed batching: consecutive ``detailed`` runs differing only in their seed
-(how :meth:`CampaignSpec.runs` orders them) are grouped into one task and
-evaluated through :func:`repro.runners.points.evaluate_run_batch`, which
-hands the whole seed list to the seed-batched kernel in a single call
-when the point is inside its scope.  Grouping only changes *who* computes
-each run's metrics — per-run results, their order and completion ticks
-are identical to the ungrouped loop.
+Batching: consecutive ``detailed`` runs differing only in their seed
+(how :meth:`CampaignSpec.runs` orders them) are grouped into one task,
+which hands the whole seed list to the seed-batched kernel in a single
+call when the point is inside its scope.  The ``ideal`` runs that share a
+world — equal parameters apart from p, q and mode, and one seed unless
+the world is seed-free — are grouped into one task wherever they sit in
+the campaign, and the ideal evaluator runs them through as few lockstep
+kernel calls as its cell budget allows; a pool with more workers than
+tasks halves the largest ideal task until each worker has one.
+Grouping only changes *who*
+computes each run's metrics — per-run results and their alignment are
+identical to the ungrouped loop, and each run is delivered once.
 
 Fault tolerance: each grouped task is a *lease* executed under a
 :class:`~repro.runners.failures.FailurePolicy`.  A task that raises,
@@ -21,7 +26,7 @@ takes its worker process down with it is retried immediately (bounded
 attempts) and, once exhausted, handled per ``on_exhausted`` —
 recorded as a :class:`~repro.runners.failures.RunFailure` (``skip``),
 given one last in-parent attempt on the reference kernels (``degrade``,
-the one caller of ``evaluate_run_batch(..., reference=True)``), or
+the one caller of ``evaluate_runs(..., reference=True)``), or
 surfaced in a :class:`CampaignExecutionError` *after* the rest of the
 batch completes (``raise``, the default).  The pool backend rebuilds its
 executor when workers die and falls back to in-parent serial execution
@@ -58,14 +63,18 @@ from repro.runners.failures import (
     WorkerCrashError,
 )
 from repro.runners.points import (
-    evaluate_run_batch,
+    evaluate_runs,
     metrics_to_dict,
+    seed_free_world,
     validate_flat_metrics,
 )
 from repro.runners.spec import CampaignRun
 
-#: One grouped unit of work: a point and the (consecutive) seeds to run.
-_BatchTask = Tuple[str, Dict[str, Any], Tuple[int, ...]]
+#: One grouped unit of work: a kind and its (params, seed) runs.
+_BatchTask = Tuple[str, Tuple[Tuple[Dict[str, Any], int], ...]]
+
+#: The parameters an ideal run sets per kernel row, not per world.
+_IDEAL_ROW_PARAMS = ("mode", "p", "q")
 
 #: Per-run completion hook, invoked in the parent process as each run's
 #: metrics materialise: ``on_result(index, flat)`` with ``index`` into
@@ -84,11 +93,10 @@ _POLL_INTERVAL_S = 0.05
 def _evaluate_batch_task(
     task: _BatchTask, reference: bool = False
 ) -> List[Dict[str, Any]]:
-    """Evaluate one point's grouped seeds, one flat dict per seed."""
-    kind, params, seeds = task
+    """Evaluate one task's grouped runs, one flat dict per run."""
+    kind, runs = task
     return [
-        metrics_to_dict(metrics)
-        for metrics in evaluate_run_batch(kind, params, seeds, reference)
+        metrics_to_dict(metrics) for metrics in evaluate_runs(kind, runs, reference)
     ]
 
 
@@ -108,7 +116,7 @@ def _evaluate_leased_task(
         key=lease_key[:12],
         attempt=attempt,
         kind=task[0],
-        seeds=len(task[2]),
+        runs=len(task[1]),
     ):
         marker = faults.apply_task_fault(lease_key, attempt)
         flats = _evaluate_batch_task(task)
@@ -117,29 +125,40 @@ def _evaluate_leased_task(
     return flats
 
 
-def _group_runs(runs: Sequence[CampaignRun]) -> List[_BatchTask]:
-    """Group consecutive same-point ``detailed`` runs into batch tasks.
+def _group_runs(runs: Sequence[CampaignRun]) -> List[Tuple[int, ...]]:
+    """The indices into ``runs`` of each task, in order of first run.
 
-    Only the ``detailed`` kind batches (its kernel amortises machinery
-    across seeds); other kinds stay singleton tasks so pool scheduling
-    granularity is unchanged for them.  ``run.params`` is the hashable
-    point identity, so equality is exact.
+    Consecutive same-point ``detailed`` runs form one task (its kernel
+    amortises machinery across seeds).  ``ideal`` runs form one task per
+    world: equal parameters apart from p, q and mode, and one seed
+    unless the world is seed-free; such a task's runs need not be
+    contiguous.  Percolation runs stay singleton tasks.  ``run.params``
+    is the hashable point identity, so equality is exact.
     """
-    groups: List[_BatchTask] = []
+    groups: List[List[int]] = []
+    worlds: Dict[Tuple, List[int]] = {}
+    seed_free: Dict[Tuple, bool] = {}
     last_params: Optional[Tuple] = None
-    for run in runs:
-        if (
-            groups
-            and run.kind == "detailed"
-            and groups[-1][0] == "detailed"
-            and run.params == last_params
-        ):
-            kind, params, seeds = groups[-1]
-            groups[-1] = (kind, params, seeds + (run.seed,))
+    for index, run in enumerate(runs):
+        if run.kind == "ideal":
+            shared = tuple(
+                item for item in run.params if item[0] not in _IDEAL_ROW_PARAMS
+            )
+            if shared not in seed_free:
+                seed_free[shared] = seed_free_world(dict(shared))
+            world = (shared, None if seed_free[shared] else run.seed)
+            if world in worlds:
+                worlds[world].append(index)
+            else:
+                worlds[world] = [index]
+                groups.append(worlds[world])
+            last_params = None
+        elif run.kind == "detailed" and run.params == last_params:
+            groups[-1].append(index)
         else:
-            groups.append((run.kind, run.params_dict(), (run.seed,)))
-            last_params = run.params
-    return groups
+            groups.append([index])
+            last_params = run.params if run.kind == "detailed" else None
+    return [tuple(group) for group in groups]
 
 
 def _init_worker(
@@ -166,11 +185,11 @@ def _init_worker(
 
 @dataclass
 class _Lease:
-    """One task's claim on a slice of the result list, across retries."""
+    """One task's claim on entries of the result list, across retries."""
 
     task: _BatchTask
-    #: Index of the lease's first run in the ``execute`` input sequence.
-    start: int
+    #: The lease's runs, as indices into the ``execute`` input sequence.
+    indices: Tuple[int, ...]
     #: Run key of the first covered run — the lease's identity in the
     #: fault stream.
     key: str
@@ -179,15 +198,32 @@ class _Lease:
 
     @property
     def n_runs(self) -> int:
-        return len(self.task[2])
+        return len(self.indices)
 
 
-def _build_leases(runs: Sequence[CampaignRun]) -> List[_Lease]:
+def _build_leases(runs: Sequence[CampaignRun], workers: int = 1) -> List[_Lease]:
+    """One lease per task of :func:`_group_runs`.
+
+    With fewer tasks than ``workers``, the largest ideal task is halved
+    until every worker has one, so a campaign on a single world (the
+    Section 4 grid's) still spreads over the pool.
+    """
+    groups = _group_runs(runs)
+    while len(groups) < workers:
+        largest = max(groups, key=len)
+        if len(largest) < 2 or runs[largest[0]].kind != "ideal":
+            break
+        at = groups.index(largest)
+        half = (len(largest) + 1) // 2
+        groups[at:at + 1] = [largest[:half], largest[half:]]
     leases: List[_Lease] = []
-    start = 0
-    for task in _group_runs(runs):
-        leases.append(_Lease(task=task, start=start, key=runs[start].key))
-        start += len(task[2])
+    for indices in groups:
+        first = runs[indices[0]]
+        task = (
+            first.kind,
+            tuple((runs[i].params_dict(), runs[i].seed) for i in indices),
+        )
+        leases.append(_Lease(task=task, indices=indices, key=first.key))
     return leases
 
 
@@ -218,16 +254,15 @@ class _ExecutionState:
 
     def deliver(self, lease: _Lease, flats: List[Dict[str, Any]]) -> None:
         """Land one completed lease's per-run metrics, firing the hook."""
-        for offset, flat in enumerate(flats):
-            index = lease.start + offset
+        for index, flat in zip(lease.indices, flats):
             self.results[index] = flat
             if self.on_result is not None:
                 self.on_result(index, flat)
 
     def record_exhausted(self, lease: _Lease, error: BaseException) -> None:
         """Turn one spent lease into per-run failure records."""
-        for offset in range(lease.n_runs):
-            run = self.runs[lease.start + offset]
+        for index in lease.indices:
+            run = self.runs[index]
             failure = RunFailure(
                 key=run.key,
                 kind=run.kind,
@@ -478,7 +513,7 @@ class ProcessPoolBackend:
         state = _ExecutionState(
             runs, _resolve_policy(failure_policy), on_result, on_failure
         )
-        leases = _build_leases(runs)
+        leases = _build_leases(runs, self.jobs)
         if len(leases) <= 1 or self.jobs == 1:
             _drain_serial(state, leases)
         else:
@@ -517,7 +552,7 @@ class ProcessPoolBackend:
             in_flight.clear()
             remaining.extend(queue)
             queue.clear()
-            remaining.sort(key=lambda lease: lease.start)
+            remaining.sort(key=lambda lease: lease.indices[0])
             _drain_serial(state, remaining)
 
         executor = self._new_executor(workers)

@@ -109,6 +109,8 @@ class ResultCache:
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        # The read path joins entry paths as strings under this directory.
+        self._points_dir = str(self.root / "points")
         #: Corrupt entries this instance moved aside (see ``_quarantine``).
         self.quarantined = 0
         self._write_failed = False
@@ -124,7 +126,7 @@ class ResultCache:
         like a result — is quarantined to ``<key>.corrupt`` so it stops
         masquerading as an eternal miss and shows up in :meth:`stats`.
         """
-        path = self._path(key)
+        path = f"{self._points_dir}/{key[:2]}/{key}.json"
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -156,8 +158,9 @@ class ResultCache:
                 found[key] = payload
         return found
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, entry: str) -> None:
         """Move one corrupt entry aside (best-effort, crash-race safe)."""
+        path = Path(entry)
         try:
             os.replace(path, path.with_suffix(".corrupt"))
         except OSError:

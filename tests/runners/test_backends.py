@@ -13,6 +13,9 @@ from repro.runners import (
     clear_run_caches,
     execution,
 )
+from repro.runners.backends import _group_runs
+from repro.runners.points import evaluate_run, metrics_to_dict
+from repro.scenarios import ScenarioSpec
 
 
 def small_ideal_spec():
@@ -32,18 +35,49 @@ def small_ideal_spec():
     )
 
 
+def two_world_ideal_spec():
+    """``small_ideal_spec``'s points on a grid and on a torus.
+
+    Ideal runs that share a world form one lease, so this campaign is
+    two leases and fans out over a pool, where ``small_ideal_spec``,
+    one world, runs as one.
+    """
+    grid = ScenarioSpec.build("grid", {"side": 7}).token
+    torus = ScenarioSpec.build("torus", {"side": 7}).token
+    return CampaignSpec.build(
+        kind="ideal",
+        axes={"scenario": (grid, torus), "p": (0.3, 0.7), "q": (0.0, 0.6, 1.0)},
+        fixed={
+            "n_broadcasts": 2,
+            "mode": "psm_pbbf",
+            "hop_near": 2,
+            "hop_far": 4,
+        },
+        extra_points=(
+            {"scenario": grid, "p": 1.0, "q": 1.0, "mode": "always_on"},
+        ),
+        seed_params=("scenario", "p", "q", "mode"),
+    )
+
+
 class TestBitIdentity:
     def test_serial_and_pool_agree_exactly(self):
-        runs = small_ideal_spec().runs()
+        runs = two_world_ideal_spec().runs()
+        assert len(_group_runs(runs)) == 2
         serial = SerialBackend().execute(runs)
         clear_run_caches()
         pooled = ProcessPoolBackend(jobs=2).execute(runs)
-        assert serial == pooled  # flat dicts: exact float equality
+        clear_run_caches()
+        loop = [
+            metrics_to_dict(evaluate_run(run.kind, run.params_dict(), run.seed))
+            for run in runs
+        ]
+        assert serial == pooled == loop  # flat dicts: exact float equality
 
     def test_pool_results_align_with_run_order(self):
         # Each pooled result must belong to the run at its index, not just
         # be the right multiset: spot-check one distinctive run.
-        runs = small_ideal_spec().runs()
+        runs = two_world_ideal_spec().runs()
         pooled = ProcessPoolBackend(jobs=3).execute(runs)
         for index, run in enumerate(runs):
             if dict(run.params)["mode"] == "always_on":

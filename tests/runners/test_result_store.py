@@ -167,6 +167,38 @@ class TestGetMany:
         assert cache.quarantined == 0
 
 
+class TestReadPath:
+    """``get`` joins entry paths as strings; they name ``_path``'s file."""
+
+    @pytest.mark.parametrize("root", ["absolute", ".", "nested/dir/"])
+    def test_string_path_is_the_entry_path(self, tmp_path, monkeypatch, root):
+        import repro.runners.cache as cache_module
+
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache(tmp_path if root == "absolute" else root)
+        cache.put(key(7), payload(7))
+        opened = []
+        real_open = open
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "open", spy, raising=False)
+        assert cache.get(key(7))["metrics"] == {"value": 7.0}
+        assert cache.get(key(8)) is None
+        assert opened == [str(cache._path(key(7))), str(cache._path(key(8)))]
+
+    def test_corrupt_entry_is_still_quarantined(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(key(3), payload(3))
+        cache._path(key(3)).write_text("{ torn")
+        assert cache.get(key(3)) is None
+        assert cache.quarantined == 1
+        assert cache._path(key(3)).with_suffix(".corrupt").is_file()
+        assert not cache._path(key(3)).exists()
+
+
 class TestLeftoversFromOlderCheckouts:
     """``objects/``, ``journal/`` and ``cache.sqlite`` are never read."""
 

@@ -243,48 +243,125 @@ class TestReferenceFlag:
         assert ran == ([] if kind == "percolation" else [kind] * len(seeds))
 
 
+def small_ideal_spec(fixed=None, **kwargs):
+    base = {
+        "grid_side": 5,
+        "mode": PSM_PBBF,
+        "n_broadcasts": 1,
+        "hop_near": 1,
+        "hop_far": 2,
+    }
+    return CampaignSpec.build(
+        kind="ideal",
+        axes={"p": (0.25, 0.5), "q": (0.5, 1.0)},
+        fixed=dict(base, **(fixed or {})),
+        **kwargs,
+    )
+
+
+RANDOM_WORLD = ScenarioSpec.build(
+    "random",
+    {"n_nodes": 16, "radio_range": 10.0, "density": 12.0},
+    source="random",
+).token
+
+
 class TestGroupRuns:
     def test_consecutive_detailed_seeds_group(self):
         runs = small_detailed_spec(n_seeds=3).runs()
         groups = _group_runs(runs)
         # Two points x three seeds collapse to two tasks.
-        assert len(groups) == 2
-        assert [len(seeds) for _, _, seeds in groups] == [3, 3]
-        flat = [
-            (kind, tuple(sorted(params.items())), seed)
-            for kind, params, seeds in groups
-            for seed in seeds
-        ]
-        assert flat == [(r.kind, r.params, r.seed) for r in runs]
+        assert groups == [(0, 1, 2), (3, 4, 5)]
+        assert len({runs[i].params for i in groups[0]}) == 1
 
-    def test_non_detailed_runs_stay_singleton(self):
-        spec = CampaignSpec.build(
-            kind="ideal",
-            axes={"p": (0.5,)},
-            fixed={
-                "grid_side": 5,
-                "q": 0.5,
-                "mode": PSM_PBBF,
-                "n_broadcasts": 1,
-                "hop_near": 1,
-                "hop_far": 2,
-            },
+    def test_seed_free_ideal_runs_share_one_lease(self):
+        """Every run on the legacy grid shares its world, whatever its
+        seed, p, q or mode: one lease."""
+        spec = small_ideal_spec(
+            extra_points=({"p": 1.0, "q": 1.0, "mode": "always_on"},),
             seed_params=("p", "q", "mode"),
             n_seeds=4,
         )
-        groups = _group_runs(spec.runs())
-        assert len(groups) == 4
-        assert all(len(seeds) == 1 for _, _, seeds in groups)
+        runs = spec.runs()
+        assert len({run.seed for run in runs}) == len(runs) == 20
+        assert _group_runs(runs) == [tuple(range(len(runs)))]
+
+    def test_rng_drawn_worlds_group_by_seed(self):
+        """A random deployment is one world per seed; seeds that fold only
+        the scenario alternate, so each lease's runs are non-contiguous."""
+        spec = small_ideal_spec(
+            fixed={"scenario": RANDOM_WORLD},
+            seed_params=("scenario",),
+            n_seeds=2,
+        )
+        runs = spec.runs()
+        assert _group_runs(runs) == [(0, 2, 4, 6), (1, 3, 5, 7)]
+        for group in _group_runs(runs):
+            assert len({runs[i].seed for i in group}) == 1
+
+    def test_rng_drawn_worlds_with_own_seeds_stay_apart(self):
+        spec = small_ideal_spec(
+            fixed={"scenario": RANDOM_WORLD}, seed_params=("scenario", "p", "q")
+        )
+        assert _group_runs(spec.runs()) == [(0,), (1,), (2,), (3,)]
+
+    def test_world_parameters_split_leases(self):
+        """Parameters other than p, q and mode keep their runs apart."""
+        spec = small_ideal_spec(seed_params=("p", "q"))
+        runs = spec.runs() + small_ideal_spec(
+            fixed={"n_broadcasts": 2}, seed_params=("p", "q")
+        ).runs()
+        assert _group_runs(runs) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+
+    def test_percolation_runs_stay_singleton(self):
+        spec = CampaignSpec.build(
+            kind="percolation",
+            axes={"reliability": (0.5, 0.9)},
+            fixed={"grid_side": 5, "runs": 2, "process": "bond"},
+            seed_params=("reliability",),
+            n_seeds=2,
+        )
+        assert _group_runs(spec.runs()) == [(0,), (1,), (2,), (3,)]
 
     def test_point_boundary_breaks_the_group(self):
         runs = small_detailed_spec(n_seeds=2).runs()
         # Interleave the two points so no two consecutive runs share params.
         interleaved = [runs[0], runs[2], runs[1], runs[3]]
-        groups = _group_runs(interleaved)
-        assert [len(seeds) for _, _, seeds in groups] == [1, 1, 1, 1]
+        assert _group_runs(interleaved) == [(0,), (1,), (2,), (3,)]
 
     def test_empty_input(self):
         assert _group_runs([]) == []
+
+    def test_fast_figure_leases(self):
+        """Leases per ideal figure campaign at fast scale."""
+        from repro.experiments import Scale
+        from repro.experiments.ideal_figures import ideal_campaign
+        from repro.experiments.pareto_figures import static_frontier_campaign
+        from repro.experiments.scenario_figures import (
+            failure_campaign,
+            portability_campaign,
+        )
+
+        scale = Scale.fast()
+        sizes = {
+            name: sorted(
+                (len(group) for group in _group_runs(build(scale).runs())),
+                reverse=True,
+            )
+            for name, build in (
+                ("fig04", ideal_campaign),
+                ("pareto01", static_frontier_campaign),
+                ("scen02", portability_campaign),
+                ("scen01", failure_campaign),
+            )
+        }
+        assert sizes == {
+            "fig04": [26],
+            "pareto01": [30, 30],
+            "scen02": [12, 12] + [6] * 6,
+            # Each failure draw realizes its own world.
+            "scen01": [4] + [1] * 12,
+        }
 
 
 class TestSerialBackendBatching:
